@@ -11,7 +11,7 @@ from .mc import (Ensemble, MomentEstimate, NoiseEnsemble, estimate_moments,
                  estimate_response, integrate_qcle, sample_noise, zero_noise)
 from .moments import (MomentSet, PlateauError, QuadratureError,
                       SpectralQuadrature, estimate_plateau, mean_trajectory,
-                      phi_v_cov, variance, variance_spectrum)
+                      variance, variance_spectrum)
 from .params import (BathParams, PotentialParams, asymmetric_bistable,
                      bistable, nondimensionalize, parabolic)
 from .response import (ResponseProblem, StepInstabilityError, integrate_duffing,
@@ -35,7 +35,7 @@ __all__ = [
     "estimate_response", "fourier_forward", "integrate_duffing",
     "integrate_qcle", "max_error_remainder", "mean_trajectory",
     "noise_correlation", "noise_psd", "nondimensionalize", "ode_residual",
-    "omega0", "parabolic", "phi_omega", "phi_v_cov", "psi_operator",
+    "omega0", "parabolic", "phi_omega", "psi_operator",
     "reconstruct_at", "response_from_susceptibility", "sample_noise",
     "solve_response_djm", "solve_susceptibility", "variance",
     "variance_spectrum", "volterra_b", "volterra_f", "xi_q0_corr",

@@ -185,16 +185,18 @@ def parse_config(path: Path, seed_override: Optional[int] = None) -> RunConfig:
                      n_paths, seed, f0_kick, thermal_v0, raw)
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.16e}"
-
-
 def write_csv(path: Path, header: list[str], columns: list[np.ndarray]):
+    """Numbers as %.16e (17 significant digits, exact round trip); a text
+    table (the acceptance report) goes through csv quoting."""
     with path.open("w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(header)
-        for row in zip(*columns):
-            w.writerow([v if isinstance(v, str) else _fmt(float(v)) for v in row])
+        if any(len(col) and isinstance(col[0], str) for col in columns):
+            w.writerows(zip(*columns))
+            return
+        line = ",".join(["%.16e"] * len(columns)) + "\r\n"
+        cols = [np.asarray(col, dtype=float).tolist() for col in columns]
+        fh.write("".join([line % row for row in zip(*cols)]))
 
 
 def write_manifest(path: Path, payload: dict):

@@ -1,15 +1,26 @@
 """Conditional-PDF moments: mean trajectory, variance and their spectra.
 
-The variance noise term is evaluated in the frequency domain,
+The variance noise term is a trapezoid sum over the noise spectral density,
 
     <phi_q(t)^2> = (1/pi) int_0^W S(w) |Lambda(t,w)|^2 dw,
-    Lambda(t,w)  = int_0^t chi_v(s) e^{-iws} ds  (closed form),
+    Lambda(t,w)  = int_0^t chi_v(s) e^{-iws} ds,
 
 which is the double time quadrature of the velocity-noise covariance routed
-through the spectral density. For quantum nu the strict Ohmic integrand
-decays only like 1/w, so the cutoff W acts as a physical UV regulator; in
-the classical regime the result is cutoff-insensitive and the convergence
-check below verifies that.
+through the spectral density. Lambda has rank 2 in (t, w):
+
+    Lambda = e^{-iwt} [u(w) chi_v(t) + b(w) e^{s_- t}] - b(w),
+    u = 1/(s_+ - iw),  b = -1/((s_+ - iw)(s_- - iw)),
+
+with s_+/- the roots of kernels.effective_roots. The weighted sum of
+|Lambda|^2 therefore reduces to three scalar moments of (u, b) and two
+Fourier sums of the weights on the time grid: O(n_t + n_w) memory and no
+(n_t, n_w) matrix. It is the same trapezoid sum, reordered, so it agrees
+with the direct matrix evaluation to roundoff; s_+ - s_- = w0 exactly, so no
+1/w0 cancellation remains near critical damping.
+
+For quantum nu the strict Ohmic integrand decays only like 1/w, so the
+cutoff W acts as a physical UV regulator; in the classical regime the result
+is cutoff-insensitive and the convergence check below verifies that.
 """
 
 from __future__ import annotations
@@ -61,18 +72,6 @@ class SpectralQuadrature:
         return self.omega_max / (self.n - 1)
 
 
-def _e1(x: np.ndarray) -> np.ndarray:
-    """(e^x - 1)/x, complex-safe, series branch near 0."""
-    x = np.asarray(x, dtype=complex)
-    out = np.empty_like(x)
-    small = np.abs(x) < 1e-6
-    xs = x[small]
-    out[small] = 1.0 + xs / 2.0 * (1.0 + xs / 3.0)
-    xb = x[~small]
-    out[~small] = (np.exp(xb) - 1.0) / xb
-    return out
-
-
 def _e1m(x: np.ndarray) -> np.ndarray:
     """(1 - e^{-x})/x, complex-safe, series branch near 0."""
     x = np.asarray(x, dtype=complex)
@@ -85,68 +84,55 @@ def _e1m(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _chi_v_window(t: np.ndarray, omega: np.ndarray, gamma: float,
-                  eta: float) -> np.ndarray:
-    """Lambda(t, w) = int_0^t chi_v(s) e^{-iws} ds as an (n_t, n_w) matrix."""
-    sp, sm, w0 = kernels.effective_roots(gamma, eta)
-    t = t[:, None]
-    g_p = t * _e1((sp - 1j * omega) * t)
-    g_m = t * _e1((sm - 1j * omega) * t)
-    return (g_p - g_m) / w0
+def _fourier_rows(d: np.ndarray, omega: np.ndarray, grid: TimeGrid) -> np.ndarray:
+    """F[:, j] = sum_k d[:, k] e^{-i w_k t_j} on the time grid: one
+    (rows, n_w) mat-vec per time node, the phase advanced multiplicatively
+    (|step| = 1, so the drift over n_t steps is O(n_t eps))."""
+    run = np.ones(omega.size, dtype=complex)
+    step = np.exp(-1j * grid.dt * omega)
+    out = np.empty((d.shape[0], grid.n), dtype=complex)
+    for j in range(grid.n):
+        out[:, j] = d @ run
+        run *= step
+    return out
 
 
-def _chi_v_dot_window(t: np.ndarray, omega: np.ndarray, gamma: float,
-                      eta: float) -> np.ndarray:
-    """A(t, w) = int_0^t chi_v_dot(t-u) e^{-iwu} du as an (n_t, n_w) matrix."""
-    sp, sm, w0 = kernels.effective_roots(gamma, eta)
-    tc = t[:, None]
-    phase = np.exp(-1j * omega * tc)
-    a_p = sp * tc * _e1((sp + 1j * omega) * tc)
-    a_m = sm * tc * _e1((sm + 1j * omega) * tc)
-    return phase * (a_p - a_m) / w0
+def _window_power(grid: TimeGrid, gamma: float, eta: float, omega: np.ndarray,
+                  c: np.ndarray) -> np.ndarray:
+    """sum_k c[r, k] |Lambda(t, w_k)|^2 for every row r of the weights c.
 
-
-PHI_V_QUAD = SpectralQuadrature(omega_max=3000.0, n=60001, rtol=1e-3)
-
-
-def phi_v_cov(z: float, y: float, bath: BathParams, potential_eta: float,
-              quad: SpectralQuadrature = PHI_V_QUAD) -> float:
-    """Velocity-noise covariance <phi_v(z) phi_v(y)>, symmetric in (z, y).
-
-    Evaluated spectrally, (1/pi) int_0^W S(w) Re[A(z,w) conj(A(y,w))] dw,
-    with the O(1/W) window-edge tail removed by Richardson extrapolation in
-    1/W (the chi_v_dot window has a unit edge, so the integrand decays only
-    like S(w)/w^2).
+    Lambda = e^{-iwt} [u chi_v(t) + b e^{s_- t}] - b has rank 2 in (t, w),
+    so the weighted sum is three scalar moments of (u, b) combined with
+    O(n_t) vectors, plus two Fourier sums over the weights. Nodes with
+    |s_+ - iw| t_max < 1, where u and b outgrow Lambda (eta ~ 0 near w = 0,
+    or a horizon shorter than 2/gamma), are summed from Lambda's direct form.
     """
-    if z < 0 or y < 0:
-        raise ValueError("phi_v_cov needs z, y >= 0")
-    if z == 0 or y == 0:
-        return 0.0
-    w = np.linspace(0.0, quad.omega_max, quad.n)
-    s_w = kernels.noise_psd(w, bath.gamma, bath.temp, bath.nu)
-    az = _chi_v_dot_window(np.array([z]), w, bath.gamma, potential_eta)[0]
-    ay = _chi_v_dot_window(np.array([y]), w, bath.gamma, potential_eta)[0]
-    f = s_w * np.real(az * np.conj(ay)) / np.pi
-    wt = trapezoid_weights(quad.n, quad.d_omega)
-    total = float(np.sum(wt * f))
-    k_half = (quad.n - 1) // 2
-    wt_rng = trapezoid_weights(k_half + 1, quad.d_omega)
-    total_halfrange = float(np.sum(wt_rng * f[: k_half + 1]))
-    value = 2.0 * total - total_halfrange  # cancel the c/W tail
-    if quad.check:
-        half_n = (quad.n - 1) // 2 + 1
-        wt_res = trapezoid_weights(half_n, 2 * quad.d_omega)
-        total_halfres = float(np.sum(wt_res * f[::2]))
-        est = max(0.5 * abs(value - total), abs(total - total_halfres))
-        if est > quad.rtol * max(1.0, abs(value)):
-            raise QuadratureError(
-                "noise-covariance quadrature did not converge "
-                f"(estimate {est:.3e}); for quantum nu the integrand is "
-                "UV-log-sensitive: widen omega_max or adopt an explicit "
-                "cutoff with check=False",
-                est,
-            )
-    return value
+    t = grid.times
+    sp, sm, w0 = kernels.effective_roots(gamma, eta)
+    a = sp - 1j * omega
+    near = np.abs(a) * grid.t_max < 1.0
+    out = np.zeros((c.shape[0], grid.n))
+    for k in np.flatnonzero(near):
+        # int_0^t e^{zs} ds = expm1(zt)/z; Re(s_-) < 0 keeps z_m != 0
+        z_m = sm - 1j * omega[k]
+        g_p = t if a[k] == 0 else np.expm1(a[k] * t) / a[k]
+        lam = (g_p - np.expm1(z_m * t) / z_m) / w0
+        out += c[:, k, None] * np.abs(lam) ** 2
+    c = np.where(near, 0.0, c)
+    u = 1.0 / np.where(near, 1.0, a)
+    b = -u / (sm - 1j * omega)
+    ub = u * np.conj(b)
+    bb = np.abs(b) ** 2
+    m_uu = c @ (np.abs(u) ** 2)
+    m_bb = c @ bb
+    m_ub = c @ ub
+    f_ub, f_bb = np.split(_fourier_rows(np.vstack([c * ub, c * bb]), omega, grid), 2)
+    x = kernels.chi_v(t, gamma, eta)
+    e = np.exp(sm * t)
+    out += (m_uu[:, None] * x**2 + m_bb[:, None] * (np.abs(e) ** 2 + 1.0)
+            + 2.0 * x * np.real(m_ub[:, None] * np.conj(e))
+            - 2.0 * np.real(x * f_ub + e * f_bb))
+    return out
 
 
 def _preparation_cross_term(grid: TimeGrid, bath: BathParams, eta: float,
@@ -195,26 +181,18 @@ def variance(grid: TimeGrid, bath: BathParams, potential: PotentialParams,
     base = temp * kernels.chi_v(t, gamma, eta) ** 2
 
     w = np.linspace(0.0, quad.omega_max, quad.n)
-    s_w = kernels.noise_psd(w, gamma, temp, bath.nu)
-    wt = trapezoid_weights(quad.n, quad.d_omega)
-    k_half = (quad.n - 1) // 2
-    noise = np.zeros(grid.n)
-    noise_halfrange = np.zeros(grid.n)
-    chunk = max(1, int(4e6 // max(grid.n, 1)))
-    for start in range(0, quad.n, chunk):
-        sl = slice(start, min(start + chunk, quad.n))
-        lam = _chi_v_window(t, w[sl], gamma, eta)
-        f = (np.abs(lam) ** 2) * (s_w[sl] * wt[sl]) / np.pi
-        noise += f.sum(axis=1)
-        if start <= k_half:
-            stop = min(sl.stop, k_half + 1)
-            noise_halfrange += f[:, : stop - start].sum(axis=1)
+    wt = trapezoid_weights(quad.n, quad.d_omega)[None, :]
     if quad.check:
-        # correct the half-range end weight and compare against the full range
-        lam_end = _chi_v_window(t, w[k_half:k_half + 1], gamma, eta)[:, 0]
-        noise_halfrange -= (np.abs(lam_end) ** 2) * s_w[k_half] * (quad.d_omega / 2.0) / np.pi
-        scale = max(float(np.max(np.abs(base + noise))), 1e-30)
-        est = float(np.max(np.abs(noise - noise_halfrange))) / scale
+        # the half range [0, omega_max/2] on the same nodes, end weight halved
+        k_half = (quad.n - 1) // 2
+        wt_half = np.zeros(quad.n)
+        wt_half[:k_half + 1] = trapezoid_weights(k_half + 1, quad.d_omega)
+        wt = np.vstack([wt, wt_half])
+    s_w = kernels.noise_psd(w, gamma, temp, bath.nu)
+    noise = _window_power(grid, gamma, eta, w, wt * s_w / np.pi)
+    if quad.check:
+        scale = max(float(np.max(np.abs(base + noise[0]))), 1e-30)
+        est = float(np.max(np.abs(noise[0] - noise[1]))) / scale
         if est > quad.rtol:
             raise QuadratureError(
                 "variance quadrature is cutoff-sensitive "
@@ -222,7 +200,7 @@ def variance(grid: TimeGrid, bath: BathParams, potential: PotentialParams,
                 "widen omega_max or adopt an explicit cutoff with check=False",
                 est,
             )
-    sig2 = base + noise
+    sig2 = base + noise[0]
     if include_preparation:
         sig2 = sig2 + _preparation_cross_term(grid, bath, eta, tail_tol=1e-12)
     sig2[0] = 0.0

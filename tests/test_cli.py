@@ -1,12 +1,13 @@
 """Command line front end: configs, outputs, exit codes, determinism."""
 
 import csv
+import hashlib
 import json
 from pathlib import Path
 
 import numpy as np
 
-from qcle.cli import main
+from qcle.cli import main, write_csv
 
 CONFIG = {
     "potential": {"eta": 1.0, "alpha": 0.0, "epsilon": 0.0, "f0": 0.1},
@@ -67,6 +68,33 @@ def test_csv_round_trip_17_digits(tmp_path):
     t = np.array([float(r[0]) for r in rows])
     cv = np.array([float(r[2]) for r in rows])
     assert np.array_equal(cv, chi_v(t, 1.0, 1.0))  # exact round trip
+
+
+def _per_value_csv(path: Path, header, columns):
+    """Reference writer: every value formatted on its own through csv."""
+    with path.open("w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        for row in zip(*columns):
+            w.writerow([v if isinstance(v, str) else f"{float(v):.16e}"
+                        for v in row])
+
+
+def test_write_csv_matches_per_value_writer(tmp_path):
+    x = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 1e-300, -5e-324,
+                  1.7976931348623157e308, 0.1, -2.5])
+    tables = [
+        (["t", "a", "b"], [np.arange(x.size) * 0.1, x, x[::-1]]),
+        (["criterion", "passed", "detail"],
+         [["1", "2"], ["1", "0"], ["max err 1e-3, bound 1e-6", 'say "hi"']]),
+        (["t"], [np.array([])]),
+    ]
+    for i, (header, columns) in enumerate(tables):
+        ours, ref = tmp_path / f"ours{i}.csv", tmp_path / f"ref{i}.csv"
+        write_csv(ours, header, columns)
+        _per_value_csv(ref, header, columns)
+        assert hashlib.sha256(ours.read_bytes()).hexdigest() \
+            == hashlib.sha256(ref.read_bytes()).hexdigest()
 
 
 def test_moments_and_response_subcommands(tmp_path):

@@ -1,16 +1,131 @@
 """Conditional mean, variance and their spectra."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from qcle import (BathParams, FreqGrid, PotentialParams, QuadratureError,
                   SampledSignal, SpectralQuadrature, TimeGrid, chi_q, chi_v,
-                  chi_v_dot, mean_trajectory, phi_v_cov, variance,
-                  variance_spectrum)
-from qcle.moments import MomentSet, PlateauError, estimate_plateau
+                  chi_v_dot, mean_trajectory, variance, variance_spectrum)
+from qcle._numutil import trapezoid_weights
+from qcle.kernels import effective_roots, noise_psd
+from qcle.moments import (MomentSet, PlateauError, _preparation_cross_term,
+                          estimate_plateau)
 from qcle.params import parabolic
 
 CLASSICAL = BathParams(gamma=1.0, temp=1.0, nu=1e4)
+
+
+def _e1(x: np.ndarray) -> np.ndarray:
+    """(e^x - 1)/x, complex-safe, series branch near 0."""
+    x = np.asarray(x, dtype=complex)
+    out = np.empty_like(x)
+    small = np.abs(x) < 1e-6
+    xs = x[small]
+    out[small] = 1.0 + xs / 2.0 * (1.0 + xs / 3.0)
+    xb = x[~small]
+    out[~small] = (np.exp(xb) - 1.0) / xb
+    return out
+
+
+def _chi_v_window(t: np.ndarray, omega: np.ndarray, gamma: float,
+                  eta: float) -> np.ndarray:
+    """Lambda(t, w) = int_0^t chi_v(s) e^{-iws} ds as an (n_t, n_w) matrix."""
+    sp, sm, w0 = effective_roots(gamma, eta)
+    t = t[:, None]
+    g_p = t * _e1((sp - 1j * omega) * t)
+    g_m = t * _e1((sm - 1j * omega) * t)
+    return (g_p - g_m) / w0
+
+
+def _oracle_variance(grid, bath, eta, quad, include_preparation=True):
+    """Reference for variance(): the trapezoid sum over the full (n_t, n_w)
+    matrix of |Lambda|^2, in chunks of frequency columns. Returns sigma^2 and
+    the relative half-range estimate that the convergence check compares
+    against quad.rtol."""
+    t = grid.times
+    gamma, temp = bath.gamma, bath.temp
+    base = temp * chi_v(t, gamma, eta) ** 2
+    w = np.linspace(0.0, quad.omega_max, quad.n)
+    s_w = noise_psd(w, gamma, temp, bath.nu)
+    wt = trapezoid_weights(quad.n, quad.d_omega)
+    k_half = (quad.n - 1) // 2
+    noise = np.zeros(grid.n)
+    noise_halfrange = np.zeros(grid.n)
+    chunk = max(1, int(4e6 // max(grid.n, 1)))
+    for start in range(0, quad.n, chunk):
+        sl = slice(start, min(start + chunk, quad.n))
+        lam = _chi_v_window(t, w[sl], gamma, eta)
+        f = (np.abs(lam) ** 2) * (s_w[sl] * wt[sl]) / np.pi
+        noise += f.sum(axis=1)
+        if start <= k_half:
+            stop = min(sl.stop, k_half + 1)
+            noise_halfrange += f[:, : stop - start].sum(axis=1)
+    # correct the half-range end weight and compare against the full range
+    lam_end = _chi_v_window(t, w[k_half:k_half + 1], gamma, eta)[:, 0]
+    noise_halfrange -= (np.abs(lam_end) ** 2) * s_w[k_half] * (quad.d_omega / 2.0) / np.pi
+    scale = max(float(np.max(np.abs(base + noise))), 1e-30)
+    est = float(np.max(np.abs(noise - noise_halfrange))) / scale
+    sig2 = base + noise
+    if include_preparation:
+        sig2 = sig2 + _preparation_cross_term(grid, bath, eta, tail_tol=1e-12)
+    sig2[0] = 0.0
+    return sig2, est
+
+
+def _chi_v_dot_window(t: np.ndarray, omega: np.ndarray, gamma: float,
+                      eta: float) -> np.ndarray:
+    """A(t, w) = int_0^t chi_v_dot(t-u) e^{-iwu} du as an (n_t, n_w) matrix."""
+    sp, sm, w0 = effective_roots(gamma, eta)
+    tc = t[:, None]
+    phase = np.exp(-1j * omega * tc)
+    a_p = sp * tc * _e1((sp + 1j * omega) * tc)
+    a_m = sm * tc * _e1((sm + 1j * omega) * tc)
+    return phase * (a_p - a_m) / w0
+
+
+PHI_V_QUAD = SpectralQuadrature(omega_max=3000.0, n=60001, rtol=1e-3)
+
+
+def phi_v_cov(z: float, y: float, bath: BathParams, potential_eta: float,
+              quad: SpectralQuadrature = PHI_V_QUAD) -> float:
+    """Velocity-noise covariance <phi_v(z) phi_v(y)>, symmetric in (z, y).
+
+    Evaluated spectrally, (1/pi) int_0^W S(w) Re[A(z,w) conj(A(y,w))] dw,
+    with the O(1/W) window-edge tail removed by Richardson extrapolation in
+    1/W (the chi_v_dot window has a unit edge, so the integrand decays only
+    like S(w)/w^2).
+    """
+    if z < 0 or y < 0:
+        raise ValueError("phi_v_cov needs z, y >= 0")
+    if z == 0 or y == 0:
+        return 0.0
+    w = np.linspace(0.0, quad.omega_max, quad.n)
+    s_w = noise_psd(w, bath.gamma, bath.temp, bath.nu)
+    az = _chi_v_dot_window(np.array([z]), w, bath.gamma, potential_eta)[0]
+    ay = _chi_v_dot_window(np.array([y]), w, bath.gamma, potential_eta)[0]
+    f = s_w * np.real(az * np.conj(ay)) / np.pi
+    wt = trapezoid_weights(quad.n, quad.d_omega)
+    total = float(np.sum(wt * f))
+    k_half = (quad.n - 1) // 2
+    wt_rng = trapezoid_weights(k_half + 1, quad.d_omega)
+    total_halfrange = float(np.sum(wt_rng * f[: k_half + 1]))
+    value = 2.0 * total - total_halfrange  # cancel the c/W tail
+    if quad.check:
+        half_n = (quad.n - 1) // 2 + 1
+        wt_res = trapezoid_weights(half_n, 2 * quad.d_omega)
+        total_halfres = float(np.sum(wt_res * f[::2]))
+        est = max(0.5 * abs(value - total), abs(total - total_halfres))
+        if est > quad.rtol * max(1.0, abs(value)):
+            raise QuadratureError(
+                "noise-covariance quadrature did not converge "
+                f"(estimate {est:.3e}); for quantum nu the integrand is "
+                "UV-log-sensitive: widen omega_max or adopt an explicit "
+                "cutoff with check=False",
+                est,
+            )
+    return value
 
 
 def test_phi_v_cov_zero_edge_and_symmetry():
@@ -76,6 +191,66 @@ def test_variance_quantum_uv_check():
     grid = TimeGrid(10.0, 501)
     with pytest.raises(QuadratureError):
         variance(grid, BathParams(1.0, 0.5, 2.0), parabolic())
+
+
+ORACLE_CASES = {
+    # name: (bath, eta, check)
+    "underdamped": (CLASSICAL, 1.0, True),
+    "critical": (BathParams(gamma=2.0, temp=1.0, nu=1e4), 1.0, True),
+    "overdamped": (BathParams(gamma=3.0, temp=0.5, nu=1e4), 1.0, True),
+    "eta_negative": (BathParams(gamma=1.5, temp=0.3, nu=1e4), -1.0, True),
+    "eta_zero": (BathParams(gamma=1.5, temp=0.3, nu=1e4), 0.0, True),
+    "quantum": (BathParams(gamma=1.0, temp=1.0, nu=3.0), 1.0, False),
+}
+
+
+@pytest.mark.parametrize("include_preparation", [True, False])
+@pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+def test_variance_matches_matrix_quadrature(case, include_preparation):
+    bath, eta, check = ORACLE_CASES[case]
+    grid = TimeGrid(15.0, 301)
+    quad = SpectralQuadrature(n=2001, check=check)
+    oracle, _ = _oracle_variance(grid, bath, eta, quad, include_preparation)
+    pot = PotentialParams(eta=eta, alpha=0.2)
+    sig = variance(grid, bath, pot, quad=quad,
+                   include_preparation=include_preparation).values
+    # the widened critical roots enter the two forms differently at O(1e-10)
+    tol = 1e-10 if case == "critical" else 1e-12
+    assert np.max(np.abs(sig - oracle)) <= tol * np.max(np.abs(oracle))
+
+
+@pytest.mark.parametrize("bath, grid", [
+    (CLASSICAL, TimeGrid(15.0, 301)),
+    (BathParams(1.0, 0.5, 2.0), TimeGrid(10.0, 501)),
+    (BathParams(1.0, 1.0, 5.0), TimeGrid(10.0, 201)),
+    (BathParams(2.0, 1.0, 20.0), TimeGrid(10.0, 201)),
+], ids=["classical", "nu2", "nu5", "nu20"])
+def test_quadrature_error_parity_with_oracle(bath, grid):
+    quad = SpectralQuadrature()
+    _, est = _oracle_variance(grid, bath, 1.0, quad, include_preparation=False)
+    if est <= quad.rtol:
+        variance(grid, bath, parabolic(), quad=quad, include_preparation=False)
+    else:
+        with pytest.raises(QuadratureError):
+            variance(grid, bath, parabolic(), quad=quad, include_preparation=False)
+    # a tolerance nothing meets exposes the estimate itself
+    with pytest.raises(QuadratureError) as err:
+        variance(grid, bath, parabolic(), quad=SpectralQuadrature(rtol=1e-12),
+                 include_preparation=False)
+    assert err.value.estimate == pytest.approx(est, rel=1e-9)
+
+
+def test_variance_memory_stays_linear():
+    # criterion 4's size; an (n_t, n_w) complex matrix would take 1.2 GB
+    grid = TimeGrid(12.0, 12001)
+    tracemalloc.start()
+    try:
+        variance(grid, CLASSICAL, parabolic(), quad=SpectralQuadrature(n=6001),
+                 include_preparation=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32e6
 
 
 def test_moment_set_invariants(classical_sigma2):
