@@ -19,8 +19,7 @@ from .response import (ResponseProblem, StepInstabilityError, integrate_duffing,
                        zero_sigma2)
 from .susceptibility import (EdgeToleranceError, SusceptibilityProblem,
                              fourier_forward, phi_omega, psi_operator,
-                             reconstruct_at, response_from_susceptibility,
-                             solve_susceptibility)
+                             response_from_susceptibility, solve_susceptibility)
 
 __version__ = "0.1.0"
 
@@ -36,7 +35,7 @@ __all__ = [
     "integrate_qcle", "max_error_remainder", "mean_trajectory",
     "noise_correlation", "noise_psd", "nondimensionalize", "ode_residual",
     "omega0", "parabolic", "phi_omega", "psi_operator",
-    "reconstruct_at", "response_from_susceptibility", "sample_noise",
+    "response_from_susceptibility", "sample_noise",
     "solve_response_djm", "solve_susceptibility", "variance",
     "variance_spectrum", "volterra_b", "volterra_f", "xi_q0_corr",
     "zero_noise", "zero_sigma2",

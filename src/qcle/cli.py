@@ -3,10 +3,12 @@
     qcle <subcommand> --config <path> [--out <dir>] [--seed <u64>]
 
 Subcommands: kernels, moments, response, susceptibility, mc, validate.
-Exit codes: 0 ok, 1 acceptance failure (validate), 2 config error,
-3 numerical non-convergence. Outputs are CSV with 17 significant digits
-plus a JSON manifest echoing the configuration, tolerances, seeds and
-solver diagnostics; reruns of the same config are byte-identical.
+Exit codes: 0 ok, 1 acceptance failure (validate only), 2 config error
+(reported before any file is written), 3 numerical failure (reported on
+stderr and in the manifest's diagnostics.error). Outputs are CSV with 17
+significant digits plus a JSON manifest echoing the configuration,
+tolerances, seeds and solver diagnostics; reruns of the same config are
+byte-identical.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from typing import Optional
 import numpy as np
 
 from . import __version__, kernels
-from .acceptance import KNOWN_UNATTAINABLE, run_acceptance
+from .acceptance import CRITERIA, KNOWN_UNATTAINABLE, run_acceptance
 from .djm import ConvergenceError, NonFiniteTermError
 from .grids import FreqGrid, TimeGrid
 from .mc import estimate_moments, estimate_response, integrate_qcle, sample_noise
@@ -168,18 +170,29 @@ def parse_config(path: Path, seed_override: Optional[int] = None) -> RunConfig:
     thermal_v0 = _get(mc_s, "mc", "thermal_v0", bool, errors, False)
     q0 = _get(init_s, "initial", "q0", float, errors, 0.0)
     v0 = _get(init_s, "initial", "v0", float, errors, 0.0)
-    for name, val in (("djm_tol", djm_tol), ("edge_tol", edge_tol),
-                      ("plateau_tol", plateau_tol), ("dt_sub", dt_sub)):
-        if val is not None and not val > 0:
-            errors.append(f"tolerances.{name}: must be positive")
+    if seed_override is not None:
+        seed = seed_override
+    for key, val in (("tolerances.djm_tol", djm_tol), ("tolerances.edge_tol", edge_tol),
+                     ("tolerances.plateau_tol", plateau_tol),
+                     ("tolerances.response_window", window),
+                     ("integrator.dt_sub", dt_sub)):
+        if not val > 0:
+            errors.append(f"{key}: must be positive")
+    for key, val, low in (("tolerances.djm_k_max", djm_k_max, 1),
+                          ("mc.n_paths", n_paths, 2), ("mc.seed", seed, 0)):
+        if val < low:
+            errors.append(f"{key}: must be >= {low}")
+    if f0_kick == 0:
+        errors.append("mc.f0_kick: must be nonzero")
+    if time_grid is not None and dt_sub > time_grid.dt * (1 + 1e-12):
+        errors.append(f"integrator.dt_sub: must not exceed the time-grid step "
+                      f"{time_grid.dt!r}")
     if errors:
         raise ConfigError(errors)
     try:
         quad = SpectralQuadrature(**quad_kwargs)
     except ValueError as e:
         raise ConfigError([f"tolerances.quad: {e}"])
-    if seed_override is not None:
-        seed = seed_override
     return RunConfig(potential, bath, time_grid, freq_grid, q0, v0, djm_tol,
                      djm_k_max, window, quad, edge_tol, plateau_tol, dt_sub,
                      n_paths, seed, f0_kick, thermal_v0, raw)
@@ -203,62 +216,58 @@ def write_manifest(path: Path, payload: dict):
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _base_manifest(cfg: RunConfig, subcommand: str) -> dict:
-    return {
+def _base_manifest(cfg: Optional[RunConfig], subcommand: str) -> dict:
+    m = {
         "subcommand": subcommand,
-        "config": cfg.raw,
+        "config": cfg.raw if cfg else None,
         "versions": {
             "qcle": __version__,
             "numpy": np.__version__,
             "python": ".".join(map(str, sys.version_info[:3])),
         },
-        "effective": {
-            "seed": cfg.seed,
-            "djm_tol": cfg.djm_tol,
-            "djm_k_max": cfg.djm_k_max,
-            "response_window": cfg.response_window,
-            "quad_omega_max": cfg.quad.omega_max,
-            "quad_n": cfg.quad.n,
-            "quad_rtol": cfg.quad.rtol,
-            "edge_tol": cfg.edge_tol,
-            "plateau_tol": cfg.plateau_tol,
-            "dt_sub": cfg.dt_sub,
-            "n_paths": cfg.n_paths,
-            "f0_kick": cfg.f0_kick,
-            "thermal_v0": cfg.thermal_v0,
-        },
-        "diagnostics": {},
     }
+    if subcommand == "validate":
+        return m
+    m["effective"] = {
+        "seed": cfg.seed,
+        "djm_tol": cfg.djm_tol,
+        "djm_k_max": cfg.djm_k_max,
+        "response_window": cfg.response_window,
+        "quad_omega_max": cfg.quad.omega_max,
+        "quad_n": cfg.quad.n,
+        "quad_rtol": cfg.quad.rtol,
+        "edge_tol": cfg.edge_tol,
+        "plateau_tol": cfg.plateau_tol,
+        "dt_sub": cfg.dt_sub,
+        "n_paths": cfg.n_paths,
+        "f0_kick": cfg.f0_kick,
+        "thermal_v0": cfg.thermal_v0,
+    }
+    m["diagnostics"] = {}
+    return m
 
 
-def _need_freq_grid(cfg: RunConfig, sub: str) -> FreqGrid:
-    if cfg.freq_grid is None:
-        raise ConfigError([f"freq_grid: section required by `{sub}`"])
-    return cfg.freq_grid
+# Each subcommand writes its CSVs into `out` and records its diagnostics in
+# the manifest `m`; main writes the manifest. A numerical failure is raised.
 
-
-def cmd_kernels(cfg: RunConfig, out: Path) -> int:
+def cmd_kernels(cfg: RunConfig, out: Path, m: dict) -> int:
     t = cfg.time_grid.times
     g, e = cfg.bath.gamma, cfg.potential.eta
     write_csv(out / "kernels_time.csv",
               ["t", "chi_q", "chi_v", "chi_v_dot"],
               [t, kernels.chi_q(t, g, e), kernels.chi_v(t, g, e),
                kernels.chi_v_dot(t, g, e)])
-    fg = _need_freq_grid(cfg, "kernels")
-    om = fg.omegas
+    om = cfg.freq_grid.omegas
     chit = kernels.chi_tilde(om, g, e)
     write_csv(out / "kernels_freq.csv",
               ["omega", "chi_tilde_re", "chi_tilde_im", "noise_psd"],
               [om, chit.real, chit.imag,
                kernels.noise_psd(om, g, cfg.bath.temp, cfg.bath.nu)])
-    m = _base_manifest(cfg, "kernels")
     m["diagnostics"]["omega0"] = repr(kernels.omega0(g, e))
-    write_manifest(out / "manifest.json", m)
     return 0
 
 
-def cmd_moments(cfg: RunConfig, out: Path) -> int:
-    m = _base_manifest(cfg, "moments")
+def cmd_moments(cfg: RunConfig, out: Path, m: dict) -> int:
     sig2 = variance(cfg.time_grid, cfg.bath, cfg.potential, quad=cfg.quad)
     try:
         mean, sol = mean_trajectory(cfg.q0, cfg.v0, cfg.potential, cfg.bath,
@@ -266,42 +275,32 @@ def cmd_moments(cfg: RunConfig, out: Path) -> int:
                                     tol=cfg.djm_tol, k_max=cfg.djm_k_max)
     except ConvergenceError as e:
         m["diagnostics"]["mean_term_norms"] = e.term_norms
-        m["diagnostics"]["error"] = str(e)
-        write_manifest(out / "manifest.json", m)
-        return 3
+        raise
     write_csv(out / "moments.csv", ["t", "mean", "variance"],
               [cfg.time_grid.times, mean.values, sig2.values])
     m["diagnostics"].update({
         "mean_term_norms": sol.term_norms,
         "mean_converged": sol.converged,
     })
-    fg = _need_freq_grid(cfg, "moments")
-    try:
-        spec = variance_spectrum(sig2, fg, plateau_tol=cfg.plateau_tol)
-    except PlateauError as e:
-        m["diagnostics"]["error"] = str(e)
-        write_manifest(out / "manifest.json", m)
-        return 3
+    fg = cfg.freq_grid
+    spec = variance_spectrum(sig2, fg, plateau_tol=cfg.plateau_tol)
     write_csv(out / "variance_spectrum.csv", ["omega", "re", "im"],
               [fg.omegas, spec.values.real, spec.values.imag])
     m["diagnostics"]["sigma2_singular"] = [
         [loc, w.real, w.imag] for loc, w in spec.singular_components()]
-    write_manifest(out / "manifest.json", m)
     return 0
 
 
-def cmd_response(cfg: RunConfig, out: Path) -> int:
-    m = _base_manifest(cfg, "response")
+def cmd_response(cfg: RunConfig, out: Path, m: dict) -> int:
     sig2 = variance(cfg.time_grid, cfg.bath, cfg.potential, quad=cfg.quad)
     prob = ResponseProblem(cfg.potential, cfg.bath, sig2, cfg.time_grid)
     r_djm, sols = solve_response_windowed(prob, window=cfg.response_window,
                                           tol=cfg.djm_tol, k_max=cfg.djm_k_max)
     m["diagnostics"]["window_term_norms"] = [s.term_norms for s in sols]
     m["diagnostics"]["windows_converged"] = [s.converged for s in sols]
-    if not all(s.converged for s in sols):
-        m["diagnostics"]["error"] = "response recursion did not converge"
-        write_manifest(out / "manifest.json", m)
-        return 3
+    if not sols[-1].converged:
+        raise ConvergenceError("response recursion did not converge",
+                               sols[-1].term_norms)
     r_ode = integrate_duffing(prob, dt_sub=cfg.dt_sub)
     write_csv(out / "response.csv", ["t", "r_recursion", "r_integrator"],
               [cfg.time_grid.times, r_djm.values, r_ode.values])
@@ -310,28 +309,20 @@ def cmd_response(cfg: RunConfig, out: Path) -> int:
         "ode_residual_integrator": ode_residual(r_ode, prob),
         "route_disagreement": float(np.max(np.abs(r_djm.values - r_ode.values))),
     })
-    write_manifest(out / "manifest.json", m)
     return 0
 
 
-def cmd_susceptibility(cfg: RunConfig, out: Path) -> int:
-    m = _base_manifest(cfg, "susceptibility")
-    fg = _need_freq_grid(cfg, "susceptibility")
+def cmd_susceptibility(cfg: RunConfig, out: Path, m: dict) -> int:
+    fg = cfg.freq_grid
     sig2 = variance(cfg.time_grid, cfg.bath, cfg.potential, quad=cfg.quad)
-    try:
-        spec2 = variance_spectrum(sig2, fg, plateau_tol=cfg.plateau_tol)
-    except PlateauError as e:
-        m["diagnostics"]["error"] = str(e)
-        write_manifest(out / "manifest.json", m)
-        return 3
+    spec2 = variance_spectrum(sig2, fg, plateau_tol=cfg.plateau_tol)
     prob = SusceptibilityProblem(cfg.potential, cfg.bath, spec2, fg)
     chi, sol = solve_susceptibility(prob, tol=cfg.djm_tol, k_max=cfg.djm_k_max)
     m["diagnostics"]["term_norms"] = sol.term_norms
     m["diagnostics"]["converged"] = sol.converged
     if not sol.converged:
-        m["diagnostics"]["error"] = "susceptibility recursion did not converge"
-        write_manifest(out / "manifest.json", m)
-        return 3
+        raise ConvergenceError("susceptibility recursion did not converge",
+                               sol.term_norms)
     write_csv(out / "susceptibility.csv", ["omega", "re", "im"],
               [fg.omegas, chi.values.real, chi.values.imag])
     rec, imag_resid = response_from_susceptibility(chi, cfg.time_grid,
@@ -343,12 +334,10 @@ def cmd_susceptibility(cfg: RunConfig, out: Path) -> int:
         "chi_singular": [[loc, w.real, w.imag]
                          for loc, w in chi.singular_components()],
     })
-    write_manifest(out / "manifest.json", m)
     return 0
 
 
-def cmd_mc(cfg: RunConfig, out: Path) -> int:
-    m = _base_manifest(cfg, "mc")
+def cmd_mc(cfg: RunConfig, out: Path, m: dict) -> int:
     noise = sample_noise(cfg.time_grid, cfg.bath, cfg.n_paths, cfg.seed)
     ens = integrate_qcle(noise, cfg.potential, q0=cfg.q0, v0=cfg.v0)
     est = estimate_moments(ens)
@@ -362,11 +351,10 @@ def cmd_mc(cfg: RunConfig, out: Path) -> int:
     write_csv(out / "mc_response.csv", ["t", "r_hat", "stderr"],
               [cfg.time_grid.times, r_hat.values, r_se.values])
     m["diagnostics"]["n_excluded"] = ens.n_excluded
-    write_manifest(out / "manifest.json", m)
     return 0
 
 
-def cmd_validate(cfg: Optional[RunConfig], out: Path,
+def cmd_validate(cfg: Optional[RunConfig], out: Path, m: dict,
                  criteria: Optional[list[int]]) -> int:
     results = run_acceptance(criteria)
     # no timings in the report so reruns stay byte-identical
@@ -376,18 +364,32 @@ def cmd_validate(cfg: Optional[RunConfig], out: Path,
                ["1" if r.passed else "0" for r in results],
                [r.description for r in results],
                [r.detail for r in results]])
-    payload = {
-        "subcommand": "validate",
-        "config": cfg.raw if cfg else None,
-        "versions": {"qcle": __version__, "numpy": np.__version__,
-                     "python": ".".join(map(str, sys.version_info[:3]))},
-        "results": [{"criterion": r.cid, "passed": r.passed,
+    m["results"] = [{"criterion": r.cid, "passed": r.passed,
                      "known_unattainable": r.cid in KNOWN_UNATTAINABLE,
                      "description": r.description, "detail": r.detail}
-                    for r in results],
-    }
-    write_manifest(out / "manifest.json", payload)
+                    for r in results]
     return 0 if all(r.passed for r in results) else 1
+
+
+# subcommand -> (function, whether it needs the freq_grid section)
+SUBCOMMANDS = {
+    "kernels": (cmd_kernels, True),
+    "moments": (cmd_moments, True),
+    "response": (cmd_response, False),
+    "susceptibility": (cmd_susceptibility, True),
+    "mc": (cmd_mc, False),
+    "validate": (cmd_validate, False),
+}
+
+# failures that exit 3 with a manifest carrying diagnostics.error
+NUMERICAL_ERRORS = (ConvergenceError, NonFiniteTermError, QuadratureError,
+                    PlateauError, EdgeToleranceError, StepInstabilityError)
+
+
+def _config_error(messages: list[str]) -> int:
+    for msg in messages:
+        print(f"config error: {msg}", file=sys.stderr)
+    return 2
 
 
 def main(argv: Optional[list[str]] = None) -> int:
@@ -395,9 +397,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         prog="qcle",
         description="Quasiclassical Brownian motion: moments, response and "
                     "susceptibility in nonlinear harmonic potentials.")
-    parser.add_argument("subcommand",
-                        choices=["kernels", "moments", "response",
-                                 "susceptibility", "mc", "validate"])
+    parser.add_argument("subcommand", choices=list(SUBCOMMANDS))
     parser.add_argument("--config", type=Path,
                         help="JSON run configuration (optional for validate)")
     parser.add_argument("--out", type=Path, default=Path("qcle-out"),
@@ -407,49 +407,44 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser.add_argument("--criteria", type=str, default=None,
                         help="validate only: comma-separated criterion ids")
     args = parser.parse_args(argv)
+    sub = args.subcommand
+    cmd, needs_freq_grid = SUBCOMMANDS[sub]
 
+    # every config error is reported before any output is written
     cfg = None
     if args.config is not None:
         try:
             cfg = parse_config(args.config, seed_override=args.seed)
         except ConfigError as e:
-            for msg in e.messages:
-                print(f"config error: {args.config}: {msg}", file=sys.stderr)
-            return 2
-    elif args.subcommand != "validate":
-        print("config error: --config is required", file=sys.stderr)
-        return 2
-
+            return _config_error([f"{args.config}: {msg}" for msg in e.messages])
+    elif sub != "validate":
+        return _config_error(["--config is required"])
+    if needs_freq_grid and cfg.freq_grid is None:
+        return _config_error([f"freq_grid: section required by `{sub}`"])
     criteria = None
     if args.criteria:
         try:
             criteria = [int(x) for x in args.criteria.split(",") if x.strip()]
         except ValueError:
-            print(f"config error: bad --criteria {args.criteria!r}", file=sys.stderr)
-            return 2
+            return _config_error([f"bad --criteria {args.criteria!r}"])
+        unknown = sorted(set(criteria) - set(CRITERIA))
+        if unknown:
+            return _config_error([f"unknown criterion {c} in --criteria"
+                                  for c in unknown])
+    kwargs = {"criteria": criteria} if sub == "validate" else {}
 
     out = args.out
     out.mkdir(parents=True, exist_ok=True)
+    m = _base_manifest(cfg, sub)
     try:
-        if args.subcommand == "kernels":
-            return cmd_kernels(cfg, out)
-        if args.subcommand == "moments":
-            return cmd_moments(cfg, out)
-        if args.subcommand == "response":
-            return cmd_response(cfg, out)
-        if args.subcommand == "susceptibility":
-            return cmd_susceptibility(cfg, out)
-        if args.subcommand == "mc":
-            return cmd_mc(cfg, out)
-        return cmd_validate(cfg, out, criteria)
-    except ConfigError as e:
-        for msg in e.messages:
-            print(f"config error: {msg}", file=sys.stderr)
-        return 2
-    except (ConvergenceError, NonFiniteTermError, QuadratureError,
-            PlateauError, EdgeToleranceError, StepInstabilityError) as e:
+        code = cmd(cfg, out, m, **kwargs)
+    except NUMERICAL_ERRORS as e:
+        m.setdefault("diagnostics", {})["error"] = str(e)
+        write_manifest(out / "manifest.json", m)
         print(f"numerical error: {e}", file=sys.stderr)
         return 3
+    write_manifest(out / "manifest.json", m)
+    return code
 
 
 if __name__ == "__main__":

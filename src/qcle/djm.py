@@ -10,7 +10,7 @@ objects all work.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Optional
+from typing import Any, Callable
 
 import numpy as np
 
@@ -44,7 +44,6 @@ class FunctionalProblem:
 
     f: Any
     apply_b: Callable[[Any], Any]
-    norm: Optional[Callable[[Any], float]] = None
 
 
 @dataclass
@@ -65,24 +64,27 @@ class DjmSolution:
 def djm_solve(problem: FunctionalProblem, tol: float, k_max: int = 25) -> DjmSolution:
     """Run the recursion until norm(last term) < tol or k_max operator
     applications; k_max exhaustion is reported via converged=False, not an
-    exception."""
+    exception. An application that overflows or turns invalid raises
+    NonFiniteTermError with the index of the term it was computing."""
     if not tol > 0:
         raise ValueError("tol must be positive")
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
-    norm = problem.norm if problem.norm is not None else default_norm
-
     f = problem.f
-    n0 = norm(f)
+    n0 = default_norm(f)
     if not np.isfinite(n0):
         raise NonFiniteTermError(0)
     sol = DjmSolution(terms=[f], partial_sum=f, term_norms=[n0], converged=False)
 
     s_prev = f
     for m in range(1, k_max + 1):
-        s_next = f + problem.apply_b(s_prev)
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                s_next = f + problem.apply_b(s_prev)
+        except FloatingPointError:
+            raise NonFiniteTermError(m) from None
         u = s_next - s_prev
-        nu_m = norm(u)
+        nu_m = default_norm(u)
         if not np.isfinite(nu_m):
             raise NonFiniteTermError(m)
         sol.terms.append(u)

@@ -176,7 +176,3 @@ class Spectrum:
             self.singular.get(mirror - i) == np.conj(w) for i, w in self.singular.items()
         )
         return vals_ok and sing_ok
-
-
-def spectrum_sup_norm(s: Spectrum) -> float:
-    return s.sup_norm()

@@ -17,6 +17,7 @@ gives the fixed-point form R = f + B(R) with
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,33 +62,37 @@ def volterra_b(r: SampledSignal, problem: ResponseProblem) -> SampledSignal:
     """Volterra operator B(R) by trapezoid quadrature on the grid."""
     if r.grid != problem.grid:
         raise ValueError("signal grid does not match problem grid")
-    vals = _volterra_b_values(r.values, problem)
+    vals = _volterra_b_values(r.values, problem.grid.times, problem.sigma2.values,
+                              problem)
     return SampledSignal(problem.grid, vals)
 
 
-def _volterra_b_values(r: np.ndarray, problem: ResponseProblem) -> np.ndarray:
-    t = problem.grid.times
+def _restoring(r: np.ndarray, sig: np.ndarray, pot: PotentialParams) -> np.ndarray:
+    """w(y) = (eta + 3 alpha sigma^2(y)) R(y) + alpha f0^2 R(y)^3."""
+    return (pot.eta + 3.0 * pot.alpha * sig) * r + pot.alpha * pot.f0**2 * r**3
+
+
+def _volterra_b_values(r: np.ndarray, tau: np.ndarray, sig: np.ndarray,
+                       problem: ResponseProblem) -> np.ndarray:
+    """B(R) over a window of nodes with local times tau (tau[0] = 0) and
+    sigma^2 values sig, without the history before the window."""
     dt = problem.grid.dt
-    pot, bath = problem.potential, problem.bath
-    w = (pot.eta + 3.0 * pot.alpha * problem.sigma2.values) * r \
-        + pot.alpha * pot.f0**2 * r**3
-    return -(bath.gamma * cumtrapz(r, dt) + t * cumtrapz(w, dt) - cumtrapz(t * w, dt))
+    w = _restoring(r, sig, problem.potential)
+    return -(problem.bath.gamma * cumtrapz(r, dt) + tau * cumtrapz(w, dt)
+             - cumtrapz(tau * w, dt))
 
 
 def solve_response_djm(problem: ResponseProblem, tol: float = 1e-8,
                        k_max: int = 25) -> tuple[SampledSignal, DjmSolution]:
-    """Solve the Volterra form by the Banach recursion.
+    """Solve the Volterra form by the Banach recursion over the whole grid:
+    the windowed solver with a single window.
 
     Returns the accumulated response and the recursion diagnostics; callers
     must check solution.converged (k_max exhaustion is not an exception).
     """
-    f = volterra_f(problem.grid, problem.potential.epsilon, problem.potential.f0)
-
-    def apply_b(r: np.ndarray) -> np.ndarray:
-        return _volterra_b_values(r, problem)
-
-    sol = djm_solve(FunctionalProblem(f.values, apply_b), tol=tol, k_max=k_max)
-    return SampledSignal(problem.grid, sol.partial_sum), sol
+    r, (sol,) = solve_response_windowed(problem, window=problem.grid.t_max,
+                                        tol=tol, k_max=k_max)
+    return r, sol
 
 
 def solve_response_windowed(problem: ResponseProblem, window: float,
@@ -95,13 +100,16 @@ def solve_response_windowed(problem: ResponseProblem, window: float,
                             ) -> tuple[SampledSignal, list[DjmSolution]]:
     """Banach recursion with horizon continuation.
 
-    On long horizons the plain recursion overshoots before the factorial
+    On long horizons a single recursion overshoots before the factorial
     decay sets in and the cubic term amplifies the overshoot beyond recovery.
     The kernel gamma + (t-y)(...) is affine in t, so the history integral
     over [0, T1] folds into an affine-in-t inhomogeneity and the recursion
     restarts on [T1, T2] with identical discrete algebra: the converged
     result satisfies the same global fixed-point identity R = f + B(R) on
     the grid, node for node.
+
+    The recursion stops at the first window that does not converge; that
+    window holds its last partial sum and later windows hold zeros.
     """
     grid = problem.grid
     dt = grid.dt
@@ -121,26 +129,18 @@ def solve_response_windowed(problem: ResponseProblem, window: float,
         stop = min(start + n_win, grid.n - 1)
         sl = slice(start, stop + 1)
         tau = t[sl] - t[start]
-        sig_loc = sig[sl]
-
-        def w_of(r, s=sig_loc):
-            return (pot.eta + 3.0 * pot.alpha * s) * r + pot.alpha * pot.f0**2 * r**3
-
-        def apply_b(r, tau=tau, w_of=w_of):
-            w = w_of(r)
-            return -(bath.gamma * cumtrapz(r, dt) + tau * cumtrapz(w, dt)
-                     - cumtrapz(tau * w, dt))
-
+        apply_b = functools.partial(_volterra_b_values, tau=tau, sig=sig[sl],
+                                    problem=problem)
         f_loc = f_glob[sl] - gam_hist - w1_hist - tau * w0_hist
         sol = djm_solve(FunctionalProblem(f_loc, apply_b), tol=tol, k_max=k_max)
         sols.append(sol)
-        if not sol.converged:
-            break
         r_loc = sol.partial_sum
         out[sl] = r_loc
+        if not sol.converged:
+            break
         # fold this window into the history integrals; the shift identity
         # int_0^{T1}(T2-y)w = w1 + (T2-T1) w0 keeps everything incremental
-        w_loc = w_of(r_loc)
+        w_loc = _restoring(r_loc, sig[sl], pot)
         span = t[stop] - t[start]
         w1_hist += span * w0_hist + float(np.trapezoid((t[stop] - t[sl]) * w_loc, dx=dt))
         w0_hist += float(np.trapezoid(w_loc, dx=dt))

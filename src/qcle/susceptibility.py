@@ -27,7 +27,7 @@ import numpy as np
 from . import kernels
 from ._numutil import linear_convolve, phase_stepped_sum, trapezoid_weights
 from .djm import DjmSolution, FunctionalProblem, djm_solve
-from .grids import FreqGrid, SampledSignal, Spectrum, TimeGrid, spectrum_sup_norm
+from .grids import FreqGrid, SampledSignal, Spectrum, TimeGrid
 from .params import BathParams, PotentialParams
 
 
@@ -130,8 +130,7 @@ def solve_susceptibility(problem: SusceptibilityProblem, tol: float = 1e-8,
     def apply_b(chi: Spectrum) -> Spectrum:
         return psi_operator(chi, problem)
 
-    sol = djm_solve(FunctionalProblem(f, apply_b, norm=spectrum_sup_norm),
-                    tol=tol, k_max=k_max)
+    sol = djm_solve(FunctionalProblem(f, apply_b), tol=tol, k_max=k_max)
     return sol.partial_sum.hermitian_symmetrized(), sol
 
 
@@ -140,37 +139,13 @@ class ReconstructedResponse(NamedTuple):
     imag_residual: float
 
 
-def response_from_susceptibility(chi: Spectrum, tgrid: TimeGrid,
-                                 edge_tol: float = 1e-3,
-                                 ) -> ReconstructedResponse:
-    """Inverse transform R(t) = (1/2pi) int chi(w) e^{-iwt} dw by grid
-    quadrature plus exact Dirac contributions.
+def _inverse_transform(chi: Spectrum, times: np.ndarray,
+                       edge_tol: float) -> np.ndarray:
+    """(1/2pi) int chi(w) e^{-iwt} dw at the given times (complex): grid
+    quadrature of the regular part plus the exact Dirac contributions.
 
-    The regular part must have decayed at the grid edges (precondition); the
-    largest imaginary residue over the nodes is returned as a diagnostic.
+    The regular part must have decayed at the grid edges (precondition).
     """
-    grid = chi.grid
-    edge = max(abs(chi.values[0]), abs(chi.values[-1]))
-    if edge > edge_tol:
-        raise EdgeToleranceError(
-            f"|chi| = {edge:.3e} at the grid edge exceeds {edge_tol:.1e}; "
-            "the frequency grid is too narrow"
-        )
-    t = tgrid.times
-    wt = trapezoid_weights(grid.n, grid.d_omega)
-    acc = phase_stepped_sum(chi.values * wt, -grid.omega_max, grid.d_omega, t, -1)
-    om = grid.omegas
-    for i, w in chi.singular.items():
-        acc += w * np.exp(-1j * om[i] * t)
-    acc /= 2.0 * np.pi
-    imag_residual = float(np.max(np.abs(acc.imag)))
-    return ReconstructedResponse(SampledSignal(tgrid, acc.real), imag_residual)
-
-
-def reconstruct_at(chi: Spectrum, times: np.ndarray,
-                   edge_tol: float = 1e-3) -> np.ndarray:
-    """Inverse transform evaluated at arbitrary times (used for causality
-    checks on two-sided grids); returns the real part."""
     grid = chi.grid
     edge = max(abs(chi.values[0]), abs(chi.values[-1]))
     if edge > edge_tol:
@@ -184,7 +159,17 @@ def reconstruct_at(chi: Spectrum, times: np.ndarray,
     om = grid.omegas
     for i, w in chi.singular.items():
         acc += w * np.exp(-1j * om[i] * t)
-    return (acc / (2.0 * np.pi)).real
+    return acc / (2.0 * np.pi)
+
+
+def response_from_susceptibility(chi: Spectrum, tgrid: TimeGrid,
+                                 edge_tol: float = 1e-3,
+                                 ) -> ReconstructedResponse:
+    """Inverse transform R(t) on the time grid; the largest imaginary residue
+    over the nodes is returned as a diagnostic."""
+    acc = _inverse_transform(chi, tgrid.times, edge_tol)
+    imag_residual = float(np.max(np.abs(acc.imag)))
+    return ReconstructedResponse(SampledSignal(tgrid, acc.real), imag_residual)
 
 
 def fourier_forward(signal: SampledSignal, grid: FreqGrid,

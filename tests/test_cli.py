@@ -6,6 +6,7 @@ import json
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from qcle.cli import main, write_csv
 
@@ -21,8 +22,8 @@ CONFIG = {
 }
 
 
-def _write_config(tmp_path, overrides=None, drop=None) -> Path:
-    cfg = json.loads(json.dumps(CONFIG))
+def _write_config(tmp_path, overrides=None, drop=None, base=CONFIG) -> Path:
+    cfg = json.loads(json.dumps(base))
     for key, val in (overrides or {}).items():
         sec, _, field = key.partition(".")
         if field:
@@ -197,3 +198,49 @@ def test_validate_reports_known_defect(tmp_path, capsys):
 def test_validate_bad_criteria_exit_2(tmp_path):
     assert main(["validate", "--criteria", "1,zap",
                  "--out", str(tmp_path / "o")]) == 2
+
+
+BISTABLE = json.loads(
+    (Path(__file__).resolve().parent.parent / "configs" / "bistable.json").read_text())
+# on the bistable preset these make both recursions overflow
+BLOWUP = {"bath.gamma": 2.0, "bath.temp": 1.0, "potential.alpha": 0.5}
+# quantum nu at the default quad_rtol: the variance quadrature is cutoff-sensitive
+QUANTUM_NU = {"potential.alpha": 0.3, "bath.nu": 1.0, "time_grid.t_max": 2.0,
+              "time_grid.n": 101}
+
+
+@pytest.mark.parametrize("sub,config,extra,code", [
+    pytest.param("mc", {"overrides": {"mc.n_paths": 1}}, [], 2, id="n_paths"),
+    pytest.param("mc", {"overrides": {"mc.seed": -1}}, [], 2, id="seed"),
+    pytest.param("mc", {}, ["--seed", "-1"], 2, id="seed_override"),
+    pytest.param("mc", {"overrides": {"mc.f0_kick": 0.0}}, [], 2, id="f0_kick"),
+    pytest.param("response", {"overrides": {"tolerances.djm_k_max": 0}}, [], 2,
+                 id="djm_k_max"),
+    pytest.param("response", {"overrides": {"tolerances.response_window": -1.0}},
+                 [], 2, id="response_window"),
+    pytest.param("response", {"overrides": {"integrator.dt_sub": 0.05}}, [], 2,
+                 id="dt_sub"),
+    pytest.param("kernels", {"drop": ["freq_grid"]}, [], 2, id="no_freq_grid"),
+    pytest.param("validate", None, ["--criteria", "99"], 2, id="criteria"),
+    pytest.param("moments", {"base": BISTABLE, "overrides": BLOWUP}, [], 3,
+                 id="moments_overflow"),
+    pytest.param("susceptibility", {"base": BISTABLE, "overrides": BLOWUP}, [], 3,
+                 id="susceptibility_overflow"),
+    pytest.param("response", {"overrides": QUANTUM_NU}, [], 3, id="quadrature"),
+])
+def test_failure_contract(tmp_path, capsys, sub, config, extra, code):
+    # config errors exit 2 before any file is written; numerical failures
+    # exit 3 with a manifest that records the error; neither gives a traceback
+    out = tmp_path / "o"
+    argv = [sub, "--out", str(out), *extra]
+    if config is not None:
+        argv += ["--config", str(_write_config(tmp_path, **config))]
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if code == 2:
+        assert err.startswith("config error:")
+        assert not out.exists()
+    else:
+        assert err.startswith("numerical error:")
+        assert json.loads((out / "manifest.json").read_text())["diagnostics"]["error"]

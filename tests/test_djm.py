@@ -1,6 +1,7 @@
 """Banach-operator recursion core."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -94,6 +95,18 @@ def test_non_finite_raises_with_index():
     with pytest.raises(NonFiniteTermError) as exc:
         djm_solve(FunctionalProblem(1.0, explode), tol=1e-12, k_max=10)
     assert exc.value.term_index >= 1
+
+
+def test_array_overflow_raises_with_index():
+    # the overflowing application itself is reported, with no RuntimeWarning
+    def explode(x):
+        return x * 1e200
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteTermError) as exc:
+            djm_solve(FunctionalProblem(np.ones(3), explode), tol=1e-12, k_max=10)
+    assert exc.value.term_index == 2
 
 
 def test_bad_arguments():

@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
-from qcle import (BathParams, PotentialParams, ResponseProblem, SampledSignal,
-                  StepInstabilityError, TimeGrid, chi_q, chi_v,
-                  integrate_duffing, ode_residual, solve_response_djm,
-                  variance, volterra_b, volterra_f, zero_sigma2)
+from qcle import (BathParams, FunctionalProblem, PotentialParams,
+                  ResponseProblem, SampledSignal, StepInstabilityError, TimeGrid,
+                  chi_q, chi_v, djm_solve, integrate_duffing, ode_residual,
+                  solve_response_djm, variance, volterra_b, volterra_f,
+                  zero_sigma2)
 from qcle.params import parabolic
 from qcle.response import solve_response_windowed
 
@@ -174,6 +175,40 @@ def test_windowed_matches_plain_and_integrator():
     assert sol.converged
     r_win_s, _ = solve_response_windowed(prob_s, window=1.0, tol=1e-10, k_max=60)
     assert np.max(np.abs(r_plain.values - r_win_s.values)) < 1e-9
+
+
+def _nonlinear_short_problem():
+    grid = TimeGrid(3.0, 301)
+    pot = PotentialParams(eta=1.0, alpha=0.3, epsilon=0.05, f0=0.1)
+    sig = SampledSignal(grid, np.linspace(0.0, 0.4, grid.n))
+    return ResponseProblem(pot, BATH, sig, grid)
+
+
+def test_single_window_is_the_plain_recursion():
+    # one window runs the recursion on f and B themselves, bit for bit
+    prob = _nonlinear_short_problem()
+    grid = prob.grid
+    f = volterra_f(grid, prob.potential.epsilon, prob.potential.f0)
+    plain = djm_solve(FunctionalProblem(
+        f.values, lambda r: volterra_b(SampledSignal(grid, r), prob).values),
+        tol=1e-10, k_max=60)
+    assert plain.converged
+    r, sols = solve_response_windowed(prob, window=grid.t_max, tol=1e-10, k_max=60)
+    assert len(sols) == 1
+    assert np.array_equal(r.values, plain.partial_sum)
+    assert sols[0].term_norms == plain.term_norms
+    r_djm, sol = solve_response_djm(prob, tol=1e-10, k_max=60)
+    assert np.array_equal(r_djm.values, r.values)
+    assert sol.term_norms == plain.term_norms
+
+
+def test_k_max_exhaustion_keeps_partial_sum():
+    prob = _nonlinear_short_problem()
+    r, sols = solve_response_windowed(prob, window=prob.grid.t_max, tol=1e-14,
+                                      k_max=2)
+    assert len(sols) == 1 and not sols[0].converged
+    assert np.array_equal(r.values, sols[0].partial_sum)
+    assert np.any(r.values != 0.0)
 
 
 def test_problem_grid_validation():
