@@ -18,7 +18,7 @@ from .response import (ResponseProblem, StepInstabilityError, integrate_duffing,
                        ode_residual, solve_response_djm, volterra_b, volterra_f,
                        zero_sigma2)
 from .susceptibility import (EdgeToleranceError, SusceptibilityProblem,
-                             fourier_forward, phi_omega, psi_operator,
+                             phi_omega, psi_operator,
                              response_from_susceptibility, solve_susceptibility)
 
 __version__ = "0.1.0"
@@ -31,7 +31,7 @@ __all__ = [
     "Spectrum", "StepInstabilityError", "SusceptibilityProblem", "TimeGrid",
     "asymmetric_bistable", "bistable", "chi_q", "chi_tilde", "chi_v",
     "chi_v_dot", "djm_solve", "estimate_moments", "estimate_plateau",
-    "estimate_response", "fourier_forward", "integrate_duffing",
+    "estimate_response", "integrate_duffing",
     "integrate_qcle", "max_error_remainder", "mean_trajectory",
     "noise_correlation", "noise_psd", "nondimensionalize", "ode_residual",
     "omega0", "parabolic", "phi_omega", "psi_operator",

@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -26,7 +27,7 @@ import numpy as np
 from . import __version__, kernels
 from .acceptance import CRITERIA, KNOWN_UNATTAINABLE, run_acceptance
 from .djm import ConvergenceError, NonFiniteTermError
-from .grids import FreqGrid, TimeGrid
+from .grids import FreqGrid, Spectrum, TimeGrid
 from .mc import estimate_moments, estimate_response, integrate_qcle, sample_noise
 from .moments import (PlateauError, QuadratureError, SpectralQuadrature,
                       mean_trajectory, variance, variance_spectrum)
@@ -81,10 +82,15 @@ def _get(section: dict, path: str, key: str, typ, errors: list[str],
             if not isinstance(val, bool):
                 raise ValueError
             return val
-        return typ(val)
+        val = typ(val)
     except (TypeError, ValueError):
         errors.append(f"{path}.{key}: expected {typ.__name__}, got {val!r}")
         return default
+    # JSON admits NaN and Infinity; no float field takes them
+    if not math.isfinite(val):
+        errors.append(f"{path}.{key}: expected finite float, got {val!r}")
+        return default
+    return val
 
 
 def parse_config(path: Path, seed_override: Optional[int] = None) -> RunConfig:
@@ -247,6 +253,12 @@ def _base_manifest(cfg: Optional[RunConfig], subcommand: str) -> dict:
     return m
 
 
+def _dirac_row(spec: Spectrum) -> list:
+    """The Dirac at omega = 0 as [[0.0, re, im]], or [] when it is absent."""
+    w = spec.dirac
+    return [[0.0, w.real, w.imag]] if w else []
+
+
 # Each subcommand writes its CSVs into `out` and records its diagnostics in
 # the manifest `m`; main writes the manifest. A numerical failure is raised.
 
@@ -286,8 +298,7 @@ def cmd_moments(cfg: RunConfig, out: Path, m: dict) -> int:
     spec = variance_spectrum(sig2, fg, plateau_tol=cfg.plateau_tol)
     write_csv(out / "variance_spectrum.csv", ["omega", "re", "im"],
               [fg.omegas, spec.values.real, spec.values.imag])
-    m["diagnostics"]["sigma2_singular"] = [
-        [loc, w.real, w.imag] for loc, w in spec.singular_components()]
+    m["diagnostics"]["sigma2_singular"] = _dirac_row(spec)
     return 0
 
 
@@ -331,8 +342,7 @@ def cmd_susceptibility(cfg: RunConfig, out: Path, m: dict) -> int:
               [cfg.time_grid.times, rec.values])
     m["diagnostics"].update({
         "imag_residual": imag_resid,
-        "chi_singular": [[loc, w.real, w.imag]
-                         for loc, w in chi.singular_components()],
+        "chi_singular": _dirac_row(chi),
     })
     return 0
 
@@ -371,14 +381,15 @@ def cmd_validate(cfg: Optional[RunConfig], out: Path, m: dict,
     return 0 if all(r.passed for r in results) else 1
 
 
-# subcommand -> (function, whether it needs the freq_grid section)
+# subcommand -> (function, whether it needs the freq_grid section, whether
+# it computes the variance, whose quadrature must resolve the time horizon)
 SUBCOMMANDS = {
-    "kernels": (cmd_kernels, True),
-    "moments": (cmd_moments, True),
-    "response": (cmd_response, False),
-    "susceptibility": (cmd_susceptibility, True),
-    "mc": (cmd_mc, False),
-    "validate": (cmd_validate, False),
+    "kernels": (cmd_kernels, True, False),
+    "moments": (cmd_moments, True, True),
+    "response": (cmd_response, False, True),
+    "susceptibility": (cmd_susceptibility, True, True),
+    "mc": (cmd_mc, False, False),
+    "validate": (cmd_validate, False, False),
 }
 
 # failures that exit 3 with a manifest carrying diagnostics.error
@@ -408,7 +419,7 @@ def main(argv: Optional[list[str]] = None) -> int:
                         help="validate only: comma-separated criterion ids")
     args = parser.parse_args(argv)
     sub = args.subcommand
-    cmd, needs_freq_grid = SUBCOMMANDS[sub]
+    cmd, needs_freq_grid, needs_variance = SUBCOMMANDS[sub]
 
     # every config error is reported before any output is written
     cfg = None
@@ -421,6 +432,12 @@ def main(argv: Optional[list[str]] = None) -> int:
         return _config_error(["--config is required"])
     if needs_freq_grid and cfg.freq_grid is None:
         return _config_error([f"freq_grid: section required by `{sub}`"])
+    if needs_variance:
+        try:
+            cfg.quad.check_horizon(cfg.time_grid.t_max)
+        except ValueError as e:
+            return _config_error([f"{args.config}: tolerances.quad_n: {e} "
+                                  f"(time_grid.t_max = {cfg.time_grid.t_max!r})"])
     criteria = None
     if args.criteria:
         try:
@@ -434,7 +451,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     kwargs = {"criteria": criteria} if sub == "validate" else {}
 
     out = args.out
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as e:
+        return _config_error([f"--out {out}: {e.strerror or e}"])
     m = _base_manifest(cfg, sub)
     try:
         code = cmd(cfg, out, m, **kwargs)

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -80,43 +80,19 @@ class SampledSignal:
         return float(np.max(np.abs(self.values)))
 
 
-def _as_singular_dict(grid: FreqGrid, singular) -> dict[int, complex]:
-    """Normalize singular components to {node_index: weight}."""
-    out: dict[int, complex] = {}
-    if singular is None:
-        return out
-    if isinstance(singular, dict):
-        items = [(int(i), complex(w)) for i, w in singular.items()]
-        for i, w in items:
-            if not 0 <= i < grid.n:
-                raise ValueError(f"singular node index {i} outside grid")
-            if w != 0:
-                out[i] = out.get(i, 0.0) + w
-        return out
-    # list of (omega0, weight): locations must sit on grid nodes
-    for omega0, w in singular:
-        idx = grid.zero_index + omega0 / grid.d_omega
-        k = int(round(idx))
-        if not 0 <= k < grid.n or abs(idx - k) > 1e-9:
-            raise ValueError(f"singular location {omega0} is not a grid node")
-        w = complex(w)
-        if w != 0:
-            out[k] = out.get(k, 0.0) + w
-    return out
-
-
 @dataclass(frozen=True)
 class Spectrum:
-    """Complex spectrum on a FreqGrid plus symbolic Dirac components.
+    """Complex spectrum on a FreqGrid plus a symbolic Dirac at omega = 0.
 
-    Dirac components are kept as (node index -> complex weight) and never
-    sampled onto the regular grid; weights are integral weights, i.e. a
-    component (omega0, w) stands for w * delta(omega - omega0).
+    `dirac` is the integral weight w of the component w * delta(omega); it is
+    never sampled onto the regular grid. Every Dirac of the susceptibility
+    equation sits at omega = 0 (the tilt and the variance plateau), and
+    convolving two of them gives another at omega = 0.
     """
 
     grid: FreqGrid
     values: np.ndarray
-    singular: dict[int, complex] = field(default_factory=dict)
+    dirac: complex = 0j
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=complex)
@@ -127,17 +103,11 @@ class Spectrum:
             )
         if not np.all(np.isfinite(vals)):
             raise ValueError("spectrum regular part must be finite at every node")
-        object.__setattr__(self, "singular", _as_singular_dict(self.grid, self.singular))
-
-    def singular_components(self) -> list[tuple[float, complex]]:
-        """Dirac components as (location, weight) pairs, sorted by location."""
-        om = self.grid.omegas
-        return [(float(om[i]), w) for i, w in sorted(self.singular.items())]
+        # a weight carries no sign of zero: + 0j turns -0.0 parts into +0.0
+        object.__setattr__(self, "dirac", complex(self.dirac) + 0j)
 
     def sup_norm(self) -> float:
-        reg = float(np.max(np.abs(self.values)))
-        sing = max((abs(w) for w in self.singular.values()), default=0.0)
-        return max(reg, sing)
+        return max(float(np.max(np.abs(self.values))), abs(self.dirac))
 
     def _check_same_grid(self, other: "Spectrum"):
         if self.grid != other.grid:
@@ -145,34 +115,20 @@ class Spectrum:
 
     def __add__(self, other: "Spectrum") -> "Spectrum":
         self._check_same_grid(other)
-        sing = dict(self.singular)
-        for i, w in other.singular.items():
-            sing[i] = sing.get(i, 0.0) + w
-        return Spectrum(self.grid, self.values + other.values, sing)
+        return Spectrum(self.grid, self.values + other.values,
+                        self.dirac + other.dirac)
 
     def __sub__(self, other: "Spectrum") -> "Spectrum":
         self._check_same_grid(other)
-        sing = dict(self.singular)
-        for i, w in other.singular.items():
-            sing[i] = sing.get(i, 0.0) - w
-        return Spectrum(self.grid, self.values - other.values, sing)
+        return Spectrum(self.grid, self.values - other.values,
+                        self.dirac - other.dirac)
 
     def hermitian_symmetrized(self) -> "Spectrum":
         """Project onto exact Hermitian symmetry chi(-w) = conj(chi(w))."""
         vals = 0.5 * (self.values + np.conj(self.values[::-1]))
-        sing: dict[int, complex] = {}
-        mirror = 2 * self.grid.zero_index
-        keys = set(self.singular) | {mirror - i for i in self.singular}
-        for i in keys:
-            w = self.singular.get(i, 0.0)
-            wj = self.singular.get(mirror - i, 0.0)
-            sing[i] = 0.5 * (w + np.conj(wj))
-        return Spectrum(self.grid, vals, sing)
+        w = self.dirac
+        return Spectrum(self.grid, vals, 0.5 * (w + w.conjugate()))
 
     def is_hermitian(self) -> bool:
-        vals_ok = bool(np.array_equal(self.values, np.conj(self.values[::-1])))
-        mirror = 2 * self.grid.zero_index
-        sing_ok = all(
-            self.singular.get(mirror - i) == np.conj(w) for i, w in self.singular.items()
-        )
-        return vals_ok and sing_ok
+        return (bool(np.array_equal(self.values, np.conj(self.values[::-1])))
+                and self.dirac == self.dirac.conjugate())

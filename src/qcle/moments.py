@@ -71,6 +71,14 @@ class SpectralQuadrature:
     def d_omega(self) -> float:
         return self.omega_max / (self.n - 1)
 
+    def check_horizon(self, t_max: float):
+        """Raise ValueError unless the nodes resolve the horizon t_max."""
+        if 2.0 * np.pi / self.d_omega < 2.0 * t_max:
+            raise ValueError(
+                "frequency spacing too coarse for this horizon: need "
+                "2*pi/d_omega >= 2*t_max; increase quad.n"
+            )
+
 
 def _e1m(x: np.ndarray) -> np.ndarray:
     """(1 - e^{-x})/x, complex-safe, series branch near 0."""
@@ -173,11 +181,7 @@ def variance(grid: TimeGrid, bath: BathParams, potential: PotentialParams,
     """
     t = grid.times
     gamma, temp, eta = bath.gamma, bath.temp, potential.eta
-    if 2.0 * np.pi / quad.d_omega < 2.0 * grid.t_max:
-        raise ValueError(
-            "frequency spacing too coarse for this horizon: need "
-            "2*pi/d_omega >= 2*t_max; increase quad.n"
-        )
+    quad.check_horizon(grid.t_max)
     base = temp * kernels.chi_v(t, gamma, eta) ** 2
 
     w = np.linspace(0.0, quad.omega_max, quad.n)
@@ -234,8 +238,8 @@ def variance_spectrum(sigma2: SampledSignal, grid: FreqGrid,
     """Split sigma^2 into plateau + transient and transform.
 
     Returns the Fourier transform of the evenly-extended transient as the
-    regular part plus a Dirac component (0, 2*pi*sigma2_eq). Requires the
-    signal to have reached its plateau.
+    regular part plus the Dirac weight 2*pi*sigma2_eq at omega = 0. Requires
+    the signal to have reached its plateau.
     """
     vals = sigma2.values
     t = sigma2.grid.times
@@ -251,14 +255,13 @@ def variance_spectrum(sigma2: SampledSignal, grid: FreqGrid,
         )
     transient = vals - sig_eq
     wt = trapezoid_weights(n, sigma2.grid.dt)
-    # even extension: FT = 2 * int_0^tmax transient(t) cos(w t) dt
-    half = np.unique(np.abs(grid.omegas))
+    # even extension: FT = 2 * int_0^tmax transient(t) cos(w t) dt, evaluated
+    # on w >= 0 and mirrored (the grid's nodes are symmetric bit for bit)
+    half = grid.omegas[grid.zero_index:]
     acc = phase_stepped_sum(transient * wt, 0.0, sigma2.grid.dt, half, +1)
     reg_half = 2.0 * np.real(acc)
-    lookup = dict(zip(half.tolist(), reg_half.tolist()))
-    reg = np.array([lookup[abs(om)] for om in grid.omegas], dtype=complex)
-    singular = {grid.zero_index: complex(2.0 * np.pi * sig_eq)}
-    return Spectrum(grid, reg, singular)
+    reg = np.concatenate([reg_half[:0:-1], reg_half])
+    return Spectrum(grid, reg, 2.0 * np.pi * sig_eq)
 
 
 def mean_trajectory(q0: float, v0: float, potential: PotentialParams,

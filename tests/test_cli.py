@@ -207,6 +207,12 @@ BLOWUP = {"bath.gamma": 2.0, "bath.temp": 1.0, "potential.alpha": 0.5}
 # quantum nu at the default quad_rtol: the variance quadrature is cutoff-sensitive
 QUANTUM_NU = {"potential.alpha": 0.3, "bath.nu": 1.0, "time_grid.t_max": 2.0,
               "time_grid.n": 101}
+# past pi/d_omega of the default variance quadrature (62.8)
+LONG_HORIZON = {"time_grid.t_max": 100.0, "time_grid.n": 2001}
+
+
+def _tree(root: Path) -> dict:
+    return {p: p.read_bytes() if p.is_file() else None for p in root.rglob("*")}
 
 
 @pytest.mark.parametrize("sub,config,extra,code", [
@@ -222,25 +228,42 @@ QUANTUM_NU = {"potential.alpha": 0.3, "bath.nu": 1.0, "time_grid.t_max": 2.0,
                  id="dt_sub"),
     pytest.param("kernels", {"drop": ["freq_grid"]}, [], 2, id="no_freq_grid"),
     pytest.param("validate", None, ["--criteria", "99"], 2, id="criteria"),
+    pytest.param("kernels", {"overrides": {"potential.f0": float("nan")}}, [], 2,
+                 id="nan_float"),
+    pytest.param("response", {"overrides": {"time_grid.t_max": float("inf")}}, [],
+                 2, id="inf_float"),
+    pytest.param("moments", {"overrides": LONG_HORIZON}, [], 2, id="horizon"),
+    pytest.param("kernels", {}, ["--out", "config.json"], 2, id="out_is_file"),
     pytest.param("moments", {"base": BISTABLE, "overrides": BLOWUP}, [], 3,
                  id="moments_overflow"),
     pytest.param("susceptibility", {"base": BISTABLE, "overrides": BLOWUP}, [], 3,
                  id="susceptibility_overflow"),
     pytest.param("response", {"overrides": QUANTUM_NU}, [], 3, id="quadrature"),
 ])
-def test_failure_contract(tmp_path, capsys, sub, config, extra, code):
+def test_failure_contract(tmp_path, monkeypatch, capsys, sub, config, extra,
+                          code):
     # config errors exit 2 before any file is written; numerical failures
     # exit 3 with a manifest that records the error; neither gives a traceback
+    monkeypatch.chdir(tmp_path)  # a relative --out names a file in tmp_path
     out = tmp_path / "o"
     argv = [sub, "--out", str(out), *extra]
     if config is not None:
         argv += ["--config", str(_write_config(tmp_path, **config))]
+    before = _tree(tmp_path)
     assert main(argv) == code
     err = capsys.readouterr().err
     assert "Traceback" not in err
     if code == 2:
         assert err.startswith("config error:")
-        assert not out.exists()
+        assert _tree(tmp_path) == before
     else:
         assert err.startswith("numerical error:")
         assert json.loads((out / "manifest.json").read_text())["diagnostics"]["error"]
+
+
+def test_long_horizon_rejected_only_where_the_variance_runs(tmp_path):
+    # kernels and mc never evaluate the variance quadrature
+    cfg = _write_config(tmp_path, overrides=LONG_HORIZON)
+    out = tmp_path / "k"
+    assert main(["kernels", "--config", str(cfg), "--out", str(out)]) == 0
+    assert (out / "kernels_time.csv").exists()

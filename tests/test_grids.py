@@ -43,26 +43,31 @@ def test_sampled_signal_validation():
 def test_spectrum_singular_bookkeeping():
     g = FreqGrid(4.0, 81)
     vals = np.zeros(81, dtype=complex)
-    spec = Spectrum(g, vals, [(0.0, 1.0 + 2.0j)])
-    assert spec.singular_components() == [(0.0, 1.0 + 2.0j)]
-    # off-node locations are rejected
-    with pytest.raises(ValueError):
-        Spectrum(g, vals, [(0.033, 1.0)])
+    assert Spectrum(g, vals).dirac == 0j
+    spec = Spectrum(g, vals, 1.0 + 2.0j)
+    assert spec.dirac == 1.0 + 2.0j and type(spec.dirac) is complex
+    # the Dirac weight is never sampled onto the regular grid
+    assert np.array_equal(spec.values, vals)
+    # a zero weight carries no sign
+    zero = Spectrum(g, vals, complex(-0.0, -0.0)).dirac
+    assert not np.signbit(zero.real) and not np.signbit(zero.imag)
     with pytest.raises(ValueError):
         Spectrum(g, np.full(81, np.inf, dtype=complex))
 
 
 def test_spectrum_algebra_and_norm():
     g = FreqGrid(4.0, 81)
-    a = Spectrum(g, np.full(81, 1.0 + 0.0j), {g.zero_index: 2.0})
-    b = Spectrum(g, np.full(81, 0.0 + 1.0j), {g.zero_index + 10: 1.0j})
+    a = Spectrum(g, np.full(81, 1.0 + 0.0j), 2.0)
+    b = Spectrum(g, np.full(81, 0.0 + 1.0j), 1.0j)
     s = a + b
     assert s.values[0] == 1.0 + 1.0j
-    assert len(s.singular) == 2
+    assert s.dirac == 2.0 + 1.0j
     d = s - b
     assert np.array_equal(d.values, a.values)
-    assert d.singular_components() == [(0.0, 2.0 + 0.0j)]
+    assert d.dirac == 2.0
     assert a.sup_norm() == 2.0
+    assert b.sup_norm() == 1.0
+    assert Spectrum(g, np.full(81, 3.0 + 0.0j), 1.0j).sup_norm() == 3.0
     g2 = FreqGrid(4.0, 161)
     with pytest.raises(ValueError):
         a + Spectrum(g2, np.zeros(161, dtype=complex))
@@ -72,9 +77,12 @@ def test_hermitian_projection():
     g = FreqGrid(4.0, 81)
     rng = np.random.default_rng(0)
     raw = Spectrum(g, rng.normal(size=81) + 1j * rng.normal(size=81),
-                   {g.zero_index + 4: 1.0 + 1.0j})
+                   1.0 + 1.0j)
     assert not raw.is_hermitian()
     sym = raw.hermitian_symmetrized()
     assert sym.is_hermitian()
+    # the Dirac at omega = 0 is its own mirror: only its real part survives
+    assert sym.dirac == 1.0
+    assert not Spectrum(g, sym.values, 1.0 + 1.0j).is_hermitian()
     # projection is idempotent
     assert np.array_equal(sym.hermitian_symmetrized().values, sym.values)

@@ -327,9 +327,7 @@ def test_variance_spectrum_constant_is_pure_singular():
     spec = variance_spectrum(sig, fg)
     # the plateau mean carries one ulp of summation noise
     assert np.max(np.abs(spec.values)) < 1e-14
-    comps = spec.singular_components()
-    assert len(comps) == 1 and comps[0][0] == 0.0
-    assert comps[0][1] == pytest.approx(2.0 * np.pi * 0.8, rel=1e-13)
+    assert spec.dirac == pytest.approx(2.0 * np.pi * 0.8, rel=1e-13)
 
 
 def test_variance_spectrum_exponential_transient():
@@ -349,7 +347,7 @@ def test_variance_spectrum_round_trip(classical_sigma2):
     spec = variance_spectrum(sig, fg)
     # inverse transform at t = 0 recovers sigma2(0) = 0
     total = np.trapezoid(spec.values.real, dx=fg.d_omega) / (2 * np.pi)
-    total += sum(w.real for _, w in spec.singular_components()) / (2 * np.pi)
+    total += spec.dirac.real / (2 * np.pi)
     assert abs(total - sig.values[0]) < 1e-3
 
 

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from qcle import (BathParams, EdgeToleranceError, FreqGrid, PotentialParams,
-                  SampledSignal, Spectrum, SusceptibilityProblem, TimeGrid,
-                  chi_tilde, chi_v, fourier_forward, phi_omega, psi_operator,
-                  response_from_susceptibility, solve_susceptibility)
+                  Spectrum, SusceptibilityProblem, TimeGrid, chi_tilde, chi_v,
+                  phi_omega, psi_operator, response_from_susceptibility,
+                  solve_susceptibility)
 from qcle.params import parabolic
 from qcle.susceptibility import _inverse_transform
 
@@ -22,7 +22,7 @@ def test_phi_omega_harmonic():
     prob = SusceptibilityProblem(parabolic(), BATH, _zero_sigma_spec(grid), grid)
     phi = phi_omega(prob)
     assert np.array_equal(phi.values, chi_tilde(grid.omegas, 1.0, 1.0))
-    assert phi.singular_components() == []
+    assert phi.dirac == 0
     assert phi.is_hermitian()
 
 
@@ -31,11 +31,7 @@ def test_phi_omega_tilt_weight():
     pot = PotentialParams(eta=1.0, alpha=0.0, epsilon=0.25, f0=0.25)
     prob = SusceptibilityProblem(pot, BATH, _zero_sigma_spec(grid), grid)
     phi = phi_omega(prob)
-    comps = phi.singular_components()
-    assert len(comps) == 1
-    loc, w = comps[0]
-    assert loc == 0.0
-    assert w == pytest.approx(-2.0 * np.pi)  # eps = f0, chi_tilde(0) = 1
+    assert phi.dirac == pytest.approx(-2.0 * np.pi)  # eps = f0, chi_tilde(0) = 1
 
 
 def test_phi_omega_kappa_zero_guard():
@@ -52,7 +48,7 @@ def test_psi_vanishes_for_alpha_zero():
     chi = phi_omega(prob)
     psi = psi_operator(chi, prob)
     assert np.max(np.abs(psi.values)) == 0.0
-    assert psi.singular_components() == []
+    assert psi.dirac == 0
 
 
 def test_psi_delta_algebra():
@@ -61,17 +57,13 @@ def test_psi_delta_algebra():
     grid = FreqGrid(10.0, 401)
     alpha, f0, s_eq, w = 0.4, 0.8, 0.9, 1.7
     pot = PotentialParams(eta=1.0, alpha=alpha, epsilon=0.0, f0=f0)
-    s2 = Spectrum(grid, np.zeros(grid.n, dtype=complex),
-                  {grid.zero_index: 2.0 * np.pi * s_eq})
+    s2 = Spectrum(grid, np.zeros(grid.n, dtype=complex), 2.0 * np.pi * s_eq)
     prob = SusceptibilityProblem(pot, BATH, s2, grid)
-    chi = Spectrum(grid, np.zeros(grid.n, dtype=complex), {grid.zero_index: w})
+    chi = Spectrum(grid, np.zeros(grid.n, dtype=complex), w)
     psi = psi_operator(chi, prob)
     assert np.max(np.abs(psi.values)) == 0.0
-    comps = psi.singular_components()
-    assert len(comps) == 1
     expected = -1.0 * w * (3 * alpha * s_eq + alpha * f0**2 * w**2 / (4 * np.pi**2))
-    assert comps[0][0] == 0.0
-    assert comps[0][1] == pytest.approx(expected, rel=1e-12)
+    assert psi.dirac == pytest.approx(expected, rel=1e-12)
 
 
 def test_psi_time_domain_oracle():
@@ -80,8 +72,7 @@ def test_psi_time_domain_oracle():
     alpha, f0, s_const = 0.4, 0.8, 0.7
     pot = PotentialParams(eta=1.0, alpha=alpha, epsilon=0.0, f0=f0)
     grid = FreqGrid(200.0, 8001)
-    s2 = Spectrum(grid, np.zeros(grid.n, dtype=complex),
-                  {grid.zero_index: 2.0 * np.pi * s_const})
+    s2 = Spectrum(grid, np.zeros(grid.n, dtype=complex), 2.0 * np.pi * s_const)
     prob = SusceptibilityProblem(pot, BATH, s2, grid)
     chi_r = Spectrum(grid, 1.0 / ((1.0 - 1j * grid.omegas) ** 2 + 1.0))
     psi = psi_operator(chi_r, prob)
@@ -108,30 +99,6 @@ def test_solve_ho_single_term():
     assert chi.is_hermitian()
 
 
-def test_fourier_forward_exponential():
-    tg = TimeGrid(25.0, 50001)
-    fg = FreqGrid(10.0, 2001)
-    spec = fourier_forward(SampledSignal(tg, np.exp(-tg.times)), fg)
-    exact = 1.0 / (1.0 - 1j * fg.omegas)
-    assert np.max(np.abs(spec.values - exact)) < 1e-4
-
-
-def test_fourier_forward_ho_pair():
-    tg = TimeGrid(40.0, 20001)
-    fg = FreqGrid(10.0, 2001)
-    spec = fourier_forward(SampledSignal(tg, chi_v(tg.times, 1.0, 1.0)), fg)
-    assert np.max(np.abs(spec.values - chi_tilde(fg.omegas, 1.0, 1.0))) < 1e-4
-
-
-def test_fourier_forward_zero_signal_and_edge_guard():
-    tg = TimeGrid(5.0, 501)
-    fg = FreqGrid(10.0, 401)
-    spec = fourier_forward(SampledSignal(tg, np.zeros(tg.n)), fg)
-    assert np.max(np.abs(spec.values)) == 0.0
-    with pytest.raises(EdgeToleranceError):
-        fourier_forward(SampledSignal(tg, np.exp(-0.01 * tg.times)), fg)
-
-
 def test_reconstruction_ho_closed_form_pair():
     fg = FreqGrid(5000.0, 100001)
     chi = Spectrum(fg, chi_tilde(fg.omegas, 1.0, 1.0)).hermitian_symmetrized()
@@ -144,8 +111,7 @@ def test_reconstruction_ho_closed_form_pair():
 def test_reconstruction_singular_only():
     fg = FreqGrid(50.0, 2001)
     c = 0.37
-    chi = Spectrum(fg, np.zeros(fg.n, dtype=complex),
-                   {fg.zero_index: 2.0 * np.pi * c})
+    chi = Spectrum(fg, np.zeros(fg.n, dtype=complex), 2.0 * np.pi * c)
     rec, _ = response_from_susceptibility(chi, TimeGrid(5.0, 101))
     assert np.max(np.abs(rec.values - c)) < 1e-12
 
@@ -155,19 +121,6 @@ def test_reconstruction_edge_guard():
     chi = Spectrum(fg, chi_tilde(fg.omegas, 1.0, 1.0))
     with pytest.raises(EdgeToleranceError):
         response_from_susceptibility(chi, TimeGrid(5.0, 101), edge_tol=1e-3)
-
-
-def test_round_trip_chi_v():
-    # grids aligned for the FFT path: d_omega*dt = 2*pi/2^17, wide enough
-    # that the reconstruction tail 1/(pi*Omega) sits under 1e-4
-    dt = 4e-4
-    tg = TimeGrid(30.0, 75001)
-    d_omega = 2.0 * np.pi / (131072 * dt)
-    fg = FreqGrid(omega_max=35000 * d_omega, n=70001)
-    spec = fourier_forward(SampledSignal(tg, chi_v(tg.times, 1.0, 1.0)), fg)
-    back, _ = response_from_susceptibility(spec, TimeGrid(10.0, 401))
-    assert np.max(np.abs(back.values
-                         - chi_v(np.linspace(0, 10, 401), 1.0, 1.0))) < 1e-4
 
 
 def test_causality_of_ho_spectrum():
@@ -189,7 +142,7 @@ def test_hermitian_preserved_by_operations():
     grid = FreqGrid(40.0, 1601)
     pot = PotentialParams(eta=1.0, alpha=0.3, epsilon=0.2, f0=0.4)
     s2 = Spectrum(grid, (1.0 / (1.0 + grid.omegas**2)).astype(complex),
-                  {grid.zero_index: 2.0 * np.pi * 0.8})
+                  2.0 * np.pi * 0.8)
     prob = SusceptibilityProblem(pot, BATH, s2, grid)
     phi = phi_omega(prob)
     assert phi.is_hermitian()

@@ -4,10 +4,11 @@
 
 Runs `qcle kernels|moments|response|susceptibility|mc` on each
 `configs/*.json` of CHECKOUT (default: the checkout holding this script),
-with that checkout's `src/` on PYTHONPATH, each run in its own temporary
-directory. Prints one line per run: preset, subcommand, exit code and the
-sha256 of every CSV and `manifest.json` the run left. Two checkouts give the
-same bytes on the presets exactly when their outputs diff clean:
+then `qcle validate --criteria 1,5,6,9` (the Hermitian, causality and Dirac
+checks; about 3 s), with that checkout's `src/` on PYTHONPATH, each run in
+its own temporary directory. Prints one line per run: its label, exit code
+and the sha256 of every CSV and `manifest.json` the run left. Two checkouts
+give the same bytes exactly when their outputs diff clean:
 
     python3 tools/preset_digests.py /path/to/parent > parent.txt
     python3 tools/preset_digests.py > change.txt
@@ -24,20 +25,20 @@ import tempfile
 from pathlib import Path
 
 SUBCOMMANDS = ("kernels", "moments", "response", "susceptibility", "mc")
+VALIDATE_CRITERIA = "1,5,6,9"
 
 
-def digest_line(root: Path, config: Path, sub: str) -> str:
+def digest_line(root: Path, label: str, args: list[str]) -> str:
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "out"
         proc = subprocess.run(
-            [sys.executable, "-m", "qcle.cli", sub, "--config", str(config),
-             "--out", str(out)],
+            [sys.executable, "-m", "qcle.cli", *args, "--out", str(out)],
             env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
         files = sorted(out.glob("*.csv")) + sorted(out.glob("manifest.json"))
         digests = [f"{p.name}={hashlib.sha256(p.read_bytes()).hexdigest()}"
                    for p in files]
-    return " ".join([config.stem, sub, f"exit={proc.returncode}", *digests])
+    return " ".join([label, f"exit={proc.returncode}", *digests])
 
 
 def main(argv: list[str]) -> int:
@@ -48,7 +49,10 @@ def main(argv: list[str]) -> int:
         return 2
     for config in configs:
         for sub in SUBCOMMANDS:
-            print(digest_line(root, config, sub), flush=True)
+            print(digest_line(root, f"{config.stem} {sub}",
+                              [sub, "--config", str(config)]), flush=True)
+    print(digest_line(root, f"validate {VALIDATE_CRITERIA}",
+                      ["validate", "--criteria", VALIDATE_CRITERIA]), flush=True)
     return 0
 
 
