@@ -325,8 +325,7 @@ CRITERIA: dict[int, Callable[[Optional[dict]], CriterionResult]] = {
 KNOWN_UNATTAINABLE = {6}
 
 
-def run_acceptance(ids: Optional[list[int]] = None,
-                   printer: Callable[[str], None] = print) -> list[CriterionResult]:
+def run_acceptance(ids: Optional[list[int]] = None) -> list[CriterionResult]:
     """Run the selected criteria (all by default), printing one line each."""
     ids = sorted(ids) if ids else sorted(CRITERIA)
     cache: dict = {}
@@ -337,6 +336,6 @@ def run_acceptance(ids: Optional[list[int]] = None,
         res = CRITERIA[cid](cache)
         results.append(res)
         status = "PASS" if res.passed else "FAIL"
-        printer(f"[criterion {res.cid}] {status} ({res.elapsed:.1f}s) "
-                f"{res.description}: {res.detail}")
+        print(f"[criterion {res.cid}] {status} ({res.elapsed:.1f}s) "
+              f"{res.description}: {res.detail}")
     return results

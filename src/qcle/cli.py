@@ -73,19 +73,19 @@ def _get(section: dict, path: str, key: str, typ, errors: list[str],
             errors.append(f"{path}.{key}: missing required field")
         return default
     val = section[key]
-    try:
-        if typ is int:
-            if isinstance(val, float) and not val.is_integer():
-                raise ValueError
-            return int(val)
-        if typ is bool:
-            if not isinstance(val, bool):
-                raise ValueError
-            return val
-        val = typ(val)
-    except (TypeError, ValueError):
+    # JSON numbers only: a boolean is an int to Python, and typ() would
+    # parse a numeric string
+    number = isinstance(val, (int, float)) and not isinstance(val, bool)
+    if typ is bool:
+        ok = isinstance(val, bool)
+    elif typ is int:
+        ok = number and (isinstance(val, int) or val.is_integer())
+    else:
+        ok = number
+    if not ok:
         errors.append(f"{path}.{key}: expected {typ.__name__}, got {val!r}")
         return default
+    val = typ(val)
     # JSON admits NaN and Infinity; no float field takes them
     if not math.isfinite(val):
         errors.append(f"{path}.{key}: expected finite float, got {val!r}")

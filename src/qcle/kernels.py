@@ -11,19 +11,10 @@ from __future__ import annotations
 
 import numpy as np
 
-_SMALL_ARG = 1e-4
+from ._numutil import e1m
 
-
-def _sinhc(z: np.ndarray) -> np.ndarray:
-    """sinh(z)/z with a series branch near z = 0 (complex-safe)."""
-    z = np.asarray(z, dtype=complex)
-    out = np.empty_like(z)
-    small = np.abs(z) < _SMALL_ARG
-    zs = z[small]
-    out[small] = 1.0 + zs * zs / 6.0 * (1.0 + zs * zs / 20.0)
-    zb = z[~small]
-    out[~small] = np.sinh(zb) / zb
-    return out
+TAU_MIN = 1e-9  # noise_correlation diverges at coincidence
+MAX_MATSUBARA_TERMS = 20_000_000  # xi_q0_weights gives up past this
 
 
 def omega0(gamma: float, eta: float) -> complex:
@@ -46,39 +37,42 @@ def effective_roots(gamma: float, eta: float) -> tuple[complex, complex, complex
     return (-gamma + w0) / 2.0, (-gamma - w0) / 2.0, w0
 
 
-def _check_nonneg_time(t: np.ndarray):
+def _kernel_parts(t, gamma: float, eta: float):
+    """(t, e^{s_+ t}, s_+, t e1m(w0 t)) for t >= 0 and the exact roots, so
+    that (e^{s_+ t} - e^{s_- t})/w0 = e^{s_+ t} t e1m(w0 t). w0 = omega0 has
+    Re w0 >= 0, so nothing overflows before the kernel itself does."""
+    t = np.asarray(t, dtype=float)
     if np.any(t < 0):
         raise ValueError("kernel times must satisfy t >= 0")
+    w0 = omega0(gamma, eta)
+    sp = (-gamma + w0) / 2.0
+    return t, np.exp(sp * t), sp, t * e1m(w0 * t)
 
 
 def chi_v(t, gamma: float, eta: float):
-    """Velocity kernel (2/w0) e^{-gamma t/2} sinh(w0 t/2); limit t e^{-gamma t/2}
-    at critical damping. Real in every regime."""
-    t = np.asarray(t, dtype=float)
-    _check_nonneg_time(t)
-    z = omega0(gamma, eta) * t / 2.0
-    out = np.real(t * np.exp(-gamma * t / 2.0) * _sinhc(z))
+    """Velocity kernel (e^{s_+ t} - e^{s_- t})/w0; t e^{-gamma t/2} at
+    critical damping. Real in every regime."""
+    t, e_p, _, g = _kernel_parts(t, gamma, eta)
+    out = np.real(e_p * g)
     return out if out.ndim else float(out)
 
 
 def chi_q(t, gamma: float, eta: float):
-    """Position kernel e^{-gamma t/2} [cosh(w0 t/2) + (gamma/w0) sinh(w0 t/2)].
+    """Position kernel (s_+ e^{s_- t} - s_- e^{s_+ t})/w0
+    = e^{s_+ t} (1 - s_+ t e1m(w0 t)).
 
     Satisfies chi_q = chi_v_dot + gamma*chi_v identically.
     """
-    t = np.asarray(t, dtype=float)
-    _check_nonneg_time(t)
-    z = omega0(gamma, eta) * t / 2.0
-    out = np.real(np.exp(-gamma * t / 2.0) * (np.cosh(z) + (gamma * t / 2.0) * _sinhc(z)))
+    t, e_p, sp, g = _kernel_parts(t, gamma, eta)
+    out = np.real(e_p * (1.0 - sp * g))
     return out if out.ndim else float(out)
 
 
 def chi_v_dot(t, gamma: float, eta: float):
-    """Analytic time derivative of chi_v; chi_v_dot(0) = 1."""
-    t = np.asarray(t, dtype=float)
-    _check_nonneg_time(t)
-    z = omega0(gamma, eta) * t / 2.0
-    out = np.real(np.exp(-gamma * t / 2.0) * (np.cosh(z) - (gamma * t / 2.0) * _sinhc(z)))
+    """Analytic time derivative of chi_v, (s_+ e^{s_+ t} - s_- e^{s_- t})/w0
+    = e^{s_+ t} (1 + s_- t e1m(w0 t)); chi_v_dot(0) = 1."""
+    t, e_p, sp, g = _kernel_parts(t, gamma, eta)
+    out = np.real(e_p * (1.0 - (gamma + sp) * g))
     return out if out.ndim else float(out)
 
 
@@ -91,40 +85,28 @@ def chi_tilde(omega, gamma: float, eta: float):
     return out if out.ndim else complex(out)
 
 
-def _x_coth_x(x: np.ndarray) -> np.ndarray:
-    """x*coth(x) for real x with a series branch near 0."""
-    x = np.abs(np.asarray(x, dtype=float))
-    out = np.empty_like(x)
-    small = x < _SMALL_ARG
-    xs = x[small]
-    out[small] = 1.0 + xs * xs / 3.0 - xs**4 / 45.0
-    xb = x[~small]
-    out[~small] = xb / np.tanh(xb)
-    return out
-
-
 def noise_psd(omega, gamma: float, temp: float, nu: float):
     """Noise spectral density S(w) = (2 pi gamma T / nu) w coth(pi w / nu).
 
     Even, non-negative, with S(0) = 2 gamma T; the classical white-noise
     strength 2 gamma T is recovered for nu -> infinity.
     """
-    omega = np.asarray(omega, dtype=float)
-    out = 2.0 * gamma * temp * _x_coth_x(np.pi * omega / nu)
+    x = np.abs(np.pi * np.asarray(omega, dtype=float) / nu)
+    # x coth x = 2x/(1 - e^{-2x}) - x
+    out = 2.0 * gamma * temp * (1.0 / e1m(2.0 * x) - x)
     return out if out.ndim else float(out)
 
 
-def noise_correlation(tau, gamma: float, temp: float, nu: float,
-                      tau_min: float = 1e-9):
+def noise_correlation(tau, gamma: float, temp: float, nu: float):
     """Regular part of the noise autocorrelation, -(gamma T/2) nu sinh^{-2}(nu tau/2).
 
     Diverges (non-integrably) at coincidence; covariance construction must go
-    through noise_psd instead, hence the tau_min guard.
+    through noise_psd instead, hence the TAU_MIN guard.
     """
     tau = np.asarray(tau, dtype=float)
-    if np.any(np.abs(tau) < tau_min):
+    if np.any(np.abs(tau) < TAU_MIN):
         raise ValueError(
-            f"|tau| < {tau_min}: the correlation diverges at coincidence; "
+            f"|tau| < {TAU_MIN}: the correlation diverges at coincidence; "
             "use noise_psd for covariance construction"
         )
     # sinh^{-2}(x) = 4 e^{-2x}/(1 - e^{-2x})^2 in overflow-safe form
@@ -136,8 +118,7 @@ def noise_correlation(tau, gamma: float, temp: float, nu: float,
 
 
 def xi_q0_weights(gamma: float, temp: float, nu: float, eta: float,
-                  t_min: float, tol: float,
-                  max_terms: int = 20_000_000) -> tuple[np.ndarray, np.ndarray]:
+                  t_min: float, tol: float) -> tuple[np.ndarray, np.ndarray]:
     """Matsubara frequencies nu_n and coefficients c_n of the noise/initial
     position correlation <xi(t) q0> = -sum_n c_n e^{-nu_n t}, truncated so the
     absolute remainder is < tol for every t >= t_min.
@@ -169,7 +150,7 @@ def xi_q0_weights(gamma: float, temp: float, nu: float, eta: float,
         n += last
         if last < chunk:
             break
-        if n > max_terms:
+        if n > MAX_MATSUBARA_TERMS:
             raise RuntimeError("Matsubara truncation did not reach tol")
     if chunks_n:
         nun = np.concatenate(chunks_n)

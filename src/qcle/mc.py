@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
+from ._numutil import e1m
 from .grids import SampledSignal, TimeGrid
 from .params import BathParams, PotentialParams
 
@@ -134,10 +135,7 @@ def _propagator_constants(gamma: float, eta: float, h: float):
     sp, sm, w0 = kernels.effective_roots(gamma, eta)
 
     def e1(s):  # int_0^h e^{su} du
-        x = s * h
-        if abs(x) < 1e-6:
-            return h * (1.0 + x / 2.0 + x * x / 6.0)
-        return (np.exp(x) - 1.0) / s
+        return h * e1m(-s * h)
 
     def q1(s):  # int_0^h u e^{su} du
         x = s * h

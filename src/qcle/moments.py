@@ -13,10 +13,11 @@ through the spectral density. Lambda has rank 2 in (t, w):
 
 with s_+/- the roots of kernels.effective_roots. The weighted sum of
 |Lambda|^2 therefore reduces to three scalar moments of (u, b) and two
-Fourier sums of the weights on the time grid: O(n_t + n_w) memory and no
-(n_t, n_w) matrix. It is the same trapezoid sum, reordered, so it agrees
-with the direct matrix evaluation to roundoff; s_+ - s_- = w0 exactly, so no
-1/w0 cancellation remains near critical damping.
+Fourier sums of the weights on the time grid, one chirp-z convolution
+(_numutil.phase_stepped_sum): O(n_t + n_w) memory, no (n_t, n_w) matrix and
+no Python loop over either grid. It is the same trapezoid sum, reordered, so
+it agrees with the direct matrix evaluation to about 1e-12 relative; s_+ -
+s_- = w0 exactly, so no 1/w0 cancellation remains near critical damping.
 
 For quantum nu the strict Ohmic integrand decays only like 1/w, so the
 cutoff W acts as a physical UV regulator; in the classical regime the result
@@ -31,10 +32,15 @@ from typing import Optional
 import numpy as np
 
 from . import kernels
-from ._numutil import cumtrapz, phase_stepped_sum, trapezoid_weights, volterra_conv
+from ._numutil import (cumtrapz, e1m, phase_stepped_sum, trapezoid_weights,
+                       volterra_conv)
 from .djm import ConvergenceError, DjmSolution, FunctionalProblem, djm_solve
 from .grids import FreqGrid, SampledSignal, Spectrum, TimeGrid
 from .params import BathParams, PotentialParams
+
+
+# trailing share of the time grid averaged into the plateau estimate
+PLATEAU_FRAC = 0.1
 
 
 class QuadratureError(RuntimeError):
@@ -80,40 +86,17 @@ class SpectralQuadrature:
             )
 
 
-def _e1m(x: np.ndarray) -> np.ndarray:
-    """(1 - e^{-x})/x, complex-safe, series branch near 0."""
-    x = np.asarray(x, dtype=complex)
-    out = np.empty_like(x)
-    small = np.abs(x) < 1e-6
-    xs = x[small]
-    out[small] = 1.0 - xs / 2.0 * (1.0 - xs / 3.0)
-    xb = x[~small]
-    out[~small] = (1.0 - np.exp(-xb)) / xb
-    return out
-
-
-def _fourier_rows(d: np.ndarray, omega: np.ndarray, grid: TimeGrid) -> np.ndarray:
-    """F[:, j] = sum_k d[:, k] e^{-i w_k t_j} on the time grid: one
-    (rows, n_w) mat-vec per time node, the phase advanced multiplicatively
-    (|step| = 1, so the drift over n_t steps is O(n_t eps))."""
-    run = np.ones(omega.size, dtype=complex)
-    step = np.exp(-1j * grid.dt * omega)
-    out = np.empty((d.shape[0], grid.n), dtype=complex)
-    for j in range(grid.n):
-        out[:, j] = d @ run
-        run *= step
-    return out
-
-
 def _window_power(grid: TimeGrid, gamma: float, eta: float, omega: np.ndarray,
                   c: np.ndarray) -> np.ndarray:
     """sum_k c[r, k] |Lambda(t, w_k)|^2 for every row r of the weights c.
 
     Lambda = e^{-iwt} [u chi_v(t) + b e^{s_- t}] - b has rank 2 in (t, w),
     so the weighted sum is three scalar moments of (u, b) combined with
-    O(n_t) vectors, plus two Fourier sums over the weights. Nodes with
-    |s_+ - iw| t_max < 1, where u and b outgrow Lambda (eta ~ 0 near w = 0,
-    or a horizon shorter than 2/gamma), are summed from Lambda's direct form.
+    O(n_t) vectors, plus two Fourier sums over the weights on the uniform
+    nodes omega (one chirp-z call). Nodes with |s_+ - iw| t_max < 1, where u
+    and b outgrow Lambda (eta ~ 0 near w = 0, or a horizon shorter than
+    2/gamma), are summed from Lambda's direct form
+    t (e1m(-(s_+ - iw) t) - e1m(-(s_- - iw) t))/w0.
     """
     t = grid.times
     sp, sm, w0 = kernels.effective_roots(gamma, eta)
@@ -121,10 +104,9 @@ def _window_power(grid: TimeGrid, gamma: float, eta: float, omega: np.ndarray,
     near = np.abs(a) * grid.t_max < 1.0
     out = np.zeros((c.shape[0], grid.n))
     for k in np.flatnonzero(near):
-        # int_0^t e^{zs} ds = expm1(zt)/z; Re(s_-) < 0 keeps z_m != 0
+        # int_0^t e^{zs} ds = t e1m(-zt)
         z_m = sm - 1j * omega[k]
-        g_p = t if a[k] == 0 else np.expm1(a[k] * t) / a[k]
-        lam = (g_p - np.expm1(z_m * t) / z_m) / w0
+        lam = t * (e1m(-a[k] * t) - e1m(-z_m * t)) / w0
         out += c[:, k, None] * np.abs(lam) ** 2
     c = np.where(near, 0.0, c)
     u = 1.0 / np.where(near, 1.0, a)
@@ -134,7 +116,8 @@ def _window_power(grid: TimeGrid, gamma: float, eta: float, omega: np.ndarray,
     m_uu = c @ (np.abs(u) ** 2)
     m_bb = c @ bb
     m_ub = c @ ub
-    f_ub, f_bb = np.split(_fourier_rows(np.vstack([c * ub, c * bb]), omega, grid), 2)
+    f_ub, f_bb = np.split(phase_stepped_sum(np.vstack([c * ub, c * bb]), omega[0],
+                                            omega[1] - omega[0], t, -1), 2)
     x = kernels.chi_v(t, gamma, eta)
     e = np.exp(sm * t)
     out += (m_uu[:, None] * x**2 + m_bb[:, None] * (np.abs(e) ** 2 + 1.0)
@@ -160,8 +143,8 @@ def _preparation_cross_term(grid: TimeGrid, bath: BathParams, eta: float,
         cs = cn[start:start + 512][None, :]
         # (e^{sy} - e^{-nu y})/(nu + s) = e^{sy} y E1m((nu+s) y), stable when
         # a Matsubara frequency sits near a decay rate
-        g_p = e_p * tc * _e1m((nus + sp) * tc)
-        g_m = e_m * tc * _e1m((nus + sm) * tc)
+        g_p = e_p * tc * e1m((nus + sp) * tc)
+        g_m = e_m * tc * e1m((nus + sm) * tc)
         e_n = (sp * g_p - sm * g_m) / w0
         p += np.real(np.sum(cs * e_n, axis=1))
     # <phi_v(y) q0> = -sum_n c_n E_n(y); E_n(0) = 0 exactly
@@ -211,9 +194,10 @@ def variance(grid: TimeGrid, bath: BathParams, potential: PotentialParams,
     return SampledSignal(grid, sig2)
 
 
-def estimate_plateau(signal: SampledSignal, frac: float = 0.1) -> float:
-    """Mean of the trailing frac of the signal (late-time plateau estimate)."""
-    k = max(2, int(round(frac * signal.grid.n)))
+def estimate_plateau(signal: SampledSignal) -> float:
+    """Mean of the trailing PLATEAU_FRAC of the signal (late-time plateau
+    estimate)."""
+    k = max(2, int(round(PLATEAU_FRAC * signal.grid.n)))
     return float(np.mean(signal.values[-k:]))
 
 

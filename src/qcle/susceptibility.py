@@ -12,10 +12,10 @@ delta(w). Transforming the response ODE under this convention gives
                  int dw'' chi(w'') chi(w' - w'') ].
 
 Every Dirac component sits at w = 0 and is carried symbolically as one
-weight (Spectrum.dirac) and convolved exactly; regular parts are convolved by
-grid summation with zero padding (computed via FFT, equal to the direct sums
-to roundoff). Every operation re-enforces exact Hermitian symmetry of its
-output.
+weight (Spectrum.dirac) and convolved exactly; regular parts are convolved as
+zero-padded grid sums via FFT (equal to the direct sums to roundoff), and the
+inverse transform is one chirp-z sum (_numutil.phase_stepped_sum). Every
+operation re-enforces exact Hermitian symmetry of its output.
 """
 
 from __future__ import annotations
@@ -121,8 +121,9 @@ class ReconstructedResponse(NamedTuple):
 
 def _inverse_transform(chi: Spectrum, times: np.ndarray,
                        edge_tol: float) -> np.ndarray:
-    """(1/2pi) int chi(w) e^{-iwt} dw at the given times (complex): grid
-    quadrature of the regular part plus the exact Dirac contribution.
+    """(1/2pi) int chi(w) e^{-iwt} dw at uniformly spaced times (complex):
+    the trapezoid rule of the regular part, summed by chirp-z, plus the exact
+    Dirac contribution.
 
     The regular part must have decayed at the grid edges (precondition).
     """

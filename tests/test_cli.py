@@ -232,6 +232,12 @@ def _tree(root: Path) -> dict:
                  id="nan_float"),
     pytest.param("response", {"overrides": {"time_grid.t_max": float("inf")}}, [],
                  2, id="inf_float"),
+    pytest.param("kernels", {"overrides": {"potential.eta": True}}, [], 2,
+                 id="bool_float"),
+    pytest.param("kernels", {"overrides": {"bath.gamma": "1.0"}}, [], 2,
+                 id="str_float"),
+    pytest.param("kernels", {"overrides": {"tolerances.djm_k_max": "7"}}, [], 2,
+                 id="str_int"),
     pytest.param("moments", {"overrides": LONG_HORIZON}, [], 2, id="horizon"),
     pytest.param("kernels", {}, ["--out", "config.json"], 2, id="out_is_file"),
     pytest.param("moments", {"base": BISTABLE, "overrides": BLOWUP}, [], 3,

@@ -111,6 +111,16 @@ def test_noise_psd_limits_and_symmetry():
         assert s == noise_psd(-om, g, tt, nu)
 
 
+def test_noise_psd_small_argument_series():
+    # x coth x = 1 + x^2/3 - x^4/45 + ..., x = pi w/nu; the x^4 term is
+    # below 3e-18 here
+    gamma, temp, nu = 0.7, 1.3, 2.0
+    x = np.array([0.0, 1e-12, 1e-8, 1e-6, 1e-4])
+    s = noise_psd(x * nu / np.pi, gamma, temp, nu)
+    np.testing.assert_allclose(s, 2 * gamma * temp * (1 + x * x / 3), rtol=1e-15,
+                               atol=0)
+
+
 def test_noise_psd_inverse_transform_matches_correlation():
     # regular part of the inverse FT vs the closed form at tau = 1, nu = 5:
     # subtract the linear UV asymptote whose finite-part inverse is

@@ -1,0 +1,79 @@
+"""Exit codes and worst CSV column deviation of every preset run, between
+two checkouts.
+
+    python3 tools/preset_deviation.py PARENT [CHANGE]
+
+Runs the same CLI calls as `tools/preset_digests.py` (each preset ×
+`kernels|moments|response|susceptibility|mc`, then `validate --criteria
+1,5,6,9`) on both checkouts (CHANGE defaults to the checkout holding this
+script). Prints one line per preset run: its label, both exit codes, and the
+worst column deviation max|change - parent| / max|parent column| over every
+numeric CSV column, with the file and column it occurs in. A column whose
+parent maximum is below 1e-12 is pure roundoff (such as the stderr of an
+alpha = 0 ensemble), so its absolute deviation is printed instead, as `abs`.
+The validate line says whether the acceptance report bytes match. This
+names and bounds a numerical change the way the digests show "same bytes".
+"""
+
+from __future__ import annotations
+
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+from preset_digests import run_cli, runs
+
+TINY = 1e-12
+
+
+def _columns(path: Path) -> dict[str, np.ndarray]:
+    data = np.genfromtxt(path, delimiter=",", names=True, ndmin=1)
+    return {name: data[name] for name in data.dtype.names}
+
+
+def _worst(parent: Path, change: Path) -> str:
+    """'rel=R (file:column)' and 'abs=A (file:column)' for the worst columns."""
+    worst = {"rel": (0.0, ""), "abs": (0.0, "")}
+    for p_csv in sorted(parent.glob("*.csv")):
+        c_csv = change / p_csv.name
+        if not c_csv.exists():
+            return f"{p_csv.name} missing in change"
+        p_cols, c_cols = _columns(p_csv), _columns(c_csv)
+        for name, p_col in p_cols.items():
+            c_col = c_cols.get(name)
+            if c_col is None or c_col.shape != p_col.shape:
+                return f"{p_csv.name}:{name} differs in shape"
+            scale = float(np.max(np.abs(p_col), initial=0.0))
+            kind = "abs" if scale < TINY else "rel"
+            dev = float(np.max(np.abs(c_col - p_col), initial=0.0))
+            dev = dev if kind == "abs" else dev / scale
+            if dev >= worst[kind][0]:
+                worst[kind] = (dev, f"{p_csv.name}:{name}")
+    return " ".join(f"{kind}={dev:.1e} ({where})"
+                    for kind, (dev, where) in worst.items() if where) or "no CSV"
+
+
+def main(argv: list[str]) -> int:
+    if not 1 <= len(argv) <= 2:
+        print("usage: preset_deviation.py PARENT [CHANGE]", file=sys.stderr)
+        return 2
+    parent = Path(argv[0])
+    change = Path(argv[1] if len(argv) > 1 else Path(__file__).resolve().parent.parent)
+    for (label, p_args), (_, c_args) in zip(runs(parent), runs(change)):
+        with tempfile.TemporaryDirectory() as tmp:
+            p_out, c_out = Path(tmp) / "parent", Path(tmp) / "change"
+            codes = f"exit={run_cli(parent, p_args, p_out)}/{run_cli(change, c_args, c_out)}"
+            if p_args[0] == "validate":
+                report = "acceptance_report.csv"
+                same = (p_out / report).read_bytes() == (c_out / report).read_bytes()
+                print(label, codes, f"report_bytes={'same' if same else 'DIFFER'}",
+                      flush=True)
+            else:
+                print(label, codes, _worst(p_out, c_out), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

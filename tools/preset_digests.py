@@ -28,31 +28,40 @@ SUBCOMMANDS = ("kernels", "moments", "response", "susceptibility", "mc")
 VALIDATE_CRITERIA = "1,5,6,9"
 
 
-def digest_line(root: Path, label: str, args: list[str]) -> str:
+def runs(root: Path) -> list[tuple[str, list[str]]]:
+    """(label, CLI arguments) of every preset run of the checkout root, then
+    of the validate run."""
+    return [(f"{config.stem} {sub}", [sub, "--config", str(config)])
+            for config in sorted((root / "configs").glob("*.json"))
+            for sub in SUBCOMMANDS] + [
+        (f"validate {VALIDATE_CRITERIA}", ["validate", "--criteria", VALIDATE_CRITERIA])]
+
+
+def run_cli(root: Path, args: list[str], out: Path) -> int:
+    """Run `qcle ARGS --out OUT` on the checkout root's `src/`; its exit code."""
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    return subprocess.run(
+        [sys.executable, "-m", "qcle.cli", *args, "--out", str(out)],
+        env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL).returncode
+
+
+def digest_line(root: Path, label: str, args: list[str]) -> str:
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "out"
-        proc = subprocess.run(
-            [sys.executable, "-m", "qcle.cli", *args, "--out", str(out)],
-            env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+        code = run_cli(root, args, out)
         files = sorted(out.glob("*.csv")) + sorted(out.glob("manifest.json"))
         digests = [f"{p.name}={hashlib.sha256(p.read_bytes()).hexdigest()}"
                    for p in files]
-    return " ".join([label, f"exit={proc.returncode}", *digests])
+    return " ".join([label, f"exit={code}", *digests])
 
 
 def main(argv: list[str]) -> int:
     root = Path(argv[0] if argv else Path(__file__).resolve().parent.parent)
-    configs = sorted((root / "configs").glob("*.json"))
-    if not configs:
+    if not any((root / "configs").glob("*.json")):
         print(f"no configs/*.json under {root}", file=sys.stderr)
         return 2
-    for config in configs:
-        for sub in SUBCOMMANDS:
-            print(digest_line(root, f"{config.stem} {sub}",
-                              [sub, "--config", str(config)]), flush=True)
-    print(digest_line(root, f"validate {VALIDATE_CRITERIA}",
-                      ["validate", "--criteria", VALIDATE_CRITERIA]), flush=True)
+    for label, args in runs(root):
+        print(digest_line(root, label, args), flush=True)
     return 0
 
 
