@@ -28,7 +28,8 @@ from . import __version__, kernels
 from .acceptance import CRITERIA, KNOWN_UNATTAINABLE, run_acceptance
 from .djm import ConvergenceError, NonFiniteTermError
 from .grids import FreqGrid, Spectrum, TimeGrid
-from .mc import estimate_moments, estimate_response, integrate_qcle, sample_noise
+from .mc import (SynthesisLengthError, _synthesis_length, estimate_moments,
+                 estimate_response, integrate_qcle, sample_noise)
 from .moments import (PlateauError, QuadratureError, SpectralQuadrature,
                       mean_trajectory, variance, variance_spectrum)
 from .params import BathParams, PotentialParams
@@ -85,9 +86,15 @@ def _get(section: dict, path: str, key: str, typ, errors: list[str],
     if not ok:
         errors.append(f"{path}.{key}: expected {typ.__name__}, got {val!r}")
         return default
-    val = typ(val)
+    try:
+        val = typ(val)
+        finite = math.isfinite(val)
+    except OverflowError:  # a JSON integer past the float range
+        errors.append(f"{path}.{key}: expected {typ.__name__} in the float "
+                      f"range, got an integer of {len(str(val))} digits")
+        return default
     # JSON admits NaN and Infinity; no float field takes them
-    if not math.isfinite(val):
+    if not finite:
         errors.append(f"{path}.{key}: expected finite float, got {val!r}")
         return default
     return val
@@ -99,7 +106,7 @@ def parse_config(path: Path, seed_override: Optional[int] = None) -> RunConfig:
         raw = json.loads(path.read_text())
     except FileNotFoundError:
         raise ConfigError(["no such file"])
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # JSONDecodeError, or an integer too long to parse
         raise ConfigError([f"invalid JSON: {e}"])
     if not isinstance(raw, dict):
         raise ConfigError(["top level must be an object"])
@@ -381,20 +388,39 @@ def cmd_validate(cfg: Optional[RunConfig], out: Path, m: dict,
     return 0 if all(r.passed for r in results) else 1
 
 
-# subcommand -> (function, whether it needs the freq_grid section, whether
-# it computes the variance, whose quadrature must resolve the time horizon)
+def _horizon_error(cfg: RunConfig) -> Optional[str]:
+    """The variance quadrature must resolve the time horizon."""
+    try:
+        cfg.quad.check_horizon(cfg.time_grid.t_max)
+    except ValueError as e:
+        return f"tolerances.quad_n: {e} (time_grid.t_max = {cfg.time_grid.t_max!r})"
+    return None
+
+
+def _synthesis_error(cfg: RunConfig) -> Optional[str]:
+    """The MC noise synthesis must fit its FFT length cap."""
+    try:
+        _synthesis_length(cfg.time_grid, cfg.bath.nu)
+    except SynthesisLengthError as e:
+        return f"bath.nu: {e}"
+    return None
+
+
+# subcommand -> (function, whether it needs the freq_grid section, the check
+# of the config against the sizes the subcommand needs, or None)
 SUBCOMMANDS = {
-    "kernels": (cmd_kernels, True, False),
-    "moments": (cmd_moments, True, True),
-    "response": (cmd_response, False, True),
-    "susceptibility": (cmd_susceptibility, True, True),
-    "mc": (cmd_mc, False, False),
-    "validate": (cmd_validate, False, False),
+    "kernels": (cmd_kernels, True, None),
+    "moments": (cmd_moments, True, _horizon_error),
+    "response": (cmd_response, False, _horizon_error),
+    "susceptibility": (cmd_susceptibility, True, _horizon_error),
+    "mc": (cmd_mc, False, _synthesis_error),
+    "validate": (cmd_validate, False, None),
 }
 
 # failures that exit 3 with a manifest carrying diagnostics.error
 NUMERICAL_ERRORS = (ConvergenceError, NonFiniteTermError, QuadratureError,
-                    PlateauError, EdgeToleranceError, StepInstabilityError)
+                    PlateauError, EdgeToleranceError, StepInstabilityError,
+                    kernels.MatsubaraTruncationError)
 
 
 def _config_error(messages: list[str]) -> int:
@@ -419,7 +445,7 @@ def main(argv: Optional[list[str]] = None) -> int:
                         help="validate only: comma-separated criterion ids")
     args = parser.parse_args(argv)
     sub = args.subcommand
-    cmd, needs_freq_grid, needs_variance = SUBCOMMANDS[sub]
+    cmd, needs_freq_grid, size_check = SUBCOMMANDS[sub]
 
     # every config error is reported before any output is written
     cfg = None
@@ -432,12 +458,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         return _config_error(["--config is required"])
     if needs_freq_grid and cfg.freq_grid is None:
         return _config_error([f"freq_grid: section required by `{sub}`"])
-    if needs_variance:
-        try:
-            cfg.quad.check_horizon(cfg.time_grid.t_max)
-        except ValueError as e:
-            return _config_error([f"{args.config}: tolerances.quad_n: {e} "
-                                  f"(time_grid.t_max = {cfg.time_grid.t_max!r})"])
+    size_error = size_check(cfg) if size_check else None
+    if size_error:
+        return _config_error([f"{args.config}: {size_error}"])
     criteria = None
     if args.criteria:
         try:

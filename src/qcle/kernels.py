@@ -17,6 +17,10 @@ TAU_MIN = 1e-9  # noise_correlation diverges at coincidence
 MAX_MATSUBARA_TERMS = 20_000_000  # xi_q0_weights gives up past this
 
 
+class MatsubaraTruncationError(RuntimeError):
+    """The Matsubara sum needs more than MAX_MATSUBARA_TERMS terms."""
+
+
 def omega0(gamma: float, eta: float) -> complex:
     """Principal square root of gamma^2 - 4*eta (purely imaginary when
     underdamped)."""
@@ -117,31 +121,53 @@ def noise_correlation(tau, gamma: float, temp: float, nu: float):
     return out if out.ndim else float(out)
 
 
+def xi_q0_coefficients(nun, gamma: float, temp: float, eta: float):
+    """Matsubara coefficients c_n = 2 gamma T nu_n / (nu_n^2 + gamma nu_n + eta)
+    at the frequencies nun.
+
+    The decay rates of chi_v have elementary symmetric functions
+    lambda1+lambda2 = gamma and lambda1*lambda2 = eta, which generalizes the
+    eta = 1 form.
+    """
+    return 2.0 * gamma * temp * nun / (nun * nun + gamma * nun + eta)
+
+
 def xi_q0_weights(gamma: float, temp: float, nu: float, eta: float,
                   t_min: float, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """Matsubara frequencies nu_n and coefficients c_n of the noise/initial
-    position correlation <xi(t) q0> = -sum_n c_n e^{-nu_n t}, truncated so the
-    absolute remainder is < tol for every t >= t_min.
+    """Matsubara frequencies nu_n and coefficients c_n (xi_q0_coefficients)
+    of the noise/initial position correlation <xi(t) q0> = -sum_n c_n
+    e^{-nu_n t}, truncated so the absolute remainder is < tol for every
+    t >= t_min.
 
-    c_n = 2 gamma T nu_n / (nu_n^2 + gamma nu_n + eta): the decay rates of
-    chi_v have elementary symmetric functions lambda1+lambda2 = gamma and
-    lambda1*lambda2 = eta, which generalizes the eta = 1 form.
+    Raises MatsubaraTruncationError, before allocating anything, when that
+    takes more than MAX_MATSUBARA_TERMS terms.
     """
     if not t_min > 0:
         raise ValueError("the Matsubara sum diverges logarithmically at t = 0")
     if not tol > 0:
         raise ValueError("tol must be positive")
     q = np.exp(-nu * t_min)
+
+    def bound(nun):
+        # tail bound after N terms: sum_{m>N} c_m e^{-nu_m t}
+        #   <= (2 gamma T / nu_{N+1}) e^{-nu_{N+1} t_min} / (1 - q)
+        with np.errstate(divide="ignore"):
+            return 2.0 * gamma * temp / nun * np.exp(-nun * t_min) / (1.0 - q)
+
+    # the bound falls with N, so this also ends the loop below
+    if bound((MAX_MATSUBARA_TERMS + 1) * nu) >= tol:
+        raise MatsubaraTruncationError(
+            f"the Matsubara sum needs more than {MAX_MATSUBARA_TERMS} terms "
+            f"for tol = {tol:.1e} at t >= {t_min!r} (nu = {nu!r}); "
+            "increase nu or the time step"
+        )
     n = 0
     chunks_n = []
     chunk = 4096
     while True:
         idx = np.arange(n + 1, n + chunk + 1, dtype=float)
         nun = idx * nu
-        # tail bound after N terms: sum_{m>N} c_m e^{-nu_m t}
-        #   <= (2 gamma T / nu_{N+1}) e^{-nu_{N+1} t_min} / (1 - q)
-        bound = 2.0 * gamma * temp / nun * np.exp(-nun * t_min) / (1.0 - q)
-        keep = bound >= tol
+        keep = bound(nun) >= tol
         if not keep.any():
             # the previous chunk already satisfied the bound at its last term
             break
@@ -150,14 +176,11 @@ def xi_q0_weights(gamma: float, temp: float, nu: float, eta: float,
         n += last
         if last < chunk:
             break
-        if n > MAX_MATSUBARA_TERMS:
-            raise RuntimeError("Matsubara truncation did not reach tol")
     if chunks_n:
         nun = np.concatenate(chunks_n)
     else:
         nun = np.array([nu])  # always keep at least one term
-    cn = 2.0 * gamma * temp * nun / (nun * nun + gamma * nun + eta)
-    return nun, cn
+    return nun, xi_q0_coefficients(nun, gamma, temp, eta)
 
 
 def xi_q0_corr(t: float, gamma: float, temp: float, nu: float, eta: float,

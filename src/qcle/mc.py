@@ -22,6 +22,13 @@ from ._numutil import e1m
 from .grids import SampledSignal, TimeGrid
 from .params import BathParams, PotentialParams
 
+# longest noise synthesis FFT: sample_noise holds a few arrays of this length
+MAX_SYNTHESIS_LENGTH = 1 << 20
+
+
+class SynthesisLengthError(ValueError):
+    """The noise synthesis FFT would exceed MAX_SYNTHESIS_LENGTH."""
+
 
 @dataclass(frozen=True)
 class NoiseEnsemble:
@@ -84,12 +91,18 @@ def zero_noise(grid: TimeGrid, bath: BathParams, n_paths: int) -> NoiseEnsemble:
 
 
 def _synthesis_length(grid: TimeGrid, nu: float) -> int:
-    # pad so the periodic wrap-around of the covariance (decay rate nu) is
-    # negligible at every in-grid lag
-    pad = int(np.ceil(14.0 / (nu * grid.dt)))
-    n_min = grid.n + pad
+    """FFT length of the noise synthesis: the grid plus a pad of 14/(nu dt)
+    steps, so that the periodic wrap-around of the covariance (decay rate
+    nu) is negligible at every in-grid lag. Raises SynthesisLengthError past
+    MAX_SYNTHESIS_LENGTH, before anything is allocated."""
+    pad = 14.0 / (nu * grid.dt)
+    if not grid.n + pad <= MAX_SYNTHESIS_LENGTH:
+        raise SynthesisLengthError(
+            f"noise synthesis needs an FFT of {grid.n + pad:.3g} points for "
+            f"nu = {nu!r} at dt = {grid.dt!r}, past the cap of "
+            f"{MAX_SYNTHESIS_LENGTH}; increase nu or the time step")
     nfft = 8
-    while nfft < n_min:
+    while nfft < grid.n + int(np.ceil(pad)):
         nfft *= 2
     return nfft
 

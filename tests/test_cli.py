@@ -3,6 +3,7 @@
 import csv
 import hashlib
 import json
+import time
 from pathlib import Path
 
 import numpy as np
@@ -202,6 +203,10 @@ def test_validate_bad_criteria_exit_2(tmp_path):
 
 BISTABLE = json.loads(
     (Path(__file__).resolve().parent.parent / "configs" / "bistable.json").read_text())
+PARABOLIC = json.loads(
+    (Path(__file__).resolve().parent.parent / "configs" / "parabolic.json").read_text())
+# the Matsubara sum would need more than kernels.MAX_MATSUBARA_TERMS terms
+TINY_NU = {"bath.nu": 1e-4, "tolerances.quad_rtol": 1e9}
 # on the bistable preset these make both recursions overflow
 BLOWUP = {"bath.gamma": 2.0, "bath.temp": 1.0, "potential.alpha": 0.5}
 # quantum nu at the default quad_rtol: the variance quadrature is cutoff-sensitive
@@ -238,6 +243,11 @@ def _tree(root: Path) -> dict:
                  id="str_float"),
     pytest.param("kernels", {"overrides": {"tolerances.djm_k_max": "7"}}, [], 2,
                  id="str_int"),
+    pytest.param("kernels", {"overrides": {"bath.gamma": 10**400}}, [], 2,
+                 id="huge_int_float"),
+    pytest.param("kernels", {"overrides": {"time_grid.n": 10**400}}, [], 2,
+                 id="huge_int_int"),
+    pytest.param("mc", {"overrides": {"bath.nu": 1e-6}}, [], 2, id="mc_synthesis"),
     pytest.param("moments", {"overrides": LONG_HORIZON}, [], 2, id="horizon"),
     pytest.param("kernels", {}, ["--out", "config.json"], 2, id="out_is_file"),
     pytest.param("moments", {"base": BISTABLE, "overrides": BLOWUP}, [], 3,
@@ -245,6 +255,8 @@ def _tree(root: Path) -> dict:
     pytest.param("susceptibility", {"base": BISTABLE, "overrides": BLOWUP}, [], 3,
                  id="susceptibility_overflow"),
     pytest.param("response", {"overrides": QUANTUM_NU}, [], 3, id="quadrature"),
+    pytest.param("response", {"base": PARABOLIC, "overrides": TINY_NU}, [], 3,
+                 id="matsubara_truncation"),
 ])
 def test_failure_contract(tmp_path, monkeypatch, capsys, sub, config, extra,
                           code):
@@ -273,3 +285,20 @@ def test_long_horizon_rejected_only_where_the_variance_runs(tmp_path):
     out = tmp_path / "k"
     assert main(["kernels", "--config", str(cfg), "--out", str(out)]) == 0
     assert (out / "kernels_time.csv").exists()
+
+
+def test_config_integer_too_long_to_parse_exits_2(tmp_path, capsys):
+    # Python's int parser refuses more than 4300 digits
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(CONFIG).replace('"gamma": 1.0', '"gamma": 1' + "0" * 5000))
+    assert main(["kernels", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert "invalid JSON" in capsys.readouterr().err
+
+
+def test_mc_synthesis_cap_rejected_fast(tmp_path):
+    # nu = 1e-6 on the parabolic grid asks for an FFT of 2^31 points
+    cfg = _write_config(tmp_path, base=PARABOLIC, overrides={"bath.nu": 1e-6})
+    start = time.perf_counter()
+    assert main(["mc", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert time.perf_counter() - start < 0.5
+    assert not (tmp_path / "o").exists()

@@ -1,12 +1,15 @@
 """Monte Carlo oracle: sampler statistics and pathwise integration."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from qcle import (BathParams, PotentialParams, SpectralQuadrature, TimeGrid,
                   chi_q, chi_v, estimate_moments, estimate_response,
                   integrate_qcle, sample_noise, variance, zero_noise)
-from qcle.mc import Ensemble, _synthesis_length, thermal_velocities
+from qcle.mc import (MAX_SYNTHESIS_LENGTH, Ensemble, SynthesisLengthError,
+                     _synthesis_length, thermal_velocities)
 from qcle.params import parabolic
 
 CLASSICAL = BathParams(gamma=1.0, temp=1.0, nu=1e4)
@@ -209,3 +212,19 @@ def test_synthesis_length_covers_correlation_decay():
     assert _synthesis_length(grid, 1e4) >= 1024
     slow = _synthesis_length(grid, 0.5)
     assert (slow - grid.n) * grid.dt >= 14.0 / 0.5
+
+
+def test_synthesis_length_capped_before_allocating():
+    grid = TimeGrid(15.0, 1501)
+    # the quantum-nu MC configs (nu >= 2) stay far inside the cap
+    assert _synthesis_length(grid, 2.0) <= 4096 < MAX_SYNTHESIS_LENGTH
+    assert _synthesis_length(grid, 2e-3) == MAX_SYNTHESIS_LENGTH
+    for nu in (1e-4, 1e-6, 1e-310):  # 2^24 and 2^31 points, and an infinite pad
+        tracemalloc.start()
+        try:
+            with pytest.raises(SynthesisLengthError, match="cap"):
+                sample_noise(grid, BathParams(1.0, 1.0, nu), 4, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6

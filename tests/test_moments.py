@@ -2,16 +2,17 @@
 
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 
 from qcle import (BathParams, FreqGrid, PotentialParams, QuadratureError,
                   SampledSignal, SpectralQuadrature, TimeGrid, chi_q, chi_v,
                   chi_v_dot, mean_trajectory, variance, variance_spectrum)
-from qcle._numutil import trapezoid_weights
-from qcle.kernels import effective_roots, noise_psd
-from qcle.moments import (MomentSet, PlateauError, _preparation_cross_term,
-                          estimate_plateau)
+from qcle._numutil import cumtrapz, e1m, trapezoid_weights
+from qcle.kernels import effective_roots, noise_psd, xi_q0_coefficients
+from qcle.moments import (MomentSet, PlateauError, _growing_tail,
+                          _preparation_cross_term, estimate_plateau)
 from qcle.params import parabolic
 
 CLASSICAL = BathParams(gamma=1.0, temp=1.0, nu=1e4)
@@ -251,6 +252,108 @@ def test_variance_memory_stays_linear():
     finally:
         tracemalloc.stop()
     assert peak < 32e6
+
+
+def _per_term_preparation(grid, bath, eta, n_terms):
+    """The preparation cross term summed per Matsubara term over its first
+    n_terms terms, E_n(y) = (s_+ g_+ - s_- g_-)/w0 with g_s(y) = e^{sy} y
+    e1m((nu_n + s) y) at every node. Its dropped tail is about
+    chi_v_dot(y) 2 gamma T/(nu^2 n_terms) in <phi_v(y) q0>."""
+    t = grid.times
+    sp, sm, w0 = effective_roots(bath.gamma, eta)
+    nun = bath.nu * np.arange(1.0, n_terms + 1)
+    cn = xi_q0_coefficients(nun, bath.gamma, bath.temp, eta)
+    p = np.zeros(grid.n)
+    e_p = np.exp(sp * t)[:, None]
+    e_m = np.exp(sm * t)[:, None]
+    tc = t[:, None]
+    for start in range(0, nun.size, 512):
+        nus = nun[start:start + 512][None, :]
+        cs = cn[start:start + 512][None, :]
+        g_p = e_p * tc * e1m((nus + sp) * tc)
+        g_m = e_m * tc * e1m((nus + sm) * tc)
+        p += np.real(np.sum(cs * (sp * g_p - sm * g_m) / w0, axis=1))
+    return cumtrapz(-2.0 * chi_q(t, bath.gamma, eta) * p, grid.dt)
+
+
+# -s_- of gamma = 3, eta = 1 is 2.618; nu_2 sits 0.02 above it, inside the
+# 1/t_max = 1/6 of the per-term guard
+_S_MINUS_OVERDAMPED = (3.0 + np.sqrt(5.0)) / 2.0
+PREPARATION_CASES = {
+    # name: (bath, eta)
+    "underdamped": (BathParams(gamma=1.0, temp=0.5, nu=2.0), 1.0),
+    "critical": (BathParams(gamma=2.0, temp=0.5, nu=2.0), 1.0),
+    "overdamped_near_pole": (
+        BathParams(gamma=3.0, temp=0.5, nu=_S_MINUS_OVERDAMPED / 2.0 + 0.01), 1.0),
+    "eta_zero": (BathParams(gamma=1.5, temp=0.3, nu=2.0), 0.0),
+    "eta_negative": (BathParams(gamma=1.0, temp=0.5, nu=2.0), -0.5),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PREPARATION_CASES))
+def test_preparation_term_matches_per_term_sum(case):
+    # the per-term sum at N, 2N and 4N terms, Richardson-extrapolated in 1/N:
+    # its tail 2 gamma T/(nu^2 N) (2e-4 to 4e-4 of max|P| at N = 4000) and
+    # the 1/N^2 part go, leaving O(1/N^3), at most 3e-10 of max|P| here
+    bath, eta = PREPARATION_CASES[case]
+    grid = TimeGrid(6.0, 121)
+    p1, p2, p4 = (_per_term_preparation(grid, bath, eta, 1000 * k)
+                  for k in (1, 2, 4))
+    oracle = (8.0 * p4 - 6.0 * p2 + p1) / 3.0
+    got = _preparation_cross_term(grid, bath, eta, tail_tol=1e-12)
+    scale = np.max(np.abs(oracle))
+    assert np.max(np.abs(got - oracle)) <= 1e-9 * scale
+    # the truncated sum alone is off by its tail
+    assert np.max(np.abs(got - p4)) > 1e-6 * scale
+
+
+def _mp_growing_tail(bath, eta, s, m):
+    """sum_{n > m} c_n/(nu_n + s) in mpmath: partial fractions over the
+    poles z of n/((n - z1)(n - z2)(n - z3)), then
+    sum_{n > m} sum_k A_k/(n - z_k) = -sum_k A_k psi(m + 1 - z_k)."""
+    gamma, temp, nu = (mpmath.mpf(x) for x in (bath.gamma, bath.temp, bath.nu))
+    disc = mpmath.sqrt(mpmath.mpc(gamma**2 - 4 * mpmath.mpf(eta)))
+    zs = [(-gamma + disc) / (2 * nu), (-gamma - disc) / (2 * nu),
+          -mpmath.mpmathify(s) / nu]
+    total = 0
+    for k, zk in enumerate(zs):
+        a_k = zk / mpmath.fprod(zk - zj for j, zj in enumerate(zs) if j != k)
+        total -= a_k * mpmath.psi(0, m + 1 - zk)
+    return 2 * gamma * temp / nu**2 * total
+
+
+@pytest.mark.parametrize("bath, eta", [
+    (BathParams(gamma=1.0, temp=0.5, nu=2.0), 1.0),
+    (BathParams(gamma=3.0, temp=0.5, nu=0.3), 1.0),
+    (BathParams(gamma=1.0, temp=0.5, nu=0.1), -0.5),
+    (BathParams(gamma=1.0, temp=1.0, nu=1e4), 1.0),
+], ids=["underdamped", "overdamped", "eta_negative", "classical"])
+def test_growing_tail_against_mpmath(bath, eta):
+    # at the smallest tail start the preparation term uses, 32 or
+    # 16 max|s|/nu, where the poles -s/nu and s_+-/nu come nearest
+    sp, sm, _ = effective_roots(bath.gamma, eta)
+    roots = np.array([sp, sm], dtype=complex)
+    m = max(32, int(np.ceil(16.0 * np.max(np.abs(roots)) / bath.nu)))
+    got = _growing_tail(bath, eta, roots, m)
+    with mpmath.workdps(40):
+        for g, s in zip(got, roots):
+            ref = _mp_growing_tail(bath, eta, complex(s), m)
+            assert float(abs(mpmath.mpmathify(complex(g)) - ref) / abs(ref)) <= 1e-15
+
+
+def test_preparation_term_memory():
+    # the quantum-response size, where a per-term sum over (n_t, 512) complex
+    # chunks peaks at 199 MB
+    grid = TimeGrid(15.0, 3001)
+    bath = BathParams(gamma=1.0, temp=0.5, nu=1.0)
+    quad = SpectralQuadrature(omega_max=300.0, rtol=0.1)
+    tracemalloc.start()
+    try:
+        variance(grid, bath, parabolic(), quad=quad)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
 
 
 def test_moment_set_invariants(classical_sigma2):

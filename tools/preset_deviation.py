@@ -4,11 +4,12 @@ two checkouts.
     python3 tools/preset_deviation.py PARENT [CHANGE]
 
 Runs the same CLI calls as `tools/preset_digests.py` (each preset ×
-`kernels|moments|response|susceptibility|mc`, then `validate --criteria
-1,5,6,9`) on both checkouts (CHANGE defaults to the checkout holding this
-script). Prints one line per preset run: its label, both exit codes, and the
-worst column deviation max|change - parent| / max|parent column| over every
-numeric CSV column, with the file and column it occurs in. A column whose
+`kernels|moments|response|susceptibility|mc`, the quantum-nu `response`
+run, then `validate --criteria 1,5,6,9`) on both checkouts (CHANGE
+defaults to the checkout holding this script). Prints one line per preset
+run: its label, both exit codes, and the worst column deviation
+max|change - parent| / max|parent column| over every numeric CSV column,
+with the file and column it occurs in. A column whose
 parent maximum is below 1e-12 is pure roundoff (such as the stderr of an
 alpha = 0 ensemble), so its absolute deviation is printed instead, as `abs`.
 The validate line says whether the acceptance report bytes match. This
@@ -61,17 +62,19 @@ def main(argv: list[str]) -> int:
         return 2
     parent = Path(argv[0])
     change = Path(argv[1] if len(argv) > 1 else Path(__file__).resolve().parent.parent)
-    for (label, p_args), (_, c_args) in zip(runs(parent), runs(change)):
-        with tempfile.TemporaryDirectory() as tmp:
-            p_out, c_out = Path(tmp) / "parent", Path(tmp) / "change"
-            codes = f"exit={run_cli(parent, p_args, p_out)}/{run_cli(change, c_args, c_out)}"
-            if p_args[0] == "validate":
-                report = "acceptance_report.csv"
-                same = (p_out / report).read_bytes() == (c_out / report).read_bytes()
-                print(label, codes, f"report_bytes={'same' if same else 'DIFFER'}",
-                      flush=True)
-            else:
-                print(label, codes, _worst(p_out, c_out), flush=True)
+    with tempfile.TemporaryDirectory() as p_cfg, tempfile.TemporaryDirectory() as c_cfg:
+        for (label, p_args), (_, c_args) in zip(runs(parent, Path(p_cfg)),
+                                                runs(change, Path(c_cfg))):
+            with tempfile.TemporaryDirectory() as tmp:
+                p_out, c_out = Path(tmp) / "parent", Path(tmp) / "change"
+                codes = f"exit={run_cli(parent, p_args, p_out)}/{run_cli(change, c_args, c_out)}"
+                if p_args[0] == "validate":
+                    report = "acceptance_report.csv"
+                    same = (p_out / report).read_bytes() == (c_out / report).read_bytes()
+                    print(label, codes, f"report_bytes={'same' if same else 'DIFFER'}",
+                          flush=True)
+                else:
+                    print(label, codes, _worst(p_out, c_out), flush=True)
     return 0
 
 

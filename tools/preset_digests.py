@@ -4,7 +4,9 @@
 
 Runs `qcle kernels|moments|response|susceptibility|mc` on each
 `configs/*.json` of CHECKOUT (default: the checkout holding this script),
-then `qcle validate --criteria 1,5,6,9` (the Hermitian, causality and Dirac
+then `qcle response` on the parabolic preset at quantum nu (QUANTUM_RUN:
+every preset has nu = 1e4, where the Matsubara sum keeps one term), then
+`qcle validate --criteria 1,5,6,9` (the Hermitian, causality and Dirac
 checks; about 3 s), with that checkout's `src/` on PYTHONPATH, each run in
 its own temporary directory. Prints one line per run: its label, exit code
 and the sha256 of every CSV and `manifest.json` the run left. Two checkouts
@@ -18,6 +20,7 @@ give the same bytes exactly when their outputs diff clean:
 from __future__ import annotations
 
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -28,12 +31,29 @@ SUBCOMMANDS = ("kernels", "moments", "response", "susceptibility", "mc")
 VALIDATE_CRITERIA = "1,5,6,9"
 
 
-def runs(root: Path) -> list[tuple[str, list[str]]]:
+# (preset, overrides, subcommand): the quantum-response recipe of the
+# benchmark (perfbench/workloads.py) on a preset; alpha != 0 makes the
+# response depend on the variance
+QUANTUM_RUN = ("parabolic", {"potential": {"alpha": 0.2}, "bath": {"nu": 2.0},
+                             "tolerances": {"quad_omega_max": 300.0,
+                                            "quad_rtol": 0.1}}, "response")
+
+
+def runs(root: Path, tmp: Path) -> list[tuple[str, list[str]]]:
     """(label, CLI arguments) of every preset run of the checkout root, then
-    of the validate run."""
+    of the quantum-nu run, whose config is written into tmp, then of the
+    validate run."""
+    preset, overrides, sub = QUANTUM_RUN
+    config = json.loads((root / "configs" / f"{preset}.json").read_text())
+    for section, values in overrides.items():
+        config.setdefault(section, {}).update(values)
+    quantum = tmp / f"{preset}-quantum.json"
+    quantum.write_text(json.dumps(config))
     return [(f"{config.stem} {sub}", [sub, "--config", str(config)])
             for config in sorted((root / "configs").glob("*.json"))
             for sub in SUBCOMMANDS] + [
+        (f"{preset} nu={overrides['bath']['nu']:g} {sub}",
+         [sub, "--config", str(quantum)]),
         (f"validate {VALIDATE_CRITERIA}", ["validate", "--criteria", VALIDATE_CRITERIA])]
 
 
@@ -60,8 +80,9 @@ def main(argv: list[str]) -> int:
     if not any((root / "configs").glob("*.json")):
         print(f"no configs/*.json under {root}", file=sys.stderr)
         return 2
-    for label, args in runs(root):
-        print(digest_line(root, label, args), flush=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        for label, args in runs(root, Path(tmp)):
+            print(digest_line(root, label, args), flush=True)
     return 0
 
 
