@@ -28,8 +28,9 @@ from . import __version__, kernels
 from .acceptance import CRITERIA, KNOWN_UNATTAINABLE, run_acceptance
 from .djm import ConvergenceError, NonFiniteTermError
 from .grids import FreqGrid, Spectrum, TimeGrid
-from .mc import (SynthesisLengthError, _synthesis_length, estimate_moments,
-                 estimate_response, integrate_qcle, sample_noise)
+from .mc import (PathSamplesError, SynthesisLengthError, _check_path_samples,
+                 _synthesis_length, estimate_moments, estimate_response,
+                 integrate_qcle, sample_noise)
 from .moments import (PlateauError, QuadratureError, SpectralQuadrature,
                       mean_trajectory, variance, variance_spectrum)
 from .params import BathParams, PotentialParams
@@ -362,9 +363,8 @@ def cmd_mc(cfg: RunConfig, out: Path, m: dict) -> int:
               ["t", "mean", "stderr_mean", "variance", "stderr_variance"],
               [cfg.time_grid.times, est.mean.values, est.stderr_mean.values,
                est.variance.values, est.stderr_variance.values])
-    r_hat, r_se = estimate_response(cfg.potential, cfg.bath, cfg.time_grid,
-                                    f0_kick=cfg.f0_kick, n_paths=cfg.n_paths,
-                                    seed=cfg.seed, thermal_v0=cfg.thermal_v0)
+    r_hat, r_se = estimate_response(cfg.potential, noise, f0_kick=cfg.f0_kick,
+                                    thermal_v0=cfg.thermal_v0)
     write_csv(out / "mc_response.csv", ["t", "r_hat", "stderr"],
               [cfg.time_grid.times, r_hat.values, r_se.values])
     m["diagnostics"]["n_excluded"] = ens.n_excluded
@@ -398,11 +398,15 @@ def _horizon_error(cfg: RunConfig) -> Optional[str]:
 
 
 def _synthesis_error(cfg: RunConfig) -> Optional[str]:
-    """The MC noise synthesis must fit its FFT length cap."""
+    """The MC noise synthesis must fit its FFT length and path-sample caps."""
     try:
-        _synthesis_length(cfg.time_grid, cfg.bath.nu)
+        nfft = _synthesis_length(cfg.time_grid, cfg.bath.nu)
     except SynthesisLengthError as e:
         return f"bath.nu: {e}"
+    try:
+        _check_path_samples(cfg.time_grid, nfft, cfg.n_paths)
+    except PathSamplesError as e:
+        return f"mc.n_paths: {e}"
     return None
 
 

@@ -24,10 +24,18 @@ from .params import BathParams, PotentialParams
 
 # longest noise synthesis FFT: sample_noise holds a few arrays of this length
 MAX_SYNTHESIS_LENGTH = 1 << 20
+# largest n_paths * max(grid.n, synthesis length) of one sample_noise call:
+# it bounds the (n_paths, grid.n) output (1 GiB of float64 at the cap), the
+# FFT work and the per-path seed streams
+MAX_PATH_SAMPLES = 1 << 27
 
 
 class SynthesisLengthError(ValueError):
     """The noise synthesis FFT would exceed MAX_SYNTHESIS_LENGTH."""
+
+
+class PathSamplesError(ValueError):
+    """An ensemble would exceed MAX_PATH_SAMPLES path samples."""
 
 
 @dataclass(frozen=True)
@@ -107,17 +115,30 @@ def _synthesis_length(grid: TimeGrid, nu: float) -> int:
     return nfft
 
 
+def _check_path_samples(grid: TimeGrid, nfft: int, n_paths: int):
+    """Raise PathSamplesError when n_paths * max(grid.n, nfft) is past
+    MAX_PATH_SAMPLES, before anything is allocated."""
+    samples = n_paths * max(grid.n, nfft)
+    if samples > MAX_PATH_SAMPLES:
+        raise PathSamplesError(
+            f"{n_paths} paths of {max(grid.n, nfft)} samples each "
+            f"({samples:.3g}) are past the cap of {MAX_PATH_SAMPLES}; "
+            f"use fewer paths or a shorter grid")
+
+
 def sample_noise(grid: TimeGrid, bath: BathParams, n_paths: int,
                  seed: int) -> NoiseEnsemble:
     """Sample stationary Gaussian noise with PSD noise_psd on the grid.
 
-    Per-path generator streams are derived from (seed, path index) so the
-    result is bit-identical regardless of how paths are chunked or
-    parallelized.
+    Path p is drawn from its own generator stream, spawned from `seed` and
+    keyed by p, so the first paths of a larger ensemble equal a smaller
+    ensemble of the same seed. Raises SynthesisLengthError or
+    PathSamplesError before spawning streams or allocating.
     """
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
     nfft = _synthesis_length(grid, bath.nu)
+    _check_path_samples(grid, nfft, n_paths)
     wk = 2.0 * np.pi * np.fft.fftfreq(nfft, d=grid.dt)
     amp = np.sqrt(kernels.noise_psd(wk, bath.gamma, bath.temp, bath.nu)
                   / (nfft * grid.dt))
@@ -176,49 +197,85 @@ def integrate_qcle(noise: NoiseEnsemble, potential: PotentialParams,
     q0/v0 may be scalars or per-path arrays. The step is deterministic given
     the sampled noise path; the linear part is propagated exactly, so the
     alpha = 0 dynamics carries no time-discretization bias in the mean.
-    Paths whose |q| exceeds blowup_guard are flagged and excluded.
+    Paths whose |q| exceeds blowup_guard are flagged and excluded; on every
+    step where any path fails, the failed paths are reset to q = v = 0.
+
+    The loop runs time-major: row j of the (n, n_paths) arrays holds every
+    path at t_j, so each step reads and writes contiguous rows in place.
     """
-    xi = noise.values
-    n_paths, n = xi.shape
+    n_paths, n = noise.values.shape
     h = noise.grid.dt
     gamma = noise.bath.gamma
     eta, alpha, eps = potential.eta, potential.alpha, potential.epsilon
     pqq, pqv, pvq, pvv, a_q, b_q, a_v, b_v = _propagator_constants(gamma, eta, h)
-
-    q = np.broadcast_to(np.asarray(q0, dtype=float), (n_paths,)).copy()
-    v = np.broadcast_to(np.asarray(v0, dtype=float), (n_paths,)).copy()
-    alive = np.ones(n_paths, dtype=bool)
-    traj = np.empty((n_paths, n))
-    traj[:, 0] = q
     ab_q = a_q + b_q
+    cubic = alpha != 0
+
+    xi = np.array(noise.values.T, order="C")  # (n, n_paths); always a copy
+    xi -= eps  # the constant force, folded in once
+    traj = np.empty((n, n_paths))
+    traj[0] = q0
+    v = np.broadcast_to(np.asarray(v0, dtype=float), (n_paths,)).copy()
+    v_new, lin, tmp = np.empty((3, n_paths))
+    if cubic:
+        f_j, f_n, q_pred = np.empty((3, n_paths))
+    alive = np.ones(n_paths, dtype=bool)
     for j in range(n - 1):
-        f_j = -alpha * q**3 - eps + xi[:, j]
-        q_pred = pqq * q + pqv * v + ab_q * f_j
-        f_n = -alpha * q_pred**3 - eps + xi[:, j + 1]
-        q_new = pqq * q + pqv * v + a_q * f_j + b_q * f_n
-        v_new = pvq * q + pvv * v + a_v * f_j + b_v * f_n
-        bad = ~np.isfinite(q_new) | (np.abs(q_new) > blowup_guard)
-        if bad.any():
-            alive &= ~bad
-            q_new = np.where(alive, q_new, 0.0)
-            v_new = np.where(alive, v_new, 0.0)
-        q, v = q_new, v_new
-        traj[:, j + 1] = q
-    return Ensemble(noise.grid, traj, noise.seed, excluded=~alive)
+        q, q_new = traj[j], traj[j + 1]
+        np.multiply(pqq, q, out=lin)
+        np.multiply(pqv, v, out=tmp)
+        lin += tmp  # pqq q + pqv v
+        if cubic:  # f = -alpha q^3 - eps + xi, at q and at the predictor
+            np.multiply(q, q, out=f_j)
+            f_j *= q
+            f_j *= -alpha
+            f_j += xi[j]
+            np.multiply(ab_q, f_j, out=q_pred)
+            q_pred += lin
+            np.multiply(q_pred, q_pred, out=f_n)
+            f_n *= q_pred
+            f_n *= -alpha
+            f_n += xi[j + 1]
+        else:
+            f_j, f_n = xi[j], xi[j + 1]
+        np.multiply(a_q, f_j, out=tmp)
+        np.add(lin, tmp, out=q_new)
+        np.multiply(b_q, f_n, out=tmp)
+        q_new += tmp
+        np.multiply(pvq, q, out=v_new)
+        np.multiply(pvv, v, out=tmp)
+        v_new += tmp
+        np.multiply(a_v, f_j, out=tmp)
+        v_new += tmp
+        np.multiply(b_v, f_n, out=tmp)
+        v_new += tmp
+        v, v_new = v_new, v
+        # one reduction per step: a NaN or inf fails it, and only then is
+        # the failing set worked out
+        worst = np.max(np.abs(q_new, out=tmp))
+        if not (worst <= blowup_guard and np.isfinite(worst)):
+            alive &= np.isfinite(q_new) & (np.abs(q_new) <= blowup_guard)
+            q_new[~alive] = 0.0
+            v[~alive] = 0.0
+    return Ensemble(noise.grid, traj.T, noise.seed, excluded=~alive)
 
 
 def estimate_moments(ensemble: Ensemble) -> MomentEstimate:
     """Per-node unbiased mean/variance and their standard errors (excluded
     paths are skipped)."""
-    traj = ensemble.trajectories[~ensemble.excluded]
+    traj = ensemble.trajectories
+    if ensemble.excluded.any():
+        traj = traj[~ensemble.excluded]
     n = traj.shape[0]
     if n < 2:
         raise ValueError("need at least 2 non-excluded paths")
     mean = traj.mean(axis=0)
-    centered = traj - mean
-    var = np.sum(centered**2, axis=0) / (n - 1)
+    prod = traj - mean
+    prod *= prod  # squared deviations
+    var = np.sum(prod, axis=0) / (n - 1)
     stderr_mean = np.sqrt(var / n)
-    m4 = np.mean(centered**4, axis=0)
+    prod *= prod  # fourth powers
+    m4 = np.mean(prod, axis=0)
     se_var_sq = (m4 - var**2 * (n - 3) / (n - 1)) / n
     stderr_var = np.sqrt(np.maximum(se_var_sq, 0.0))
     g = ensemble.grid
@@ -233,31 +290,34 @@ def thermal_velocities(bath: BathParams, n_paths: int, seed: int) -> np.ndarray:
     return np.random.default_rng(ss).normal(0.0, np.sqrt(bath.temp), n_paths)
 
 
-def estimate_response(potential: PotentialParams, bath: BathParams,
-                      grid: TimeGrid, f0_kick: float, n_paths: int,
-                      seed: int, thermal_v0: bool = False,
+def estimate_response(potential: PotentialParams, noise: NoiseEnsemble,
+                      f0_kick: float, thermal_v0: bool = False,
                       ) -> tuple[SampledSignal, SampledSignal]:
     """Impulse-response estimate by common-random-number ensembles.
 
     The impulse f0*delta(t) is realized as a velocity kick v0 -> v0 + f0;
     R_hat(t) = [<q>_kicked - <q>_unkicked]/f0 with both ensembles driven by
-    identical noise (same seed). thermal_v0 samples the base velocity from
-    N(0, T) per path (shared between the pair), which matches the
-    preparation behind the conditional-variance law entering the response
-    equation; nonlinear cross-checks need it. Returns (R_hat, stderr) with
-    the standard error taken over per-path differences.
+    the same noise paths. thermal_v0 samples the base velocity from N(0, T)
+    per path (shared between the pair, drawn from the noise's seed), which
+    matches the preparation behind the conditional-variance law entering the
+    response equation; nonlinear cross-checks need it. Returns (R_hat,
+    stderr) with the standard error taken over per-path differences.
     """
     if f0_kick == 0:
         raise ValueError("f0_kick must be nonzero")
-    noise = sample_noise(grid, bath, n_paths, seed)
-    v0 = thermal_velocities(bath, n_paths, seed) if thermal_v0 else 0.0
+    v0 = (thermal_velocities(noise.bath, noise.n_paths, noise.seed)
+          if thermal_v0 else 0.0)
     base = integrate_qcle(noise, potential, q0=0.0, v0=v0)
     kicked = integrate_qcle(noise, potential, q0=0.0, v0=v0 + f0_kick)
     ok = ~(base.excluded | kicked.excluded)
-    diffs = (kicked.trajectories[ok] - base.trajectories[ok]) / f0_kick
+    diffs = kicked.trajectories - base.trajectories
+    del base, kicked  # only the difference is kept
+    if not ok.all():
+        diffs = diffs[ok]
+    diffs /= f0_kick
     n = diffs.shape[0]
     if n < 2:
         raise ValueError("need at least 2 non-excluded path pairs")
     mean = diffs.mean(axis=0)
     stderr = diffs.std(axis=0, ddof=1) / np.sqrt(n)
-    return SampledSignal(grid, mean), SampledSignal(grid, stderr)
+    return SampledSignal(noise.grid, mean), SampledSignal(noise.grid, stderr)

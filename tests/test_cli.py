@@ -4,6 +4,7 @@ import csv
 import hashlib
 import json
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -248,6 +249,8 @@ def _tree(root: Path) -> dict:
     pytest.param("kernels", {"overrides": {"time_grid.n": 10**400}}, [], 2,
                  id="huge_int_int"),
     pytest.param("mc", {"overrides": {"bath.nu": 1e-6}}, [], 2, id="mc_synthesis"),
+    pytest.param("mc", {"overrides": {"mc.n_paths": 10**9}}, [], 2,
+                 id="mc_path_samples"),
     pytest.param("moments", {"overrides": LONG_HORIZON}, [], 2, id="horizon"),
     pytest.param("kernels", {}, ["--out", "config.json"], 2, id="out_is_file"),
     pytest.param("moments", {"base": BISTABLE, "overrides": BLOWUP}, [], 3,
@@ -293,6 +296,41 @@ def test_config_integer_too_long_to_parse_exits_2(tmp_path, capsys):
     path.write_text(json.dumps(CONFIG).replace('"gamma": 1.0', '"gamma": 1' + "0" * 5000))
     assert main(["kernels", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
     assert "invalid JSON" in capsys.readouterr().err
+
+
+def test_mc_path_samples_cap_rejected_fast(tmp_path, capsys):
+    # a billion paths would spawn a billion seed streams before the
+    # (n_paths, n) noise array; the pre-check refuses them first
+    cfg = _write_config(tmp_path, base=PARABOLIC, overrides={"mc.n_paths": 10**9})
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        code = main(["mc", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and elapsed < 1.0 and peak < 1e6
+    assert "mc.n_paths" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_mc_draws_the_noise_once(tmp_path, monkeypatch):
+    # the moments ensemble and the response pair share one noise draw
+    import qcle.cli
+    import qcle.mc
+    calls = []
+    real = qcle.mc.sample_noise
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(qcle.cli, "sample_noise", counting)
+    monkeypatch.setattr(qcle.mc, "sample_noise", counting)
+    cfg = _write_config(tmp_path, overrides={"mc.n_paths": 50})
+    assert main(["mc", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+    assert len(calls) == 1
 
 
 def test_mc_synthesis_cap_rejected_fast(tmp_path):

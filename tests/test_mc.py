@@ -8,8 +8,9 @@ import pytest
 from qcle import (BathParams, PotentialParams, SpectralQuadrature, TimeGrid,
                   chi_q, chi_v, estimate_moments, estimate_response,
                   integrate_qcle, sample_noise, variance, zero_noise)
-from qcle.mc import (MAX_SYNTHESIS_LENGTH, Ensemble, SynthesisLengthError,
-                     _synthesis_length, thermal_velocities)
+from qcle.mc import (MAX_PATH_SAMPLES, MAX_SYNTHESIS_LENGTH, Ensemble,
+                     NoiseEnsemble, PathSamplesError, SynthesisLengthError,
+                     _propagator_constants, _synthesis_length, thermal_velocities)
 from qcle.params import parabolic
 
 CLASSICAL = BathParams(gamma=1.0, temp=1.0, nu=1e4)
@@ -161,13 +162,12 @@ def test_quantum_variance_against_matched_theory():
 
 def test_response_linear_exactness_and_kick_independence():
     grid = TimeGrid(10.0, 501)
-    r1, se1 = estimate_response(parabolic(), CLASSICAL, grid, f0_kick=0.1,
-                                n_paths=300, seed=7)
+    noise = sample_noise(grid, CLASSICAL, 300, seed=7)
+    r1, se1 = estimate_response(parabolic(), noise, f0_kick=0.1)
     exact = chi_v(grid.times, 1.0, 1.0)
     assert np.max(np.abs(r1.values - exact)) < 1e-10
     assert np.max(se1.values) < 1e-12
-    r2, _ = estimate_response(parabolic(), CLASSICAL, grid, f0_kick=0.01,
-                              n_paths=300, seed=7)
+    r2, _ = estimate_response(parabolic(), noise, f0_kick=0.01)
     assert np.max(np.abs(r1.values - r2.values)) < 1e-10
 
 
@@ -184,6 +184,19 @@ def test_estimator_trivial_cases():
     assert np.allclose(est2.variance.values, 2 * a**2)
     with pytest.raises(ValueError):
         estimate_moments(Ensemble(grid, two[:1], seed=0))
+
+
+def test_moments_skip_excluded_paths():
+    grid = TimeGrid(5.0, 251)
+    ens = integrate_qcle(sample_noise(grid, CLASSICAL, 40, seed=17), parabolic(),
+                         q0=1.0, v0=0.0)
+    excluded = np.zeros(40, dtype=bool)
+    excluded[[0, 7, 8, 39]] = True
+    est = estimate_moments(Ensemble(grid, ens.trajectories, 0, excluded=excluded))
+    kept = estimate_moments(Ensemble(grid, ens.trajectories[~excluded], 0))
+    for name in ("mean", "variance", "stderr_mean", "stderr_variance"):
+        assert np.array_equal(getattr(est, name).values,
+                              getattr(kept, name).values), name
 
 
 def test_stderr_scaling_with_path_count():
@@ -228,3 +241,107 @@ def test_synthesis_length_capped_before_allocating():
         finally:
             tracemalloc.stop()
         assert peak < 1e6
+
+
+def test_path_samples_capped_before_allocating():
+    grid = TimeGrid(15.0, 1501)
+    nfft = _synthesis_length(grid, CLASSICAL.nu)
+    # criterion 7's ensemble (10k paths on this grid) stays far inside the cap
+    assert 10_000 * max(grid.n, nfft) < MAX_PATH_SAMPLES // 4
+    for n_paths in (MAX_PATH_SAMPLES // nfft + 1, 10**9, 10**30):
+        tracemalloc.start()
+        try:
+            with pytest.raises(PathSamplesError, match="cap"):
+                sample_noise(grid, CLASSICAL, n_paths, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
+
+
+def _integrate_path_major(noise, potential, q0, v0, blowup_guard=1e8):
+    """The per-path-major step loop that integrate_qcle replaced: row p of
+    (n_paths, n) is one path, with fresh temporaries on every step."""
+    xi = noise.values
+    n_paths, n = xi.shape
+    pqq, pqv, pvq, pvv, a_q, b_q, a_v, b_v = _propagator_constants(
+        noise.bath.gamma, potential.eta, noise.grid.dt)
+    alpha, eps = potential.alpha, potential.epsilon
+    q = np.broadcast_to(np.asarray(q0, dtype=float), (n_paths,)).copy()
+    v = np.broadcast_to(np.asarray(v0, dtype=float), (n_paths,)).copy()
+    alive = np.ones(n_paths, dtype=bool)
+    traj = np.empty((n_paths, n))
+    traj[:, 0] = q
+    for j in range(n - 1):
+        f_j = -alpha * q**3 - eps + xi[:, j]
+        q_pred = pqq * q + pqv * v + (a_q + b_q) * f_j
+        f_n = -alpha * q_pred**3 - eps + xi[:, j + 1]
+        q_new = pqq * q + pqv * v + a_q * f_j + b_q * f_n
+        v_new = pvq * q + pvv * v + a_v * f_j + b_v * f_n
+        bad = ~np.isfinite(q_new) | (np.abs(q_new) > blowup_guard)
+        if bad.any():
+            alive &= ~bad
+            q_new = np.where(alive, q_new, 0.0)
+            v_new = np.where(alive, v_new, 0.0)
+        q, v = q_new, v_new
+        traj[:, j + 1] = q
+    return traj, ~alive
+
+
+@pytest.mark.parametrize("pot,exact", [
+    (PotentialParams(eta=1.0, alpha=0.0, epsilon=0.0, f0=0.1), True),
+    (PotentialParams(eta=1.0, alpha=0.0, epsilon=0.3, f0=0.1), True),
+    (PotentialParams(eta=1.0, alpha=0.3, epsilon=0.0, f0=0.1), False),
+    (PotentialParams(eta=-1.0, alpha=1.0, epsilon=0.2, f0=0.1), False),
+], ids=["harmonic", "harmonic_tilted", "quartic", "tilted_double_well"])
+def test_step_loop_matches_path_major_oracle(pot, exact):
+    grid = TimeGrid(8.0, 801)
+    noise = sample_noise(grid, QUANTUM, 64, seed=31)
+    v0 = thermal_velocities(QUANTUM, 64, seed=31)
+    ens = integrate_qcle(noise, pot, q0=0.4, v0=v0)
+    traj, excluded = _integrate_path_major(noise, pot, q0=0.4, v0=v0)
+    assert ens.trajectories.shape == traj.shape
+    assert np.array_equal(ens.excluded, excluded) and not excluded.any()
+    if exact:
+        assert np.array_equal(ens.trajectories, traj)
+    else:
+        assert np.allclose(ens.trajectories, traj, rtol=1e-12, atol=1e-12)
+        assert not np.array_equal(ens.trajectories, traj)  # q*q*q, not pow
+
+
+@pytest.mark.parametrize("guard,n_excluded", [(0.5, 8), (1.5, 4)])
+def test_blowup_guard_matches_path_major_oracle(guard, n_excluded):
+    # the guard zeroes failed paths on every step where any path fails,
+    # and a zeroed path runs on from rest in between
+    grid = TimeGrid(10.0, 501)
+    noise = sample_noise(grid, CLASSICAL, 8, seed=13)
+    pot = PotentialParams(eta=1.0, alpha=0.0, epsilon=0.0, f0=0.1)
+    ens = integrate_qcle(noise, pot, q0=0.0, v0=0.0, blowup_guard=guard)
+    traj, excluded = _integrate_path_major(noise, pot, 0.0, 0.0, blowup_guard=guard)
+    assert excluded.sum() == n_excluded
+    assert np.array_equal(ens.excluded, excluded)
+    assert np.array_equal(ens.trajectories, traj)
+
+
+def test_non_finite_state_caught_at_infinite_guard():
+    grid = TimeGrid(10.0, 501)
+    noise = sample_noise(grid, CLASSICAL, 8, seed=13)
+    pot = PotentialParams(eta=1.0, alpha=0.0, epsilon=0.0, f0=0.1)
+    bad = noise.values.copy()
+    bad[2, 100] = np.inf
+    inf_noise = NoiseEnsemble(grid, CLASSICAL, bad, noise.seed)
+    ens = integrate_qcle(inf_noise, pot, 0.0, 0.0, blowup_guard=np.inf)
+    with np.errstate(invalid="ignore"):  # the oracle's -0.0 * inf**3
+        traj, excluded = _integrate_path_major(inf_noise, pot, 0.0, 0.0,
+                                               blowup_guard=np.inf)
+    assert list(np.flatnonzero(ens.excluded)) == [2]
+    assert np.array_equal(ens.excluded, excluded)
+    assert np.array_equal(ens.trajectories, traj)
+
+
+def test_integration_leaves_the_noise_untouched():
+    grid = TimeGrid(2.0, 201)
+    noise = sample_noise(grid, CLASSICAL, 1, seed=3)  # (1, n): .T is contiguous
+    before = noise.values.copy()
+    integrate_qcle(noise, PotentialParams(1.0, 0.2, 0.5, 0.1), 0.0, 0.0)
+    assert np.array_equal(noise.values, before)
