@@ -2,18 +2,16 @@
 moments, response function and susceptibility via a Banach-operator
 recursion, with a Monte Carlo oracle."""
 
-from .djm import (ConvergenceError, DjmSolution, FunctionalProblem,
-                  NonFiniteTermError, djm_solve, max_error_remainder)
+from .djm import ConvergenceError, DjmSolution, NonFiniteTermError, djm_solve
 from .grids import FreqGrid, SampledSignal, Spectrum, TimeGrid
 from .kernels import (chi_q, chi_tilde, chi_v, chi_v_dot, noise_correlation,
                       noise_psd, omega0, xi_q0_corr)
 from .mc import (Ensemble, MomentEstimate, NoiseEnsemble, estimate_moments,
-                 estimate_response, integrate_qcle, sample_noise, zero_noise)
-from .moments import (MomentSet, PlateauError, QuadratureError,
-                      SpectralQuadrature, estimate_plateau, mean_trajectory,
-                      variance, variance_spectrum)
-from .params import (BathParams, PotentialParams, asymmetric_bistable,
-                     bistable, nondimensionalize, parabolic)
+                 estimate_response, integrate_qcle, sample_noise)
+from .moments import (PlateauError, QuadratureError, SpectralQuadrature,
+                      estimate_plateau, mean_trajectory, variance,
+                      variance_spectrum)
+from .params import BathParams, PotentialParams, parabolic
 from .response import (ResponseProblem, StepInstabilityError, integrate_duffing,
                        ode_residual, solve_response_djm, volterra_b, volterra_f,
                        zero_sigma2)
@@ -25,18 +23,15 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BathParams", "ConvergenceError", "DjmSolution", "EdgeToleranceError",
-    "Ensemble", "FreqGrid", "FunctionalProblem", "MomentEstimate", "MomentSet",
-    "NoiseEnsemble", "NonFiniteTermError", "PlateauError", "PotentialParams",
-    "QuadratureError", "ResponseProblem", "SampledSignal", "SpectralQuadrature",
-    "Spectrum", "StepInstabilityError", "SusceptibilityProblem", "TimeGrid",
-    "asymmetric_bistable", "bistable", "chi_q", "chi_tilde", "chi_v",
-    "chi_v_dot", "djm_solve", "estimate_moments", "estimate_plateau",
-    "estimate_response", "integrate_duffing",
-    "integrate_qcle", "max_error_remainder", "mean_trajectory",
-    "noise_correlation", "noise_psd", "nondimensionalize", "ode_residual",
-    "omega0", "parabolic", "phi_omega", "psi_operator",
-    "response_from_susceptibility", "sample_noise",
-    "solve_response_djm", "solve_susceptibility", "variance",
-    "variance_spectrum", "volterra_b", "volterra_f", "xi_q0_corr",
-    "zero_noise", "zero_sigma2",
+    "Ensemble", "FreqGrid", "MomentEstimate", "NoiseEnsemble",
+    "NonFiniteTermError", "PlateauError", "PotentialParams", "QuadratureError",
+    "ResponseProblem", "SampledSignal", "SpectralQuadrature", "Spectrum",
+    "StepInstabilityError", "SusceptibilityProblem", "TimeGrid", "chi_q",
+    "chi_tilde", "chi_v", "chi_v_dot", "djm_solve", "estimate_moments",
+    "estimate_plateau", "estimate_response", "integrate_duffing",
+    "integrate_qcle", "mean_trajectory", "noise_correlation", "noise_psd",
+    "ode_residual", "omega0", "parabolic", "phi_omega", "psi_operator",
+    "response_from_susceptibility", "sample_noise", "solve_response_djm",
+    "solve_susceptibility", "variance", "variance_spectrum", "volterra_b",
+    "volterra_f", "xi_q0_corr", "zero_sigma2",
 ]

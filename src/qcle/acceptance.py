@@ -19,7 +19,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import kernels
-from .djm import FunctionalProblem, djm_solve
+from .djm import djm_solve
 from ._numutil import cumtrapz
 from .grids import FreqGrid, Spectrum, TimeGrid
 from .mc import estimate_moments, estimate_response, integrate_qcle, sample_noise
@@ -182,7 +182,7 @@ def criterion_5(cache: Optional[dict] = None) -> CriterionResult:
         return cumtrapz(u, dt)
 
     f = np.ones(grid.n)
-    sol = djm_solve(FunctionalProblem(f, apply_b), tol=1e-9, k_max=15)
+    sol = djm_solve(f, apply_b, tol=1e-9, k_max=15)
     err = float(np.max(np.abs(sol.partial_sum - np.exp(grid.times))))
     # telescoping: sum(terms[:m+2]) = f + B(sum(terms[:m+1])) for every m
     tele = 0.0

@@ -34,10 +34,14 @@ from .mc import (PathSamplesError, SynthesisLengthError, _check_path_samples,
 from .moments import (PlateauError, QuadratureError, SpectralQuadrature,
                       mean_trajectory, variance, variance_spectrum)
 from .params import BathParams, PotentialParams
-from .response import ResponseProblem, StepInstabilityError, integrate_duffing, \
-    ode_residual, solve_response_windowed
+from .response import ResponseProblem, StepInstabilityError, _substeps_per_step, \
+    integrate_duffing, ode_residual, solve_response_windowed
 from .susceptibility import (EdgeToleranceError, SusceptibilityProblem,
                              response_from_susceptibility, solve_susceptibility)
+
+
+# largest node count of a grid, a quadrature or the Duffing substeps
+MAX_NODES = 1 << 20
 
 
 class ConfigError(Exception):
@@ -201,6 +205,15 @@ def parse_config(path: Path, seed_override: Optional[int] = None) -> RunConfig:
     if time_grid is not None and dt_sub > time_grid.dt * (1 + 1e-12):
         errors.append(f"integrator.dt_sub: must not exceed the time-grid step "
                       f"{time_grid.dt!r}")
+    substeps = (t_n - 1) * _substeps_per_step(time_grid.dt, dt_sub) \
+        if time_grid is not None and dt_sub > 0 else None
+    for key, val, what in (
+            ("time_grid.n", t_n, "time nodes"),
+            ("freq_grid.n", freq_grid and freq_grid.n, "frequency nodes"),
+            ("tolerances.quad_n", quad_kwargs.get("n"), "quadrature nodes"),
+            ("integrator.dt_sub", substeps, "Duffing substeps")):
+        if val is not None and val > MAX_NODES:
+            errors.append(f"{key}: {val:.4g} {what}, past the cap of {MAX_NODES}")
     if errors:
         raise ConfigError(errors)
     try:

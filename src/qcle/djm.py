@@ -9,7 +9,7 @@ objects all work.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable
 
 import numpy as np
@@ -38,22 +38,14 @@ def default_norm(x) -> float:
     return float(np.max(np.abs(np.asarray(x))))
 
 
-@dataclass(frozen=True)
-class FunctionalProblem:
-    """Fixed-point problem u = f + B(u) over a normed vector space."""
-
-    f: Any
-    apply_b: Callable[[Any], Any]
-
-
 @dataclass
 class DjmSolution:
     """Recursion terms, their norms, the accumulated solution and diagnostics."""
 
-    terms: list = field(default_factory=list)
-    partial_sum: Any = None
-    term_norms: list[float] = field(default_factory=list)
-    converged: bool = False
+    terms: list
+    partial_sum: Any
+    term_norms: list[float]
+    converged: bool
 
     @property
     def k(self) -> int:
@@ -61,16 +53,16 @@ class DjmSolution:
         return len(self.terms)
 
 
-def djm_solve(problem: FunctionalProblem, tol: float, k_max: int = 25) -> DjmSolution:
-    """Run the recursion until norm(last term) < tol or k_max operator
-    applications; k_max exhaustion is reported via converged=False, not an
-    exception. An application that overflows or turns invalid raises
+def djm_solve(f: Any, apply_b: Callable[[Any], Any], tol: float,
+              k_max: int = 25) -> DjmSolution:
+    """Solve u = f + B(u), B = apply_b, until norm(last term) < tol or k_max
+    operator applications; k_max exhaustion is reported via converged=False,
+    not an exception. An application that overflows or turns invalid raises
     NonFiniteTermError with the index of the term it was computing."""
     if not tol > 0:
         raise ValueError("tol must be positive")
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
-    f = problem.f
     n0 = default_norm(f)
     if not np.isfinite(n0):
         raise NonFiniteTermError(0)
@@ -80,7 +72,7 @@ def djm_solve(problem: FunctionalProblem, tol: float, k_max: int = 25) -> DjmSol
     for m in range(1, k_max + 1):
         try:
             with np.errstate(over="raise", invalid="raise"):
-                s_next = f + problem.apply_b(s_prev)
+                s_next = f + apply_b(s_prev)
         except FloatingPointError:
             raise NonFiniteTermError(m) from None
         u = s_next - s_prev
@@ -96,9 +88,3 @@ def djm_solve(problem: FunctionalProblem, tol: float, k_max: int = 25) -> DjmSol
             break
     return sol
 
-
-def max_error_remainder(solution: DjmSolution) -> float:
-    """Norm of the last computed recursion term (the stopping diagnostic)."""
-    if not solution.term_norms:
-        raise ValueError("solution has no terms")
-    return solution.term_norms[-1]

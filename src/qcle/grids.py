@@ -76,9 +76,6 @@ class SampledSignal:
         if not np.all(np.isfinite(vals)):
             raise ValueError("signal values must be finite")
 
-    def sup_norm(self) -> float:
-        return float(np.max(np.abs(self.values)))
-
 
 @dataclass(frozen=True)
 class Spectrum:

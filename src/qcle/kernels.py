@@ -154,32 +154,23 @@ def xi_q0_weights(gamma: float, temp: float, nu: float, eta: float,
         with np.errstate(divide="ignore"):
             return 2.0 * gamma * temp / nun * np.exp(-nun * t_min) / (1.0 - q)
 
-    # the bound falls with N, so this also ends the loop below
+    # the bound falls with N, so this also bounds the search below
     if bound((MAX_MATSUBARA_TERMS + 1) * nu) >= tol:
         raise MatsubaraTruncationError(
             f"the Matsubara sum needs more than {MAX_MATSUBARA_TERMS} terms "
             f"for tol = {tol:.1e} at t >= {t_min!r} (nu = {nu!r}); "
             "increase nu or the time step"
         )
-    n = 0
-    chunks_n = []
-    chunk = 4096
-    while True:
-        idx = np.arange(n + 1, n + chunk + 1, dtype=float)
-        nun = idx * nu
-        keep = bound(nun) >= tol
-        if not keep.any():
-            # the previous chunk already satisfied the bound at its last term
-            break
-        last = int(np.max(np.nonzero(keep)[0])) + 1
-        chunks_n.append(nun[:last])
-        n += last
-        if last < chunk:
-            break
-    if chunks_n:
-        nun = np.concatenate(chunks_n)
-    else:
-        nun = np.array([nu])  # always keep at least one term
+    # term N is kept while the tail after N - 1 terms, bound(nu_N), is still
+    # >= tol: bisect for the last such N, keeping at least one term
+    lo, hi = 1, MAX_MATSUBARA_TERMS + 1
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if bound(mid * nu) >= tol:
+            lo = mid
+        else:
+            hi = mid
+    nun = np.arange(1.0, lo + 1) * nu
     return nun, xi_q0_coefficients(nun, gamma, temp, eta)
 
 

@@ -93,11 +93,6 @@ class MomentEstimate:
     stderr_variance: SampledSignal
 
 
-def zero_noise(grid: TimeGrid, bath: BathParams, n_paths: int) -> NoiseEnsemble:
-    """Deterministic zero-noise ensemble (T -> 0 oracle runs)."""
-    return NoiseEnsemble(grid, bath, np.zeros((n_paths, grid.n)), seed=0)
-
-
 def _synthesis_length(grid: TimeGrid, nu: float) -> int:
     """FFT length of the noise synthesis: the grid plus a pad of 14/(nu dt)
     steps, so that the periodic wrap-around of the covariance (decay rate

@@ -40,7 +40,7 @@ import numpy as np
 from . import kernels
 from ._numutil import (cumtrapz, e1m, phase_stepped_sum, trapezoid_weights,
                        volterra_conv)
-from .djm import ConvergenceError, DjmSolution, FunctionalProblem, djm_solve
+from .djm import ConvergenceError, DjmSolution, djm_solve
 from .grids import FreqGrid, SampledSignal, Spectrum, TimeGrid
 from .params import BathParams, PotentialParams
 
@@ -297,22 +297,6 @@ def estimate_plateau(signal: SampledSignal) -> float:
     return float(np.mean(signal.values[-k:]))
 
 
-@dataclass(frozen=True)
-class MomentSet:
-    """Mean G, variance sigma^2 and the late-time equilibrium variance."""
-
-    mean: SampledSignal
-    variance: SampledSignal
-    equilibrium_variance: float
-
-    def __post_init__(self):
-        v = self.variance.values
-        if v[0] != 0.0:
-            raise ValueError("variance must vanish at t = 0")
-        if np.min(v) < -1e-10:
-            raise ValueError("variance must be non-negative (beyond quadrature noise)")
-
-
 def variance_spectrum(sigma2: SampledSignal, grid: FreqGrid,
                       plateau_tol: float = 1e-4) -> Spectrum:
     """Split sigma^2 into plateau + transient and transform.
@@ -348,7 +332,6 @@ def mean_trajectory(q0: float, v0: float, potential: PotentialParams,
                     bath: BathParams, grid: TimeGrid,
                     sigma2: Optional[SampledSignal] = None,
                     tol: float = 1e-10, k_max: int = 80,
-                    quad: SpectralQuadrature = SpectralQuadrature(),
                     ) -> tuple[SampledSignal, DjmSolution]:
     """Self-consistent mean G(t) with Gaussian closure <q^3> = G^3 + 3 G sigma^2.
 
@@ -369,7 +352,7 @@ def mean_trajectory(q0: float, v0: float, potential: PotentialParams,
         return SampledSignal(grid, f), sol
 
     if sigma2 is None:
-        sigma2 = variance(grid, bath, potential, quad=quad)
+        sigma2 = variance(grid, bath, potential)
     if sigma2.grid != grid:
         raise ValueError("sigma2 grid does not match the requested grid")
     sig = sigma2.values
@@ -379,7 +362,7 @@ def mean_trajectory(q0: float, v0: float, potential: PotentialParams,
         h = g**3 + 3.0 * g * sig
         return -alpha * volterra_conv(cv, h, grid.dt)
 
-    sol = djm_solve(FunctionalProblem(f, apply_b), tol=tol, k_max=k_max)
+    sol = djm_solve(f, apply_b, tol=tol, k_max=k_max)
     if not sol.converged:
         raise ConvergenceError(
             f"mean-trajectory recursion not converged after {sol.k - 1} "

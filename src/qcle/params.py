@@ -1,10 +1,8 @@
-"""Potential and bath parameter sets, presets, and unit scaling."""
+"""Dimensionless potential and bath parameter sets, and the harmonic preset."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-BOLTZMANN_JOULE_PER_KELVIN = 1.380649e-23
 
 
 @dataclass(frozen=True)
@@ -34,25 +32,6 @@ def parabolic(f0: float = 0.1) -> PotentialParams:
     return PotentialParams(eta=1.0, alpha=0.0, epsilon=0.0, f0=f0)
 
 
-def bistable(alpha: float = 1.0, f0: float = 0.1) -> PotentialParams:
-    """Quartic-stiffened well (eta = 1, alpha > 0, epsilon = 0).
-
-    The sign pattern follows the source convention; a genuine double well
-    (eta = -1) is also accepted as a direct parameter choice.
-    """
-    if not alpha > 0:
-        raise ValueError("bistable preset needs alpha > 0")
-    return PotentialParams(eta=1.0, alpha=alpha, epsilon=0.0, f0=f0)
-
-
-def asymmetric_bistable(alpha: float = 1.0, epsilon: float = 0.25,
-                        f0: float = 0.1) -> PotentialParams:
-    """Tilted double well: eta = -1, alpha > 0, epsilon > 0."""
-    if not alpha > 0 or not epsilon > 0:
-        raise ValueError("asymmetric bistable preset needs alpha > 0 and epsilon > 0")
-    return PotentialParams(eta=-1.0, alpha=alpha, epsilon=epsilon, f0=f0)
-
-
 @dataclass(frozen=True)
 class BathParams:
     """Dimensionless bath: static friction gamma, temperature temp,
@@ -71,27 +50,3 @@ class BathParams:
         if not self.nu > 0:
             raise ValueError(f"nu must be > 0, got {self.nu}")
 
-
-def nondimensionalize(mass: float, stiffness: float, length: float,
-                      temperature_kelvin: float, physical_friction: float,
-                      boltzmann: float = BOLTZMANN_JOULE_PER_KELVIN,
-                      ) -> tuple[float, float]:
-    """Scale physical constants to the dimensionless (gamma, temp) pair.
-
-    Energy, position and time are scaled by stiffness*length**2, length and
-    sqrt(mass/stiffness). With the friction coefficient entering the physical
-    equation as M qdd = -friction*qd - ..., the scaled values are
-
-        gamma = physical_friction / sqrt(mass*stiffness)
-        temp  = boltzmann*temperature_kelvin / (stiffness*length**2)
-
-    Pure bookkeeping and invertible.
-    """
-    for name, val in [("mass", mass), ("stiffness", stiffness), ("length", length),
-                      ("temperature_kelvin", temperature_kelvin),
-                      ("physical_friction", physical_friction)]:
-        if not val > 0:
-            raise ValueError(f"{name} must be positive, got {val}")
-    gamma = physical_friction / (mass * stiffness) ** 0.5
-    temp = boltzmann * temperature_kelvin / (stiffness * length**2)
-    return gamma, temp

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._numutil import cumtrapz
-from .djm import DjmSolution, FunctionalProblem, djm_solve
+from .djm import DjmSolution, djm_solve
 from .grids import SampledSignal, TimeGrid
 from .params import BathParams, PotentialParams
 
@@ -132,7 +132,7 @@ def solve_response_windowed(problem: ResponseProblem, window: float,
         apply_b = functools.partial(_volterra_b_values, tau=tau, sig=sig[sl],
                                     problem=problem)
         f_loc = f_glob[sl] - gam_hist - w1_hist - tau * w0_hist
-        sol = djm_solve(FunctionalProblem(f_loc, apply_b), tol=tol, k_max=k_max)
+        sol = djm_solve(f_loc, apply_b, tol=tol, k_max=k_max)
         sols.append(sol)
         r_loc = sol.partial_sum
         out[sl] = r_loc
@@ -149,6 +149,12 @@ def solve_response_windowed(problem: ResponseProblem, window: float,
     return SampledSignal(grid, out), sols
 
 
+def _substeps_per_step(dt: float, dt_sub: float) -> float:
+    """integrate_duffing's substeps per grid step, at least 1; a float, as a
+    tiny dt_sub gives inf."""
+    return max(1.0, float(np.ceil(dt / dt_sub - 1e-12)))
+
+
 def integrate_duffing(problem: ResponseProblem, dt_sub: float,
                       blowup_guard: float = 1e8) -> SampledSignal:
     """Classic fourth-order Runge-Kutta integration of the response ODE,
@@ -158,7 +164,7 @@ def integrate_duffing(problem: ResponseProblem, dt_sub: float,
     dt = grid.dt
     if dt_sub > dt * (1 + 1e-12):
         raise ValueError("dt_sub must not exceed the grid spacing")
-    n_sub = max(1, int(np.ceil(dt / dt_sub - 1e-12)))
+    n_sub = int(_substeps_per_step(dt, dt_sub))
     h = dt / n_sub
     pot, bath = problem.potential, problem.bath
     gamma = bath.gamma

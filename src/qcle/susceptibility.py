@@ -21,13 +21,12 @@ operation re-enforces exact Hermitian symmetry of its output.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from . import kernels
 from ._numutil import linear_convolve, phase_stepped_sum, trapezoid_weights
-from .djm import DjmSolution, FunctionalProblem, djm_solve
+from .djm import DjmSolution, djm_solve
 from .grids import FreqGrid, SampledSignal, Spectrum, TimeGrid
 from .params import BathParams, PotentialParams
 
@@ -110,13 +109,8 @@ def solve_susceptibility(problem: SusceptibilityProblem, tol: float = 1e-8,
     def apply_b(chi: Spectrum) -> Spectrum:
         return psi_operator(chi, problem)
 
-    sol = djm_solve(FunctionalProblem(f, apply_b), tol=tol, k_max=k_max)
+    sol = djm_solve(f, apply_b, tol=tol, k_max=k_max)
     return sol.partial_sum.hermitian_symmetrized(), sol
-
-
-class ReconstructedResponse(NamedTuple):
-    signal: SampledSignal
-    imag_residual: float
 
 
 def _inverse_transform(chi: Spectrum, times: np.ndarray,
@@ -143,9 +137,8 @@ def _inverse_transform(chi: Spectrum, times: np.ndarray,
 
 def response_from_susceptibility(chi: Spectrum, tgrid: TimeGrid,
                                  edge_tol: float = 1e-3,
-                                 ) -> ReconstructedResponse:
-    """Inverse transform R(t) on the time grid; the largest imaginary residue
-    over the nodes is returned as a diagnostic."""
+                                 ) -> tuple[SampledSignal, float]:
+    """Inverse transform R(t) on the time grid and, as a diagnostic, the
+    largest imaginary residue over the nodes."""
     acc = _inverse_transform(chi, tgrid.times, edge_tol)
-    imag_residual = float(np.max(np.abs(acc.imag)))
-    return ReconstructedResponse(SampledSignal(tgrid, acc.real), imag_residual)
+    return SampledSignal(tgrid, acc.real), float(np.max(np.abs(acc.imag)))

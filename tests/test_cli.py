@@ -252,6 +252,17 @@ def _tree(root: Path) -> dict:
     pytest.param("mc", {"overrides": {"mc.n_paths": 10**9}}, [], 2,
                  id="mc_path_samples"),
     pytest.param("moments", {"overrides": LONG_HORIZON}, [], 2, id="horizon"),
+    # sizes past cli.MAX_NODES that numpy would refuse outright: 72.8 TiB of
+    # Duffing substeps, 745 GiB of frequency or of quadrature nodes
+    pytest.param("response", {"base": PARABOLIC,
+                              "overrides": {"integrator.dt_sub": 1e-15}}, [], 2,
+                 id="duffing_substeps"),
+    pytest.param("kernels", {"base": PARABOLIC,
+                             "overrides": {"freq_grid.n": 100000000001}}, [], 2,
+                 id="freq_nodes"),
+    pytest.param("moments", {"base": PARABOLIC,
+                             "overrides": {"tolerances.quad_n": 100000000001}},
+                 [], 2, id="quad_nodes"),
     pytest.param("kernels", {}, ["--out", "config.json"], 2, id="out_is_file"),
     pytest.param("moments", {"base": BISTABLE, "overrides": BLOWUP}, [], 3,
                  id="moments_overflow"),

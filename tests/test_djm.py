@@ -6,22 +6,19 @@ import warnings
 import numpy as np
 import pytest
 
-from qcle import (FunctionalProblem, NonFiniteTermError, TimeGrid, djm_solve,
-                  max_error_remainder)
-from qcle.djm import DjmSolution
+from qcle import NonFiniteTermError, TimeGrid, djm_solve
 from qcle._numutil import cumtrapz
 
 
 def test_zero_operator_returns_f():
-    sol = djm_solve(FunctionalProblem(3.5, lambda x: 0.0 * x), tol=1e-12)
+    sol = djm_solve(3.5, lambda x: 0.0 * x, tol=1e-12)
     assert sol.converged
     assert sol.partial_sum == 3.5
     assert sol.term_norms[1] == 0.0
 
 
 def test_scalar_affine_contraction():
-    sol = djm_solve(FunctionalProblem(1.0, lambda x: 0.5 * x), tol=1e-10,
-                    k_max=60)
+    sol = djm_solve(1.0, lambda x: 0.5 * x, tol=1e-10, k_max=60)
     assert sol.converged
     assert sol.partial_sum == pytest.approx(2.0, abs=1e-9)
     # geometric term norms with ratio = contraction constant
@@ -34,12 +31,12 @@ def test_scalar_affine_contraction():
 def _volterra_exp_problem(n=1001):
     grid = TimeGrid(1.0, n)
     dt = grid.dt
-    return grid, FunctionalProblem(np.ones(n), lambda u: cumtrapz(u, dt))
+    return grid, np.ones(n), lambda u: cumtrapz(u, dt)
 
 
 def test_volterra_exponential():
-    grid, prob = _volterra_exp_problem()
-    sol = djm_solve(prob, tol=1e-9, k_max=25)
+    grid, f, apply_b = _volterra_exp_problem()
+    sol = djm_solve(f, apply_b, tol=1e-9, k_max=25)
     assert sol.converged
     assert np.max(np.abs(sol.partial_sum - np.exp(grid.times))) < 1e-6
     # terms reproduce the Taylor partial sums t^k/k!
@@ -49,41 +46,37 @@ def test_volterra_exponential():
 
 
 def test_max_error_remainder():
-    grid, prob = _volterra_exp_problem()
-    sol = djm_solve(prob, tol=1e-9, k_max=25)
+    grid, f, apply_b = _volterra_exp_problem()
+    sol = djm_solve(f, apply_b, tol=1e-9, k_max=25)
     k = sol.k - 1
-    # Taylor tail bound plus grid error
-    assert max_error_remainder(sol) <= 1.0 / math.factorial(k) + 1e-6
-    single = DjmSolution(terms=[2.0], partial_sum=2.0, term_norms=[2.0])
-    assert max_error_remainder(single) == 2.0
-    zero = djm_solve(FunctionalProblem(0.0, lambda x: 0.0 * x), tol=1e-12)
-    assert max_error_remainder(zero) == 0.0
-    with pytest.raises(ValueError):
-        max_error_remainder(DjmSolution())
+    # the last term's norm (the stopping diagnostic): Taylor tail bound plus
+    # grid error
+    assert sol.term_norms[-1] <= 1.0 / math.factorial(k) + 1e-6
+    zero = djm_solve(0.0, lambda x: 0.0 * x, tol=1e-12)
+    assert zero.term_norms[-1] == 0.0
 
 
 def test_telescoping_identity():
-    grid, prob = _volterra_exp_problem()
-    sol = djm_solve(prob, tol=1e-9, k_max=25)
+    grid, f, apply_b = _volterra_exp_problem()
+    sol = djm_solve(f, apply_b, tol=1e-9, k_max=25)
     partial = np.cumsum(np.asarray(sol.terms), axis=0)
     for m in range(len(sol.terms) - 1):
-        rhs = prob.f + prob.apply_b(partial[m])
+        rhs = f + apply_b(partial[m])
         assert np.max(np.abs(partial[m + 1] - rhs)) < 1e-12
     # partial_sum equals the elementwise sum of terms
     assert np.max(np.abs(partial[-1] - sol.partial_sum)) < 1e-12
 
 
 def test_determinism_bit_identical():
-    _, prob = _volterra_exp_problem()
-    a = djm_solve(prob, tol=1e-9, k_max=25)
-    b = djm_solve(prob, tol=1e-9, k_max=25)
+    _, f, apply_b = _volterra_exp_problem()
+    a = djm_solve(f, apply_b, tol=1e-9, k_max=25)
+    b = djm_solve(f, apply_b, tol=1e-9, k_max=25)
     assert np.array_equal(a.partial_sum, b.partial_sum)
     assert a.term_norms == b.term_norms
 
 
 def test_k_max_reached_is_flag_not_exception():
-    sol = djm_solve(FunctionalProblem(1.0, lambda x: 0.9 * x), tol=1e-12,
-                    k_max=3)
+    sol = djm_solve(1.0, lambda x: 0.9 * x, tol=1e-12, k_max=3)
     assert not sol.converged
     assert sol.k == 4  # u0 plus three operator applications
 
@@ -93,7 +86,7 @@ def test_non_finite_raises_with_index():
         return x * 1e200
 
     with pytest.raises(NonFiniteTermError) as exc:
-        djm_solve(FunctionalProblem(1.0, explode), tol=1e-12, k_max=10)
+        djm_solve(1.0, explode, tol=1e-12, k_max=10)
     assert exc.value.term_index >= 1
 
 
@@ -105,12 +98,12 @@ def test_array_overflow_raises_with_index():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NonFiniteTermError) as exc:
-            djm_solve(FunctionalProblem(np.ones(3), explode), tol=1e-12, k_max=10)
+            djm_solve(np.ones(3), explode, tol=1e-12, k_max=10)
     assert exc.value.term_index == 2
 
 
 def test_bad_arguments():
     with pytest.raises(ValueError):
-        djm_solve(FunctionalProblem(1.0, lambda x: x), tol=0.0)
+        djm_solve(1.0, lambda x: x, tol=0.0)
     with pytest.raises(ValueError):
-        djm_solve(FunctionalProblem(1.0, lambda x: x), tol=1e-6, k_max=0)
+        djm_solve(1.0, lambda x: x, tol=1e-6, k_max=0)

@@ -5,6 +5,7 @@ import pytest
 
 from qcle import (chi_q, chi_tilde, chi_v, chi_v_dot, noise_correlation,
                   noise_psd, omega0, xi_q0_corr)
+from qcle.kernels import xi_q0_weights
 
 
 def test_omega0_cases():
@@ -196,6 +197,35 @@ def test_xi_q0_monotone_toward_zero():
     vals = [xi_q0_corr(t, 1.0, 1.0, 2.0, 1.0, tol=1e-12)[0] for t in ts]
     assert all(b > a for a, b in zip(vals, vals[1:]))
     assert vals[-1] < 0
+
+
+def _scanned_nun(gamma, temp, nu, eta, t_min, tol, n_scan=1 << 17):
+    """Matsubara frequencies by a linear scan of the tail bound over n_scan
+    terms: every term up to the last one whose bound is >= tol, at least one."""
+    nun = np.arange(1.0, n_scan + 1) * nu
+    q = np.exp(-nu * t_min)
+    keep = np.flatnonzero(2.0 * gamma * temp / nun * np.exp(-nun * t_min)
+                          / (1.0 - q) >= tol)
+    assert keep.size == 0 or keep[-1] < n_scan - 1
+    return nun[:keep[-1] + 1 if keep.size else 1]
+
+
+def test_xi_q0_weights_match_linear_scan():
+    # the bisection keeps exactly the terms a scan of the bound keeps, also
+    # when tol is the bound of the last kept term
+    rng = np.random.default_rng(8)
+    for _ in range(100):
+        gamma, temp = 10.0 ** rng.uniform(-1, 0.5, 2)
+        nu, t_min = 10.0 ** rng.uniform(-0.3, 3), 10.0 ** rng.uniform(-3, -0.3)
+        eta = rng.uniform(-2.0, 5.0)
+        tol = 10.0 ** rng.uniform(-14, -4)
+        last = _scanned_nun(gamma, temp, nu, eta, t_min, tol)[-1]
+        at_last = 2.0 * gamma * temp / last * np.exp(-last * t_min) \
+            / (1.0 - np.exp(-nu * t_min))
+        for tol_case in (tol, at_last):
+            nun, _ = xi_q0_weights(gamma, temp, nu, eta, t_min, tol_case)
+            assert np.array_equal(
+                nun, _scanned_nun(gamma, temp, nu, eta, t_min, tol_case))
 
 
 def test_xi_q0_domain_error():

@@ -7,7 +7,7 @@ import pytest
 
 from qcle import (BathParams, PotentialParams, SpectralQuadrature, TimeGrid,
                   chi_q, chi_v, estimate_moments, estimate_response,
-                  integrate_qcle, sample_noise, variance, zero_noise)
+                  integrate_qcle, sample_noise, variance)
 from qcle.mc import (MAX_PATH_SAMPLES, MAX_SYNTHESIS_LENGTH, Ensemble,
                      NoiseEnsemble, PathSamplesError, SynthesisLengthError,
                      _propagator_constants, _synthesis_length, thermal_velocities)
@@ -99,7 +99,7 @@ def test_white_noise_covariance_integral():
 
 def test_zero_noise_matches_closed_forms():
     grid = TimeGrid(15.0, 1501)
-    zn = zero_noise(grid, CLASSICAL, 2)
+    zn = NoiseEnsemble(grid, CLASSICAL, np.zeros((2, grid.n)), seed=0)
     ens = integrate_qcle(zn, parabolic(), q0=1.0, v0=0.5)
     exact = chi_q(grid.times, 1.0, 1.0) + 0.5 * chi_v(grid.times, 1.0, 1.0)
     assert np.max(np.abs(ens.trajectories[0] - exact)) < 1e-12
@@ -107,7 +107,7 @@ def test_zero_noise_matches_closed_forms():
 
 def test_zero_noise_nonlinear_vs_rk4():
     grid = TimeGrid(15.0, 1501)
-    zn = zero_noise(grid, CLASSICAL, 1)
+    zn = NoiseEnsemble(grid, CLASSICAL, np.zeros((1, grid.n)), seed=0)
     pot = PotentialParams(eta=1.0, alpha=0.2, epsilon=0.0, f0=0.1)
     ens = integrate_qcle(zn, pot, q0=1.0, v0=0.0)
     h = 1e-3

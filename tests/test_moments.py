@@ -11,8 +11,8 @@ from qcle import (BathParams, FreqGrid, PotentialParams, QuadratureError,
                   chi_v_dot, mean_trajectory, variance, variance_spectrum)
 from qcle._numutil import cumtrapz, e1m, trapezoid_weights
 from qcle.kernels import effective_roots, noise_psd, xi_q0_coefficients
-from qcle.moments import (MomentSet, PlateauError, _growing_tail,
-                          _preparation_cross_term, estimate_plateau)
+from qcle.moments import (PlateauError, _growing_tail, _preparation_cross_term,
+                          estimate_plateau)
 from qcle.params import parabolic
 
 CLASSICAL = BathParams(gamma=1.0, temp=1.0, nu=1e4)
@@ -173,6 +173,7 @@ def test_variance_equipartition(classical_sigma2):
     grid, sig = classical_sigma2
     # classical HO plateau T/eta within 2 percent
     assert abs(sig.values[-1] - 1.0) < 0.02
+    assert estimate_plateau(sig) == pytest.approx(1.0, abs=0.02)
 
 
 def test_variance_independent_of_unused_parameters(classical_sigma2):
@@ -354,17 +355,6 @@ def test_preparation_term_memory():
     finally:
         tracemalloc.stop()
     assert peak < 16e6
-
-
-def test_moment_set_invariants(classical_sigma2):
-    grid, sig = classical_sigma2
-    mean, _ = mean_trajectory(1.0, 0.0, parabolic(), CLASSICAL, grid, sigma2=sig)
-    ms = MomentSet(mean=mean, variance=sig,
-                   equilibrium_variance=estimate_plateau(sig))
-    assert ms.equilibrium_variance == pytest.approx(1.0, abs=0.02)
-    bad = SampledSignal(grid, np.linspace(0.1, 1.0, grid.n))
-    with pytest.raises(ValueError):
-        MomentSet(mean=mean, variance=bad, equilibrium_variance=1.0)
 
 
 def test_mean_alpha_zero_reduction():

@@ -1,9 +1,9 @@
-"""Parameter containers, presets and unit scaling."""
+"""Parameter containers and the harmonic preset."""
 
 import pytest
 
-from qcle import BathParams, PotentialParams, nondimensionalize
-from qcle.params import asymmetric_bistable, bistable, parabolic
+from qcle import BathParams, PotentialParams
+from qcle.params import parabolic
 
 
 def test_potential_invariants():
@@ -19,10 +19,6 @@ def test_potential_invariants():
 def test_presets_follow_sign_patterns():
     p = parabolic()
     assert (p.eta, p.alpha, p.epsilon) == (1.0, 0.0, 0.0)
-    b = bistable(alpha=0.3)
-    assert b.eta == 1.0 and b.alpha > 0 and b.epsilon == 0.0
-    a = asymmetric_bistable()
-    assert a.eta == -1.0 and a.alpha > 0 and a.epsilon > 0
 
 
 def test_bath_invariants():
@@ -32,19 +28,3 @@ def test_bath_invariants():
         with pytest.raises(ValueError):
             BathParams(**bad)
 
-
-def test_nondimensionalize():
-    kb = 1.380649e-23
-    # kappa q_m^2 = k_B T~  ->  T = 1
-    _, temp = nondimensionalize(1.0, 1.0, (kb * 300.0) ** 0.5, 300.0, 1.0)
-    assert temp == pytest.approx(1.0, rel=1e-12)
-    # doubling q_m quarters T
-    g1, t1 = nondimensionalize(2.0, 3.0, 0.5, 250.0, 0.7)
-    g2, t2 = nondimensionalize(2.0, 3.0, 1.0, 250.0, 0.7)
-    assert t2 == pytest.approx(t1 / 4.0)
-    assert g1 == g2
-    # unit scale factors
-    g, _ = nondimensionalize(1.0, 1.0, 1.0, 300.0, 0.5)
-    assert g == pytest.approx(0.5)
-    with pytest.raises(ValueError):
-        nondimensionalize(-1.0, 1.0, 1.0, 300.0, 0.5)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from qcle import (BathParams, FunctionalProblem, PotentialParams,
+from qcle import (BathParams, PotentialParams,
                   ResponseProblem, SampledSignal, StepInstabilityError, TimeGrid,
                   chi_q, chi_v, djm_solve, integrate_duffing, ode_residual,
                   solve_response_djm, variance, volterra_b, volterra_f,
@@ -189,8 +189,8 @@ def test_single_window_is_the_plain_recursion():
     prob = _nonlinear_short_problem()
     grid = prob.grid
     f = volterra_f(grid, prob.potential.epsilon, prob.potential.f0)
-    plain = djm_solve(FunctionalProblem(
-        f.values, lambda r: volterra_b(SampledSignal(grid, r), prob).values),
+    plain = djm_solve(
+        f.values, lambda r: volterra_b(SampledSignal(grid, r), prob).values,
         tol=1e-10, k_max=60)
     assert plain.converged
     r, sols = solve_response_windowed(prob, window=grid.t_max, tol=1e-10, k_max=60)
