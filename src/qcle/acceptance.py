@@ -12,6 +12,7 @@ FAIL; see README and the test suite for the analysis.
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -53,10 +54,9 @@ def _result(cid: int, description: str, passed: bool, detail: str,
     return CriterionResult(cid, description, bool(passed), detail, elapsed)
 
 
-def _case3_parts(cache: Optional[dict] = None) -> dict:
+@functools.cache
+def _case3_parts() -> dict:
     """Nonlinear route-equivalence pipeline, shared by criteria 3 and 9."""
-    if cache is not None and "case3" in cache:
-        return cache["case3"]
     pot = PotentialParams(eta=1.0, alpha=0.3, epsilon=0.0, f0=0.1)
     bath = BathParams(gamma=1.0, temp=0.5, nu=1e4)
     grid = TimeGrid(15.0, 1501)
@@ -67,41 +67,42 @@ def _case3_parts(cache: Optional[dict] = None) -> dict:
     s2spec = variance_spectrum(sig2, fgrid)
     sprob = SusceptibilityProblem(pot, bath, s2spec, fgrid)
     chi, chi_sol = solve_susceptibility(sprob, tol=1e-9, k_max=40)
-    parts = {"pot": pot, "bath": bath, "grid": grid, "sigma2": sig2,
-             "problem": prob, "r_time": r_t, "windows": windows,
-             "sigma2_spec": s2spec, "chi": chi, "chi_sol": chi_sol}
-    if cache is not None:
-        cache["case3"] = parts
-    return parts
+    return {"pot": pot, "bath": bath, "grid": grid, "sigma2": sig2,
+            "problem": prob, "r_time": r_t, "windows": windows,
+            "sigma2_spec": s2spec, "chi": chi, "chi_sol": chi_sol}
 
 
-def criterion_1(cache: Optional[dict] = None) -> CriterionResult:
+@functools.cache
+def _ho_susceptibilities() -> list:
+    """(gamma, chi, solution) of the harmonic susceptibility recursion for
+    each friction, shared by criteria 1 and 9."""
+    grid = FreqGrid(10.0, 2001)
+    s2 = Spectrum(grid, np.zeros(grid.n, dtype=complex))
+    out = []
+    for gamma in (0.5, 1.0, 2.0):
+        bath = BathParams(gamma=gamma, temp=1.0, nu=1e4)
+        prob = SusceptibilityProblem(parabolic(), bath, s2, grid)
+        out.append((gamma, *solve_susceptibility(prob, tol=1e-10, k_max=25)))
+    return out
+
+
+def criterion_1() -> CriterionResult:
     """HO susceptibility identity: chi(w) = chi_tilde(w) for alpha = eps = 0."""
     t0 = time.perf_counter()
-    grid = FreqGrid(10.0, 2001)
     worst = 0.0
-    spectra = []
-    for gamma in (0.5, 1.0, 2.0):
-        pot = parabolic()
-        bath = BathParams(gamma=gamma, temp=1.0, nu=1e4)
-        s2 = Spectrum(grid, np.zeros(grid.n, dtype=complex))
-        chi, sol = solve_susceptibility(
-            SusceptibilityProblem(pot, bath, s2, grid), tol=1e-10, k_max=25)
-        err = float(np.max(np.abs(chi.values
-                                  - kernels.chi_tilde(grid.omegas, gamma, 1.0))))
+    for gamma, chi, sol in _ho_susceptibilities():
+        err = float(np.max(np.abs(chi.values - kernels.chi_tilde(
+            chi.grid.omegas, gamma, 1.0))))
         worst = max(worst, err)
         if not sol.converged:
             return _result(1, "HO susceptibility identity", False,
                            f"recursion not converged at gamma={gamma}", t0, 10.0)
-        spectra.append(chi)
-    if cache is not None:
-        cache["ho_spectra"] = spectra
     return _result(1, "HO susceptibility identity", worst < 1e-6,
                    f"sup error {worst:.2e} over omega in [-10,10], "
                    "gamma in {0.5, 1, 2} (tol 1e-6)", t0, 10.0)
 
 
-def criterion_2(cache: Optional[dict] = None) -> CriterionResult:
+def criterion_2() -> CriterionResult:
     """HO response identity: both time-domain routes return chi_v."""
     t0 = time.perf_counter()
     grid = TimeGrid(10.0, 10001)
@@ -119,10 +120,10 @@ def criterion_2(cache: Optional[dict] = None) -> CriterionResult:
                    f"(tol 1e-4), converged={sol.converged}", t0, 30.0)
 
 
-def criterion_3(cache: Optional[dict] = None) -> CriterionResult:
+def criterion_3() -> CriterionResult:
     """Nonlinear route equivalence: time-domain R vs inverse-transformed chi."""
     t0 = time.perf_counter()
-    parts = _case3_parts(cache)
+    parts = _case3_parts()
     if not all(s.converged for s in parts["windows"]):
         return _result(3, "nonlinear route equivalence", False,
                        "time-domain recursion did not converge", t0, 120.0)
@@ -136,7 +137,7 @@ def criterion_3(cache: Optional[dict] = None) -> CriterionResult:
                    f"imag residue {imag_resid:.1e}", t0, 120.0)
 
 
-def criterion_4(cache: Optional[dict] = None) -> CriterionResult:
+def criterion_4() -> CriterionResult:
     """ODE residual < 1e-2 at dt = 1e-3 for every converged response."""
     t0 = time.perf_counter()
     details = []
@@ -172,7 +173,7 @@ def criterion_4(cache: Optional[dict] = None) -> CriterionResult:
                    "; ".join(details) + " (tol 1e-2)", t0)
 
 
-def criterion_5(cache: Optional[dict] = None) -> CriterionResult:
+def criterion_5() -> CriterionResult:
     """Recursion benchmark u = 1 + int_0^t u -> e^t, with telescoping."""
     t0 = time.perf_counter()
     grid = TimeGrid(1.0, 1001)
@@ -202,7 +203,7 @@ def criterion_5(cache: Optional[dict] = None) -> CriterionResult:
                    f"telescoping {tele:.1e} (tol 1e-12)", t0)
 
 
-def criterion_6(cache: Optional[dict] = None) -> CriterionResult:
+def criterion_6() -> CriterionResult:
     """Classical-limit bath checks.
 
     Clause (a) is arithmetically unattainable as stated: at nu = 1e4 the
@@ -227,7 +228,7 @@ def criterion_6(cache: Optional[dict] = None) -> CriterionResult:
     return _result(6, "classical-limit bath", clause_a and clause_b, detail, t0)
 
 
-def criterion_7(cache: Optional[dict] = None) -> CriterionResult:
+def criterion_7() -> CriterionResult:
     """Monte Carlo oracle against the harmonic closed forms."""
     t0 = time.perf_counter()
     pot = parabolic()
@@ -255,7 +256,7 @@ def criterion_7(cache: Optional[dict] = None) -> CriterionResult:
                    t0, 300.0)
 
 
-def criterion_8(cache: Optional[dict] = None) -> CriterionResult:
+def criterion_8() -> CriterionResult:
     """Nonlinear MC cross-check of the recursion response."""
     t0 = time.perf_counter()
     pot = PotentialParams(eta=1.0, alpha=0.3, epsilon=0.0, f0=0.1)
@@ -279,17 +280,14 @@ def criterion_8(cache: Optional[dict] = None) -> CriterionResult:
                    "discretization allowance", t0, 600.0)
 
 
-def criterion_9(cache: Optional[dict] = None) -> CriterionResult:
+def criterion_9() -> CriterionResult:
     """Symmetry, causality, variance positivity across acceptance runs."""
     t0 = time.perf_counter()
     details = []
     ok = True
     # Hermitian symmetry (exact) of the HO and nonlinear spectra
-    if cache is None or "ho_spectra" not in cache:
-        cache = cache if cache is not None else {}
-        criterion_1(cache)
-    herm = all(s.is_hermitian() for s in cache["ho_spectra"])
-    parts = _case3_parts(cache)
+    herm = all(chi.is_hermitian() for _, chi, _ in _ho_susceptibilities())
+    parts = _case3_parts()
     herm &= parts["chi"].is_hermitian()
     herm &= parts["sigma2_spec"].is_hermitian()
     ok &= herm
@@ -314,7 +312,7 @@ def criterion_9(cache: Optional[dict] = None) -> CriterionResult:
     return _result(9, "symmetry/causality suite", bool(ok), "; ".join(details), t0)
 
 
-CRITERIA: dict[int, Callable[[Optional[dict]], CriterionResult]] = {
+CRITERIA: dict[int, Callable[[], CriterionResult]] = {
     1: criterion_1, 2: criterion_2, 3: criterion_3, 4: criterion_4,
     5: criterion_5, 6: criterion_6, 7: criterion_7, 8: criterion_8,
     9: criterion_9,
@@ -326,12 +324,11 @@ KNOWN_UNATTAINABLE = {6}
 def run_acceptance(ids: Optional[list[int]] = None) -> list[CriterionResult]:
     """Run the selected criteria (all by default), printing one line each."""
     ids = sorted(ids) if ids else sorted(CRITERIA)
-    cache: dict = {}
     results = []
     for cid in ids:
         if cid not in CRITERIA:
             raise ValueError(f"unknown criterion {cid}")
-        res = CRITERIA[cid](cache)
+        res = CRITERIA[cid]()
         results.append(res)
         status = "PASS" if res.passed else "FAIL"
         print(f"[criterion {res.cid}] {status} ({res.elapsed:.1f}s) "

@@ -8,7 +8,8 @@ Exit codes: 0 ok, 1 acceptance failure (validate only), 2 config error
 stderr and in the manifest's diagnostics.error). Outputs are CSV with 17
 significant digits plus a JSON manifest echoing the configuration,
 tolerances, seeds and solver diagnostics; reruns of the same config are
-byte-identical.
+byte-identical. SCHEMA declares every config key with its type, default and
+range.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import csv
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
@@ -28,9 +29,9 @@ from . import __version__, kernels
 from .acceptance import CRITERIA, KNOWN_UNATTAINABLE, run_acceptance
 from .djm import ConvergenceError, NonFiniteTermError
 from .grids import FreqGrid, Spectrum, TimeGrid
-from .mc import (PathSamplesError, SynthesisLengthError, _check_path_samples,
-                 _synthesis_length, estimate_moments, estimate_response,
-                 integrate_qcle, sample_noise)
+from .mc import (PathSamplesError, SurvivorsError, SynthesisLengthError,
+                 _check_path_samples, _synthesis_length, estimate_moments,
+                 estimate_response, integrate_qcle, sample_noise)
 from .moments import (PlateauError, QuadratureError, SpectralQuadrature,
                       mean_trajectory, variance, variance_spectrum)
 from .params import BathParams, PotentialParams
@@ -50,32 +51,60 @@ class ConfigError(Exception):
         self.messages = messages
 
 
+# marks a config key that has no default
+REQUIRED = object()
+
+# section -> key -> (type, default or REQUIRED, range rule or None). A rule
+# is "positive", "nonzero", "nodes" (at most MAX_NODES) or an int lower
+# bound. The potential, bath and grid sections are checked again by their
+# classes, and a section with a required key is itself required, except
+# freq_grid: only the subcommands that use it ask for it.
+SCHEMA = {
+    "potential": {"eta": (float, REQUIRED, None),
+                  "alpha": (float, PotentialParams.alpha, None),
+                  "epsilon": (float, PotentialParams.epsilon, None),
+                  "f0": (float, PotentialParams.f0, None)},
+    "bath": {"gamma": (float, REQUIRED, None), "temp": (float, REQUIRED, None),
+             "nu": (float, REQUIRED, None)},
+    "time_grid": {"t_max": (float, REQUIRED, None), "n": (int, REQUIRED, "nodes")},
+    "freq_grid": {"omega_max": (float, REQUIRED, None),
+                  "n": (int, REQUIRED, "nodes")},
+    "initial": {"q0": (float, 0.0, None), "v0": (float, 0.0, None)},
+    "tolerances": {
+        "djm_tol": (float, 1e-9, "positive"),
+        "djm_k_max": (int, 60, 1),
+        "response_window": (float, 2.5, "positive"),
+        "quad_omega_max": (float, SpectralQuadrature.omega_max, None),
+        "quad_n": (int, SpectralQuadrature.n, "nodes"),
+        "quad_rtol": (float, SpectralQuadrature.rtol, None),
+        "edge_tol": (float, 1e-3, "positive"),
+        "plateau_tol": (float, 1e-4, "positive"),
+    },
+    "integrator": {"dt_sub": (float, 1e-3, "positive")},
+    "mc": {"n_paths": (int, 2000, 2), "seed": (int, 12345, 0),
+           "f0_kick": (float, 0.1, "nonzero"), "thermal_v0": (bool, False, None)},
+}
+
+
 @dataclass
 class RunConfig:
     potential: PotentialParams
     bath: BathParams
     time_grid: TimeGrid
     freq_grid: Optional[FreqGrid]
+    quad: SpectralQuadrature
     q0: float
     v0: float
-    djm_tol: float
-    djm_k_max: int
-    response_window: float
-    quad: SpectralQuadrature
-    edge_tol: float
-    plateau_tol: float
-    dt_sub: float
-    n_paths: int
-    seed: int
-    f0_kick: float
-    thermal_v0: bool
-    raw: dict = field(default_factory=dict)
+    # every tolerances, integrator and mc key with its value, as echoed in
+    # the manifest's `effective` block
+    settings: dict
+    raw: dict
 
 
-def _get(section: dict, path: str, key: str, typ, errors: list[str],
-         default=None, required: bool = False):
+def _get(section: dict, path: str, key: str, spec: tuple, errors: list[str]):
+    typ, default, rule = spec
     if key not in section:
-        if required:
+        if default is REQUIRED:
             errors.append(f"{path}.{key}: missing required field")
         return default
     val = section[key]
@@ -101,12 +130,18 @@ def _get(section: dict, path: str, key: str, typ, errors: list[str],
     # JSON admits NaN and Infinity; no float field takes them
     if not finite:
         errors.append(f"{path}.{key}: expected finite float, got {val!r}")
-        return default
+    elif rule == "positive" and not val > 0:
+        errors.append(f"{path}.{key}: must be positive")
+    elif rule == "nonzero" and val == 0:
+        errors.append(f"{path}.{key}: must be nonzero")
+    elif rule == "nodes" and val > MAX_NODES:
+        errors.append(f"{path}.{key}: {val:.4g} nodes, past the cap of {MAX_NODES}")
+    elif isinstance(rule, int) and val < rule:
+        errors.append(f"{path}.{key}: must be >= {rule}")
     return val
 
 
 def parse_config(path: Path, seed_override: Optional[int] = None) -> RunConfig:
-    errors: list[str] = []
     try:
         raw = json.loads(path.read_text())
     except FileNotFoundError:
@@ -116,113 +151,52 @@ def parse_config(path: Path, seed_override: Optional[int] = None) -> RunConfig:
     if not isinstance(raw, dict):
         raise ConfigError(["top level must be an object"])
 
-    def section(name: str, required: bool = True) -> dict:
+    errors: list[str] = []
+    values: dict[str, dict] = {}
+    for name, keys in SCHEMA.items():
         sec = raw.get(name)
+        if name == "freq_grid" and sec in (None, {}):
+            continue
         if sec is None:
-            if required:
+            if any(spec[1] is REQUIRED for spec in keys.values()):
                 errors.append(f"{name}: missing required section")
-            return {}
-        if not isinstance(sec, dict):
+            sec = {}
+        elif not isinstance(sec, dict):
             errors.append(f"{name}: must be an object")
-            return {}
-        return sec
-
-    pot_s = section("potential")
-    bath_s = section("bath")
-    tg_s = section("time_grid")
-    fg_s = section("freq_grid", required=False)
-    init_s = section("initial", required=False)
-    tol_s = section("tolerances", required=False)
-    mc_s = section("mc", required=False)
-    integ_s = section("integrator", required=False)
-
-    eta = _get(pot_s, "potential", "eta", float, errors, required=True)
-    alpha = _get(pot_s, "potential", "alpha", float, errors, 0.0)
-    epsilon = _get(pot_s, "potential", "epsilon", float, errors, 0.0)
-    f0 = _get(pot_s, "potential", "f0", float, errors, 0.1)
-    gamma = _get(bath_s, "bath", "gamma", float, errors, required=True)
-    temp = _get(bath_s, "bath", "temp", float, errors, required=True)
-    nu = _get(bath_s, "bath", "nu", float, errors, required=True)
-    t_max = _get(tg_s, "time_grid", "t_max", float, errors, required=True)
-    t_n = _get(tg_s, "time_grid", "n", int, errors, required=True)
+            sec = {}
+        if name == "mc" and seed_override is not None:
+            sec = {**sec, "seed": seed_override}
+        values[name] = {key: _get(sec, name, key, spec, errors)
+                        for key, spec in keys.items()}
     if errors:
         raise ConfigError(errors)
 
-    potential = bath = time_grid = freq_grid = None
+    built = {}
+    for name, cls in (("potential", PotentialParams), ("bath", BathParams),
+                      ("time_grid", TimeGrid), ("freq_grid", FreqGrid)):
+        try:
+            built[name] = cls(**values[name]) if name in values else None
+        except ValueError as e:
+            errors.append(f"{name}: {e}")
+    tol = values["tolerances"]
     try:
-        potential = PotentialParams(eta=eta, alpha=alpha, epsilon=epsilon, f0=f0)
+        built["quad"] = SpectralQuadrature(
+            tol["quad_omega_max"], tol["quad_n"], tol["quad_rtol"])
     except ValueError as e:
-        errors.append(f"potential: {e}")
-    try:
-        bath = BathParams(gamma=gamma, temp=temp, nu=nu)
-    except ValueError as e:
-        errors.append(f"bath: {e}")
-    try:
-        time_grid = TimeGrid(t_max=t_max, n=t_n)
-    except ValueError as e:
-        errors.append(f"time_grid: {e}")
-    if fg_s:
-        om = _get(fg_s, "freq_grid", "omega_max", float, errors, required=True)
-        fn = _get(fg_s, "freq_grid", "n", int, errors, required=True)
-        if not errors:
-            try:
-                freq_grid = FreqGrid(omega_max=om, n=fn)
-            except ValueError as e:
-                errors.append(f"freq_grid: {e}")
-
-    quad_kwargs = {}
-    for name in ("omega_max", "n", "rtol"):
-        val = _get(tol_s, "tolerances", f"quad_{name}",
-                   int if name == "n" else float, errors)
-        if val is not None:
-            quad_kwargs[name] = val
-    djm_tol = _get(tol_s, "tolerances", "djm_tol", float, errors, 1e-9)
-    djm_k_max = _get(tol_s, "tolerances", "djm_k_max", int, errors, 60)
-    window = _get(tol_s, "tolerances", "response_window", float, errors, 2.5)
-    edge_tol = _get(tol_s, "tolerances", "edge_tol", float, errors, 1e-3)
-    plateau_tol = _get(tol_s, "tolerances", "plateau_tol", float, errors, 1e-4)
-    dt_sub = _get(integ_s, "integrator", "dt_sub", float, errors, 1e-3)
-    n_paths = _get(mc_s, "mc", "n_paths", int, errors, 2000)
-    seed = _get(mc_s, "mc", "seed", int, errors, 12345)
-    f0_kick = _get(mc_s, "mc", "f0_kick", float, errors, 0.1)
-    thermal_v0 = _get(mc_s, "mc", "thermal_v0", bool, errors, False)
-    q0 = _get(init_s, "initial", "q0", float, errors, 0.0)
-    v0 = _get(init_s, "initial", "v0", float, errors, 0.0)
-    if seed_override is not None:
-        seed = seed_override
-    for key, val in (("tolerances.djm_tol", djm_tol), ("tolerances.edge_tol", edge_tol),
-                     ("tolerances.plateau_tol", plateau_tol),
-                     ("tolerances.response_window", window),
-                     ("integrator.dt_sub", dt_sub)):
-        if not val > 0:
-            errors.append(f"{key}: must be positive")
-    for key, val, low in (("tolerances.djm_k_max", djm_k_max, 1),
-                          ("mc.n_paths", n_paths, 2), ("mc.seed", seed, 0)):
-        if val < low:
-            errors.append(f"{key}: must be >= {low}")
-    if f0_kick == 0:
-        errors.append("mc.f0_kick: must be nonzero")
-    if time_grid is not None and dt_sub > time_grid.dt * (1 + 1e-12):
+        errors.append(f"tolerances.quad: {e}")
+    grid, dt_sub = built.get("time_grid"), values["integrator"]["dt_sub"]
+    steps = (grid.n - 1) * _substeps_per_step(grid.dt, dt_sub) if grid else 0
+    if grid and dt_sub > grid.dt * (1 + 1e-12):
         errors.append(f"integrator.dt_sub: must not exceed the time-grid step "
-                      f"{time_grid.dt!r}")
-    substeps = (t_n - 1) * _substeps_per_step(time_grid.dt, dt_sub) \
-        if time_grid is not None and dt_sub > 0 else None
-    for key, val, what in (
-            ("time_grid.n", t_n, "time nodes"),
-            ("freq_grid.n", freq_grid and freq_grid.n, "frequency nodes"),
-            ("tolerances.quad_n", quad_kwargs.get("n"), "quadrature nodes"),
-            ("integrator.dt_sub", substeps, "Duffing substeps")):
-        if val is not None and val > MAX_NODES:
-            errors.append(f"{key}: {val:.4g} {what}, past the cap of {MAX_NODES}")
+                      f"{grid.dt!r}")
+    elif steps > MAX_NODES:
+        errors.append(f"integrator.dt_sub: {steps:.4g} Duffing substeps, "
+                      f"past the cap of {MAX_NODES}")
     if errors:
         raise ConfigError(errors)
-    try:
-        quad = SpectralQuadrature(**quad_kwargs)
-    except ValueError as e:
-        raise ConfigError([f"tolerances.quad: {e}"])
-    return RunConfig(potential, bath, time_grid, freq_grid, q0, v0, djm_tol,
-                     djm_k_max, window, quad, edge_tol, plateau_tol, dt_sub,
-                     n_paths, seed, f0_kick, thermal_v0, raw)
+    settings = {k: v for name in ("tolerances", "integrator", "mc")
+                for k, v in values[name].items()}
+    return RunConfig(**built, **values["initial"], settings=settings, raw=raw)
 
 
 def write_csv(path: Path, header: list[str], columns: list[np.ndarray]):
@@ -255,21 +229,7 @@ def _base_manifest(cfg: Optional[RunConfig], subcommand: str) -> dict:
     }
     if subcommand == "validate":
         return m
-    m["effective"] = {
-        "seed": cfg.seed,
-        "djm_tol": cfg.djm_tol,
-        "djm_k_max": cfg.djm_k_max,
-        "response_window": cfg.response_window,
-        "quad_omega_max": cfg.quad.omega_max,
-        "quad_n": cfg.quad.n,
-        "quad_rtol": cfg.quad.rtol,
-        "edge_tol": cfg.edge_tol,
-        "plateau_tol": cfg.plateau_tol,
-        "dt_sub": cfg.dt_sub,
-        "n_paths": cfg.n_paths,
-        "f0_kick": cfg.f0_kick,
-        "thermal_v0": cfg.thermal_v0,
-    }
+    m["effective"] = cfg.settings
     m["diagnostics"] = {}
     return m
 
@@ -301,11 +261,12 @@ def cmd_kernels(cfg: RunConfig, out: Path, m: dict) -> int:
 
 
 def cmd_moments(cfg: RunConfig, out: Path, m: dict) -> int:
+    s = cfg.settings
     sig2 = variance(cfg.time_grid, cfg.bath, cfg.potential, quad=cfg.quad)
     try:
         mean, sol = mean_trajectory(cfg.q0, cfg.v0, cfg.potential, cfg.bath,
                                     cfg.time_grid, sigma2=sig2,
-                                    tol=cfg.djm_tol, k_max=cfg.djm_k_max)
+                                    tol=s["djm_tol"], k_max=s["djm_k_max"])
     except ConvergenceError as e:
         m["diagnostics"]["mean_term_norms"] = e.term_norms
         raise
@@ -316,7 +277,7 @@ def cmd_moments(cfg: RunConfig, out: Path, m: dict) -> int:
         "mean_converged": sol.converged,
     })
     fg = cfg.freq_grid
-    spec = variance_spectrum(sig2, fg, plateau_tol=cfg.plateau_tol)
+    spec = variance_spectrum(sig2, fg, plateau_tol=s["plateau_tol"])
     write_csv(out / "variance_spectrum.csv", ["omega", "re", "im"],
               [fg.omegas, spec.values.real, spec.values.imag])
     m["diagnostics"]["sigma2_singular"] = _dirac_row(spec)
@@ -324,16 +285,17 @@ def cmd_moments(cfg: RunConfig, out: Path, m: dict) -> int:
 
 
 def cmd_response(cfg: RunConfig, out: Path, m: dict) -> int:
+    s = cfg.settings
     sig2 = variance(cfg.time_grid, cfg.bath, cfg.potential, quad=cfg.quad)
     prob = ResponseProblem(cfg.potential, cfg.bath, sig2, cfg.time_grid)
-    r_djm, sols = solve_response_windowed(prob, window=cfg.response_window,
-                                          tol=cfg.djm_tol, k_max=cfg.djm_k_max)
-    m["diagnostics"]["window_term_norms"] = [s.term_norms for s in sols]
-    m["diagnostics"]["windows_converged"] = [s.converged for s in sols]
+    r_djm, sols = solve_response_windowed(prob, window=s["response_window"],
+                                          tol=s["djm_tol"], k_max=s["djm_k_max"])
+    m["diagnostics"]["window_term_norms"] = [sol.term_norms for sol in sols]
+    m["diagnostics"]["windows_converged"] = [sol.converged for sol in sols]
     if not sols[-1].converged:
         raise ConvergenceError("response recursion did not converge",
                                sols[-1].term_norms)
-    r_ode = integrate_duffing(prob, dt_sub=cfg.dt_sub)
+    r_ode = integrate_duffing(prob, dt_sub=s["dt_sub"])
     write_csv(out / "response.csv", ["t", "r_recursion", "r_integrator"],
               [cfg.time_grid.times, r_djm.values, r_ode.values])
     m["diagnostics"].update({
@@ -345,11 +307,11 @@ def cmd_response(cfg: RunConfig, out: Path, m: dict) -> int:
 
 
 def cmd_susceptibility(cfg: RunConfig, out: Path, m: dict) -> int:
-    fg = cfg.freq_grid
+    fg, s = cfg.freq_grid, cfg.settings
     sig2 = variance(cfg.time_grid, cfg.bath, cfg.potential, quad=cfg.quad)
-    spec2 = variance_spectrum(sig2, fg, plateau_tol=cfg.plateau_tol)
+    spec2 = variance_spectrum(sig2, fg, plateau_tol=s["plateau_tol"])
     prob = SusceptibilityProblem(cfg.potential, cfg.bath, spec2, fg)
-    chi, sol = solve_susceptibility(prob, tol=cfg.djm_tol, k_max=cfg.djm_k_max)
+    chi, sol = solve_susceptibility(prob, tol=s["djm_tol"], k_max=s["djm_k_max"])
     m["diagnostics"]["term_norms"] = sol.term_norms
     m["diagnostics"]["converged"] = sol.converged
     if not sol.converged:
@@ -358,7 +320,7 @@ def cmd_susceptibility(cfg: RunConfig, out: Path, m: dict) -> int:
     write_csv(out / "susceptibility.csv", ["omega", "re", "im"],
               [fg.omegas, chi.values.real, chi.values.imag])
     rec, imag_resid = response_from_susceptibility(chi, cfg.time_grid,
-                                                   edge_tol=cfg.edge_tol)
+                                                   edge_tol=s["edge_tol"])
     write_csv(out / "response_reconstructed.csv", ["t", "r"],
               [cfg.time_grid.times, rec.values])
     m["diagnostics"].update({
@@ -369,18 +331,19 @@ def cmd_susceptibility(cfg: RunConfig, out: Path, m: dict) -> int:
 
 
 def cmd_mc(cfg: RunConfig, out: Path, m: dict) -> int:
-    noise = sample_noise(cfg.time_grid, cfg.bath, cfg.n_paths, cfg.seed)
+    s = cfg.settings
+    noise = sample_noise(cfg.time_grid, cfg.bath, s["n_paths"], s["seed"])
     ens = integrate_qcle(noise, cfg.potential, q0=cfg.q0, v0=cfg.v0)
+    m["diagnostics"]["n_excluded"] = ens.n_excluded
     est = estimate_moments(ens)
     write_csv(out / "mc_moments.csv",
               ["t", "mean", "stderr_mean", "variance", "stderr_variance"],
               [cfg.time_grid.times, est.mean.values, est.stderr_mean.values,
                est.variance.values, est.stderr_variance.values])
-    r_hat, r_se = estimate_response(cfg.potential, noise, f0_kick=cfg.f0_kick,
-                                    thermal_v0=cfg.thermal_v0)
+    r_hat, r_se = estimate_response(cfg.potential, noise, f0_kick=s["f0_kick"],
+                                    thermal_v0=s["thermal_v0"])
     write_csv(out / "mc_response.csv", ["t", "r_hat", "stderr"],
               [cfg.time_grid.times, r_hat.values, r_se.values])
-    m["diagnostics"]["n_excluded"] = ens.n_excluded
     return 0
 
 
@@ -410,6 +373,14 @@ def _horizon_error(cfg: RunConfig) -> Optional[str]:
     return None
 
 
+def _eta_error(cfg: RunConfig) -> Optional[str]:
+    """chi_tilde = 1/(eta - w^2 - i gamma w) must be finite at the freq_grid's
+    omega = 0 node."""
+    if cfg.potential.eta == 0:
+        return "potential.eta: must be nonzero, chi_tilde is singular at omega = 0"
+    return None
+
+
 def _synthesis_error(cfg: RunConfig) -> Optional[str]:
     """The MC noise synthesis must fit its FFT length and path-sample caps."""
     try:
@@ -417,27 +388,27 @@ def _synthesis_error(cfg: RunConfig) -> Optional[str]:
     except SynthesisLengthError as e:
         return f"bath.nu: {e}"
     try:
-        _check_path_samples(cfg.time_grid, nfft, cfg.n_paths)
+        _check_path_samples(cfg.time_grid, nfft, cfg.settings["n_paths"])
     except PathSamplesError as e:
         return f"mc.n_paths: {e}"
     return None
 
 
-# subcommand -> (function, whether it needs the freq_grid section, the check
-# of the config against the sizes the subcommand needs, or None)
+# subcommand -> (function, whether it needs the freq_grid section, the
+# checks of the config against what the subcommand computes)
 SUBCOMMANDS = {
-    "kernels": (cmd_kernels, True, None),
-    "moments": (cmd_moments, True, _horizon_error),
-    "response": (cmd_response, False, _horizon_error),
-    "susceptibility": (cmd_susceptibility, True, _horizon_error),
-    "mc": (cmd_mc, False, _synthesis_error),
-    "validate": (cmd_validate, False, None),
+    "kernels": (cmd_kernels, True, (_eta_error,)),
+    "moments": (cmd_moments, True, (_horizon_error,)),
+    "response": (cmd_response, False, (_horizon_error,)),
+    "susceptibility": (cmd_susceptibility, True, (_eta_error, _horizon_error)),
+    "mc": (cmd_mc, False, (_synthesis_error,)),
+    "validate": (cmd_validate, False, ()),
 }
 
 # failures that exit 3 with a manifest carrying diagnostics.error
 NUMERICAL_ERRORS = (ConvergenceError, NonFiniteTermError, QuadratureError,
                     PlateauError, EdgeToleranceError, StepInstabilityError,
-                    kernels.MatsubaraTruncationError)
+                    kernels.MatsubaraTruncationError, SurvivorsError)
 
 
 def _config_error(messages: list[str]) -> int:
@@ -462,7 +433,7 @@ def main(argv: Optional[list[str]] = None) -> int:
                         help="validate only: comma-separated criterion ids")
     args = parser.parse_args(argv)
     sub = args.subcommand
-    cmd, needs_freq_grid, size_check = SUBCOMMANDS[sub]
+    cmd, needs_freq_grid, checks = SUBCOMMANDS[sub]
 
     # every config error is reported before any output is written
     cfg = None
@@ -475,9 +446,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         return _config_error(["--config is required"])
     if needs_freq_grid and cfg.freq_grid is None:
         return _config_error([f"freq_grid: section required by `{sub}`"])
-    size_error = size_check(cfg) if size_check else None
-    if size_error:
-        return _config_error([f"{args.config}: {size_error}"])
+    errors = [e for check in checks if (e := check(cfg))]
+    if errors:
+        return _config_error([f"{args.config}: {e}" for e in errors])
     criteria = None
     if args.criteria:
         try:

@@ -38,6 +38,10 @@ class PathSamplesError(ValueError):
     """An ensemble would exceed MAX_PATH_SAMPLES path samples."""
 
 
+class SurvivorsError(ValueError):
+    """Fewer than 2 paths survived the blow-up guard of integrate_qcle."""
+
+
 @dataclass(frozen=True)
 class NoiseEnsemble:
     """Stationary noise paths on a time grid, tagged with their bath."""
@@ -263,7 +267,8 @@ def estimate_moments(ensemble: Ensemble) -> MomentEstimate:
         traj = traj[~ensemble.excluded]
     n = traj.shape[0]
     if n < 2:
-        raise ValueError("need at least 2 non-excluded paths")
+        raise SurvivorsError("need at least 2 non-excluded paths, "
+                             f"{n} of {ensemble.n_paths} survived the blow-up guard")
     mean = traj.mean(axis=0)
     prod = traj - mean
     prod *= prod  # squared deviations
@@ -312,7 +317,8 @@ def estimate_response(potential: PotentialParams, noise: NoiseEnsemble,
     diffs /= f0_kick
     n = diffs.shape[0]
     if n < 2:
-        raise ValueError("need at least 2 non-excluded path pairs")
+        raise SurvivorsError("need at least 2 non-excluded path pairs, "
+                             f"{n} of {noise.n_paths} survived the blow-up guard")
     mean = diffs.mean(axis=0)
     stderr = diffs.std(axis=0, ddof=1) / np.sqrt(n)
     return SampledSignal(noise.grid, mean), SampledSignal(noise.grid, stderr)

@@ -71,14 +71,13 @@ class PlateauError(ValueError):
 @dataclass(frozen=True)
 class SpectralQuadrature:
     """Frequency quadrature for noise covariances: trapezoid on [0, omega_max]
-    with n nodes. With check=True the result is compared against the
-    half-range/half-resolution evaluations and rejected if they differ by
-    more than rtol (relative to the result scale)."""
+    with n nodes. The result is compared against the half-range evaluation
+    and rejected if they differ by more than rtol (relative to the result
+    scale); rtol = inf accepts any estimate."""
 
     omega_max: float = 300.0
     n: int = 6001
     rtol: float = 1e-3
-    check: bool = True
 
     def __post_init__(self):
         if not self.omega_max > 0 or self.n < 9:
@@ -264,25 +263,24 @@ def variance(grid: TimeGrid, bath: BathParams, potential: PotentialParams,
     base = temp * kernels.chi_v(t, gamma, eta) ** 2
 
     w = np.linspace(0.0, quad.omega_max, quad.n)
-    wt = trapezoid_weights(quad.n, quad.d_omega)[None, :]
-    if quad.check:
-        # the half range [0, omega_max/2] on the same nodes, end weight halved
-        k_half = (quad.n - 1) // 2
-        wt_half = np.zeros(quad.n)
-        wt_half[:k_half + 1] = trapezoid_weights(k_half + 1, quad.d_omega)
-        wt = np.vstack([wt, wt_half])
+    # the full range and the half range [0, omega_max/2] on the same nodes,
+    # end weight halved
+    k_half = (quad.n - 1) // 2
+    wt = np.zeros((2, quad.n))
+    wt[0] = trapezoid_weights(quad.n, quad.d_omega)
+    wt[1, :k_half + 1] = trapezoid_weights(k_half + 1, quad.d_omega)
     s_w = kernels.noise_psd(w, gamma, temp, bath.nu)
     noise = _window_power(grid, gamma, eta, w, wt * s_w / np.pi)
-    if quad.check:
-        scale = max(float(np.max(np.abs(base + noise[0]))), 1e-30)
-        est = float(np.max(np.abs(noise[0] - noise[1]))) / scale
-        if est > quad.rtol:
-            raise QuadratureError(
-                "variance quadrature is cutoff-sensitive "
-                f"(relative estimate {est:.3e}); quantum-nu UV log growth: "
-                "widen omega_max or adopt an explicit cutoff with check=False",
-                est,
-            )
+    scale = max(float(np.max(np.abs(base + noise[0]))), 1e-30)
+    est = float(np.max(np.abs(noise[0] - noise[1]))) / scale
+    if est > quad.rtol:
+        raise QuadratureError(
+            "variance quadrature is cutoff-sensitive "
+            f"(relative estimate {est:.3e}); quantum-nu UV log growth: widen "
+            "tolerances.quad_omega_max, or accept the cutoff as a physical "
+            "regulator with a larger tolerances.quad_rtol",
+            est,
+        )
     sig2 = base + noise[0]
     if include_preparation:
         sig2 = sig2 + _preparation_cross_term(grid, bath, eta, tail_tol=1e-12)

@@ -15,41 +15,31 @@ and is marked as a strict expected failure so the discrepancy stays visible.
 
 import pytest
 
-from qcle.acceptance import CRITERIA
-
-_CACHE: dict = {}
-
-
-def _run(cid: int):
-    res = CRITERIA[cid](_CACHE)
-    status = "PASS" if res.passed else "FAIL"
-    print(f"[criterion {res.cid}] {status} ({res.elapsed:.1f}s) "
-          f"{res.description}: {res.detail}")
-    return res
+from qcle.acceptance import run_acceptance
 
 
 def test_criterion_1_ho_susceptibility_identity():
-    res = _run(1)
+    res = run_acceptance([1])[0]
     assert res.passed, res.detail
 
 
 def test_criterion_2_ho_response_identity():
-    res = _run(2)
+    res = run_acceptance([2])[0]
     assert res.passed, res.detail
 
 
 def test_criterion_3_nonlinear_route_equivalence():
-    res = _run(3)
+    res = run_acceptance([3])[0]
     assert res.passed, res.detail
 
 
 def test_criterion_4_ode_residuals():
-    res = _run(4)
+    res = run_acceptance([4])[0]
     assert res.passed, res.detail
 
 
 def test_criterion_5_recursion_benchmark():
-    res = _run(5)
+    res = run_acceptance([5])[0]
     assert res.passed, res.detail
 
 
@@ -57,20 +47,20 @@ def test_criterion_5_recursion_benchmark():
                    reason="stated tolerance unattainable: (pi*10/1e4)^2/3 "
                           "= 3.29e-6 > 1e-6; see README")
 def test_criterion_6_classical_limit_bath():
-    res = _run(6)
+    res = run_acceptance([6])[0]
     assert res.passed, res.detail
 
 
 def test_criterion_7_monte_carlo_oracle():
-    res = _run(7)
+    res = run_acceptance([7])[0]
     assert res.passed, res.detail
 
 
 def test_criterion_8_nonlinear_mc_cross_check():
-    res = _run(8)
+    res = run_acceptance([8])[0]
     assert res.passed, res.detail
 
 
 def test_criterion_9_symmetry_causality():
-    res = _run(9)
+    res = run_acceptance([9])[0]
     assert res.passed, res.detail

@@ -215,6 +215,10 @@ QUANTUM_NU = {"potential.alpha": 0.3, "bath.nu": 1.0, "time_grid.t_max": 2.0,
               "time_grid.n": 101}
 # past pi/d_omega of the default variance quadrature (62.8)
 LONG_HORIZON = {"time_grid.t_max": 100.0, "time_grid.n": 2001}
+# on the bistable preset every path leaves the MC blow-up guard
+ESCAPED = {"initial.q0": 1000.0, "mc.n_paths": 50}
+# the pure quartic well: chi_tilde is singular at the omega = 0 node
+QUARTIC = {"potential.eta": 0.0, "potential.alpha": 0.3}
 
 
 def _tree(root: Path) -> dict:
@@ -271,6 +275,12 @@ def _tree(root: Path) -> dict:
     pytest.param("response", {"overrides": QUANTUM_NU}, [], 3, id="quadrature"),
     pytest.param("response", {"base": PARABOLIC, "overrides": TINY_NU}, [], 3,
                  id="matsubara_truncation"),
+    pytest.param("mc", {"base": BISTABLE, "overrides": ESCAPED}, [], 3,
+                 id="mc_no_survivors"),
+    pytest.param("kernels", {"base": PARABOLIC, "overrides": QUARTIC}, [], 2,
+                 id="kernels_eta_zero"),
+    pytest.param("susceptibility", {"base": PARABOLIC, "overrides": QUARTIC}, [],
+                 2, id="susceptibility_eta_zero"),
 ])
 def test_failure_contract(tmp_path, monkeypatch, capsys, sub, config, extra,
                           code):
@@ -291,6 +301,34 @@ def test_failure_contract(tmp_path, monkeypatch, capsys, sub, config, extra,
     else:
         assert err.startswith("numerical error:")
         assert json.loads((out / "manifest.json").read_text())["diagnostics"]["error"]
+
+
+# every tolerances, integrator and mc key, each at a valid value other than
+# its default
+SETTINGS = {
+    "tolerances": {"djm_tol": 1e-8, "djm_k_max": 70, "response_window": 3.0,
+                   "quad_omega_max": 250.0, "quad_n": 5001, "quad_rtol": 2e-3,
+                   "edge_tol": 2e-3, "plateau_tol": 2e-4},
+    "integrator": {"dt_sub": 0.004},
+    "mc": {"n_paths": 300, "seed": 7, "f0_kick": 0.05, "thermal_v0": True},
+}
+
+
+def test_every_setting_reaches_the_manifest(tmp_path):
+    cfg = _write_config(tmp_path, overrides=SETTINGS)
+    out = tmp_path / "k"
+    assert main(["kernels", "--config", str(cfg), "--out", str(out)]) == 0
+    effective = json.loads((out / "manifest.json").read_text())["effective"]
+    assert effective == {k: v for sec in SETTINGS.values() for k, v in sec.items()}
+
+
+def test_mc_records_exclusions_before_the_estimators(tmp_path):
+    cfg = _write_config(tmp_path, base=BISTABLE, overrides=ESCAPED)
+    out = tmp_path / "o"
+    assert main(["mc", "--config", str(cfg), "--out", str(out)]) == 3
+    diagnostics = json.loads((out / "manifest.json").read_text())["diagnostics"]
+    assert diagnostics["n_excluded"] == 50
+    assert "0 of 50" in diagnostics["error"]
 
 
 def test_long_horizon_rejected_only_where_the_variance_runs(tmp_path):

@@ -1,5 +1,6 @@
 """Conditional mean, variance and their spectra."""
 
+import math
 import tracemalloc
 
 import mpmath
@@ -113,19 +114,18 @@ def phi_v_cov(z: float, y: float, bath: BathParams, potential_eta: float,
     wt_rng = trapezoid_weights(k_half + 1, quad.d_omega)
     total_halfrange = float(np.sum(wt_rng * f[: k_half + 1]))
     value = 2.0 * total - total_halfrange  # cancel the c/W tail
-    if quad.check:
-        half_n = (quad.n - 1) // 2 + 1
-        wt_res = trapezoid_weights(half_n, 2 * quad.d_omega)
-        total_halfres = float(np.sum(wt_res * f[::2]))
-        est = max(0.5 * abs(value - total), abs(total - total_halfres))
-        if est > quad.rtol * max(1.0, abs(value)):
-            raise QuadratureError(
-                "noise-covariance quadrature did not converge "
-                f"(estimate {est:.3e}); for quantum nu the integrand is "
-                "UV-log-sensitive: widen omega_max or adopt an explicit "
-                "cutoff with check=False",
-                est,
-            )
+    half_n = (quad.n - 1) // 2 + 1
+    wt_res = trapezoid_weights(half_n, 2 * quad.d_omega)
+    total_halfres = float(np.sum(wt_res * f[::2]))
+    est = max(0.5 * abs(value - total), abs(total - total_halfres))
+    if est > quad.rtol * max(1.0, abs(value)):
+        raise QuadratureError(
+            "noise-covariance quadrature did not converge "
+            f"(estimate {est:.3e}); for quantum nu the integrand is "
+            "UV-log-sensitive: widen omega_max or accept the cutoff with "
+            "rtol = inf",
+            est,
+        )
     return value
 
 
@@ -151,8 +151,8 @@ def test_phi_v_cov_white_noise_oracle():
 def test_phi_v_cov_quantum_uv_sensitivity_reported():
     with pytest.raises(QuadratureError):
         phi_v_cov(1.0, 1.0, BathParams(1.0, 1.0, 5.0), 1.0)
-    # explicit cutoff with the check disabled is the documented escape hatch
-    quad = SpectralQuadrature(omega_max=300.0, n=12001, check=False)
+    # an explicit cutoff with an infinite tolerance is the documented escape hatch
+    quad = SpectralQuadrature(omega_max=300.0, n=12001, rtol=math.inf)
     val = phi_v_cov(1.0, 1.0, BathParams(1.0, 1.0, 5.0), 1.0, quad=quad)
     assert np.isfinite(val)
 
@@ -196,22 +196,22 @@ def test_variance_quantum_uv_check():
 
 
 ORACLE_CASES = {
-    # name: (bath, eta, check)
-    "underdamped": (CLASSICAL, 1.0, True),
-    "critical": (BathParams(gamma=2.0, temp=1.0, nu=1e4), 1.0, True),
-    "overdamped": (BathParams(gamma=3.0, temp=0.5, nu=1e4), 1.0, True),
-    "eta_negative": (BathParams(gamma=1.5, temp=0.3, nu=1e4), -1.0, True),
-    "eta_zero": (BathParams(gamma=1.5, temp=0.3, nu=1e4), 0.0, True),
-    "quantum": (BathParams(gamma=1.0, temp=1.0, nu=3.0), 1.0, False),
+    # name: (bath, eta, quadrature rtol)
+    "underdamped": (CLASSICAL, 1.0, 1e-3),
+    "critical": (BathParams(gamma=2.0, temp=1.0, nu=1e4), 1.0, 1e-3),
+    "overdamped": (BathParams(gamma=3.0, temp=0.5, nu=1e4), 1.0, 1e-3),
+    "eta_negative": (BathParams(gamma=1.5, temp=0.3, nu=1e4), -1.0, 1e-3),
+    "eta_zero": (BathParams(gamma=1.5, temp=0.3, nu=1e4), 0.0, 1e-3),
+    "quantum": (BathParams(gamma=1.0, temp=1.0, nu=3.0), 1.0, math.inf),
 }
 
 
 @pytest.mark.parametrize("include_preparation", [True, False])
 @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
 def test_variance_matches_matrix_quadrature(case, include_preparation):
-    bath, eta, check = ORACLE_CASES[case]
+    bath, eta, rtol = ORACLE_CASES[case]
     grid = TimeGrid(15.0, 301)
-    quad = SpectralQuadrature(n=2001, check=check)
+    quad = SpectralQuadrature(n=2001, rtol=rtol)
     oracle, _ = _oracle_variance(grid, bath, eta, quad, include_preparation)
     pot = PotentialParams(eta=eta, alpha=0.2)
     sig = variance(grid, bath, pot, quad=quad,
