@@ -51,6 +51,10 @@ class ConfigError(Exception):
         self.messages = messages
 
 
+class NonFiniteOutputError(ValueError):
+    """A numeric output column holds NaN or inf; write_csv refuses it."""
+
+
 # marks a config key that has no default
 REQUIRED = object()
 
@@ -201,15 +205,25 @@ def parse_config(path: Path, seed_override: Optional[int] = None) -> RunConfig:
 
 def write_csv(path: Path, header: list[str], columns: list[np.ndarray]):
     """Numbers as %.16e (17 significant digits, exact round trip); a text
-    table (the acceptance report) goes through csv quoting."""
+    table (the acceptance report) goes through csv quoting. A numeric
+    column with a NaN or inf raises NonFiniteOutputError before the file is
+    opened."""
+    text = any(len(col) and isinstance(col[0], str) for col in columns)
+    if not text:
+        columns = [np.asarray(col, dtype=float) for col in columns]
+        bad = [name for name, col in zip(header, columns)
+               if not np.isfinite(col).all()]
+        if bad:
+            raise NonFiniteOutputError(
+                f"{path.name}: non-finite values in column(s) {', '.join(bad)}")
     with path.open("w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(header)
-        if any(len(col) and isinstance(col[0], str) for col in columns):
+        if text:
             w.writerows(zip(*columns))
             return
         line = ",".join(["%.16e"] * len(columns)) + "\r\n"
-        cols = [np.asarray(col, dtype=float).tolist() for col in columns]
+        cols = [col.tolist() for col in columns]
         fh.write("".join([line % row for row in zip(*cols)]))
 
 
@@ -408,7 +422,8 @@ SUBCOMMANDS = {
 # failures that exit 3 with a manifest carrying diagnostics.error
 NUMERICAL_ERRORS = (ConvergenceError, NonFiniteTermError, QuadratureError,
                     PlateauError, EdgeToleranceError, StepInstabilityError,
-                    kernels.MatsubaraTruncationError, SurvivorsError)
+                    kernels.MatsubaraTruncationError, SurvivorsError,
+                    NonFiniteOutputError)
 
 
 def _config_error(messages: list[str]) -> int:

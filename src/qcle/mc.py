@@ -1,9 +1,10 @@
 """Monte Carlo oracle: colored-noise sampling and pathwise integration.
 
 The noise is synthesized in the frequency domain (independent complex
-Gaussian amplitudes with variance proportional to the spectral density,
-Hermitian-symmetrized), giving a stationary band-limited real process whose
-lag covariance matches the closed form away from coincidence. Paths are
+Gaussian amplitudes on the half spectrum, one generator per run, variance
+proportional to the spectral density, one real-output FFT per block of
+paths), giving a stationary band-limited real process whose lag covariance
+matches the closed form away from coincidence. Paths are
 propagated with an exponential (variation-of-constants) Heun step: the
 linear (gamma, eta) flow is exact, nonlinearity and noise enter through a
 trapezoidal force rule. The noise/initial-position preparation correlation
@@ -18,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
-from ._numutil import e1m
+from ._numutil import _next_pow2, e1m
 from .grids import SampledSignal, TimeGrid
 from .params import BathParams, PotentialParams
 
@@ -26,8 +27,10 @@ from .params import BathParams, PotentialParams
 MAX_SYNTHESIS_LENGTH = 1 << 20
 # largest n_paths * max(grid.n, synthesis length) of one sample_noise call:
 # it bounds the (n_paths, grid.n) output (1 GiB of float64 at the cap), the
-# FFT work and the per-path seed streams
+# normals drawn and the FFT work
 MAX_PATH_SAMPLES = 1 << 27
+# samples per noise synthesis block (NOISE_BLOCK_SAMPLES // nfft paths): 128 kB
+NOISE_BLOCK_SAMPLES = 1 << 14
 
 
 class SynthesisLengthError(ValueError):
@@ -108,10 +111,7 @@ def _synthesis_length(grid: TimeGrid, nu: float) -> int:
             f"noise synthesis needs an FFT of {grid.n + pad:.3g} points for "
             f"nu = {nu!r} at dt = {grid.dt!r}, past the cap of "
             f"{MAX_SYNTHESIS_LENGTH}; increase nu or the time step")
-    nfft = 8
-    while nfft < grid.n + int(np.ceil(pad)):
-        nfft *= 2
-    return nfft
+    return max(8, _next_pow2(grid.n + int(np.ceil(pad))))
 
 
 def _check_path_samples(grid: TimeGrid, nfft: int, n_paths: int):
@@ -129,32 +129,27 @@ def sample_noise(grid: TimeGrid, bath: BathParams, n_paths: int,
                  seed: int) -> NoiseEnsemble:
     """Sample stationary Gaussian noise with PSD noise_psd on the grid.
 
-    Path p is drawn from its own generator stream, spawned from `seed` and
-    keyed by p, so the first paths of a larger ensemble equal a smaller
-    ensemble of the same seed. Raises SynthesisLengthError or
-    PathSamplesError before spawning streams or allocating.
+    One generator seeded by `seed` draws, path after path, the real and
+    imaginary normals of each path's half spectrum, so the first paths of a
+    larger ensemble equal a smaller ensemble of the same seed. Raises
+    SynthesisLengthError or PathSamplesError before drawing or allocating.
     """
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
     nfft = _synthesis_length(grid, bath.nu)
     _check_path_samples(grid, nfft, n_paths)
-    wk = 2.0 * np.pi * np.fft.fftfreq(nfft, d=grid.dt)
+    half = nfft // 2
+    wk = 2.0 * np.pi * np.fft.rfftfreq(nfft, d=grid.dt)
     amp = np.sqrt(kernels.noise_psd(wk, bath.gamma, bath.temp, bath.nu)
                   / (nfft * grid.dt))
-    half = nfft // 2
-    streams = np.random.SeedSequence(seed).spawn(n_paths)
+    amp[1:half] /= np.sqrt(2.0)  # hfft drops the imaginary parts at 0 and half
+    rng = np.random.default_rng(seed)
+    rows = max(1, NOISE_BLOCK_SAMPLES // nfft)
     out = np.empty((n_paths, grid.n))
-    c = np.zeros(nfft, dtype=complex)
-    inv_sqrt2 = 1.0 / np.sqrt(2.0)
-    for p, ss in enumerate(streams):
-        rng = np.random.default_rng(ss)
-        xr = rng.standard_normal(half + 1)
-        xi = rng.standard_normal(half + 1)
-        c[0] = amp[0] * xr[0]
-        c[half] = amp[half] * xr[half]
-        c[1:half] = amp[1:half] * (xr[1:half] + 1j * xi[1:half]) * inv_sqrt2
-        c[half + 1:] = np.conj(c[1:half][::-1])
-        out[p] = np.fft.fft(c).real[:grid.n]
+    for p in range(0, n_paths, rows):
+        x = rng.standard_normal((min(rows, n_paths - p), 2, half + 1))
+        out[p:p + len(x)] = np.fft.hfft(amp * (x[:, 0] + 1j * x[:, 1]),
+                                        nfft)[:, :grid.n]
     return NoiseEnsemble(grid, bath, out, seed)
 
 
@@ -285,7 +280,7 @@ def estimate_moments(ensemble: Ensemble) -> MomentEstimate:
 
 def thermal_velocities(bath: BathParams, n_paths: int, seed: int) -> np.ndarray:
     """Per-path initial velocities ~ N(0, T), drawn from a stream disjoint
-    from the noise-path streams of the same seed."""
+    from the noise stream of the same seed."""
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(2**31,))
     return np.random.default_rng(ss).normal(0.0, np.sqrt(bath.temp), n_paths)
 

@@ -214,16 +214,25 @@ def _preparation_cross_term(grid: TimeGrid, bath: BathParams, eta: float,
 
     Terms with |nu_n + s_+-| t_max < 1, where both parts outgrow g_s (an
     overdamped root near a Matsubara frequency), keep the per-term form
-    g_s = e^{sy} y e1m((nu_n + s) y). E_n(0) = 0 exactly.
+    g_s = e^{sy} y e1m((nu_n + s) y). E_n(0) = 0 exactly. Raises
+    MatsubaraTruncationError, before allocating anything, when the explicit
+    terms would be more than kernels.MAX_MATSUBARA_TERMS.
     """
     t = grid.times
     sp, sm, w0 = kernels.effective_roots(bath.gamma, eta)
     roots = np.array([sp, sm], dtype=complex)
+    # explicit terms: every near one, and enough for the tail to converge;
+    # counted in floats, so a huge or non-finite count fails the cap
+    m = 16.0 * np.ceil((np.max(np.abs(roots)) + 1.0 / grid.t_max) / bath.nu)
+    if not m <= kernels.MAX_MATSUBARA_TERMS:
+        raise kernels.MatsubaraTruncationError(
+            f"the Matsubara preparation term needs {m:.3g} explicit terms, "
+            f"more than {kernels.MAX_MATSUBARA_TERMS}, for roots of modulus "
+            f"{np.max(np.abs(roots)):.3g} at nu = {bath.nu!r}; decrease "
+            "bath.gamma or |potential.eta|, or increase nu")
+    m = max(32, int(m))
     nun, cn = kernels.xi_q0_weights(bath.gamma, bath.temp, bath.nu, eta,
                                     t_min=grid.dt, tol=tail_tol)
-    # explicit terms: every near one, and enough for the tail to converge
-    n_near = int(np.ceil((np.max(np.abs(roots)) + 1.0 / grid.t_max) / bath.nu))
-    m = max(32, 16 * n_near)
     nu_m = bath.nu * np.arange(1.0, m + 1)
     c_m = kernels.xi_q0_coefficients(nu_m, bath.gamma, bath.temp, eta)
     near = np.any(np.abs(nu_m[:, None] + roots) * grid.t_max < 1.0, axis=1)
@@ -248,14 +257,11 @@ def _preparation_cross_term(grid: TimeGrid, bath: BathParams, eta: float,
 
 
 def variance(grid: TimeGrid, bath: BathParams, potential: PotentialParams,
-             quad: SpectralQuadrature = SpectralQuadrature(),
-             include_preparation: bool = True) -> SampledSignal:
+             quad: SpectralQuadrature = SpectralQuadrature()) -> SampledSignal:
     """Conditional variance sigma^2(t) on the grid.
 
     sigma^2 = T chi_v^2 + <phi_q^2> + preparation cross term; it depends on
-    (gamma, T, nu, eta) only. include_preparation=False drops the
-    noise/initial-position cross term, matching ensembles whose noise is
-    sampled independently of q0.
+    (gamma, T, nu, eta) only.
     """
     t = grid.times
     gamma, temp, eta = bath.gamma, bath.temp, potential.eta
@@ -281,9 +287,8 @@ def variance(grid: TimeGrid, bath: BathParams, potential: PotentialParams,
             "regulator with a larger tolerances.quad_rtol",
             est,
         )
-    sig2 = base + noise[0]
-    if include_preparation:
-        sig2 = sig2 + _preparation_cross_term(grid, bath, eta, tail_tol=1e-12)
+    sig2 = (base + noise[0]
+            + _preparation_cross_term(grid, bath, eta, tail_tol=1e-12))
     sig2[0] = 0.0
     return SampledSignal(grid, sig2)
 

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qcle.cli import main, write_csv
+from qcle.cli import NonFiniteOutputError, main, write_csv
 
 CONFIG = {
     "potential": {"eta": 1.0, "alpha": 0.0, "epsilon": 0.0, "f0": 0.1},
@@ -84,8 +84,7 @@ def _per_value_csv(path: Path, header, columns):
 
 
 def test_write_csv_matches_per_value_writer(tmp_path):
-    x = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 1e-300, -5e-324,
-                  1.7976931348623157e308, 0.1, -2.5])
+    x = np.array([-0.0, 0.0, 1e-300, -5e-324, 1.7976931348623157e308, 0.1, -2.5])
     tables = [
         (["t", "a", "b"], [np.arange(x.size) * 0.1, x, x[::-1]]),
         (["criterion", "passed", "detail"],
@@ -98,6 +97,14 @@ def test_write_csv_matches_per_value_writer(tmp_path):
         _per_value_csv(ref, header, columns)
         assert hashlib.sha256(ours.read_bytes()).hexdigest() \
             == hashlib.sha256(ref.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_write_csv_refuses_non_finite(tmp_path, bad):
+    path = tmp_path / "t.csv"
+    with pytest.raises(NonFiniteOutputError, match="column.* b"):
+        write_csv(path, ["t", "a", "b"], [np.arange(3.0), np.ones(3), [0.0, bad, 1.0]])
+    assert not path.exists()
 
 
 def test_moments_and_response_subcommands(tmp_path):
@@ -275,6 +282,15 @@ def _tree(root: Path) -> dict:
     pytest.param("response", {"overrides": QUANTUM_NU}, [], 3, id="quadrature"),
     pytest.param("response", {"base": PARABOLIC, "overrides": TINY_NU}, [], 3,
                  id="matsubara_truncation"),
+    # the preparation term's explicit Matsubara terms would take 1.11 EiB at
+    # gamma = 1e20 and more than numpy can index at eta = 1e50
+    pytest.param("moments", {"base": PARABOLIC, "overrides": {"bath.gamma": 1e20}},
+                 [], 3, id="preparation_terms_gamma"),
+    pytest.param("response", {"base": PARABOLIC, "overrides": {"potential.eta": 1e50}},
+                 [], 3, id="preparation_terms_eta"),
+    # every chi row overflows to NaN; no CSV of them is written
+    pytest.param("kernels", {"base": PARABOLIC, "overrides": {"bath.gamma": 1e200}},
+                 [], 3, id="kernels_non_finite"),
     pytest.param("mc", {"base": BISTABLE, "overrides": ESCAPED}, [], 3,
                  id="mc_no_survivors"),
     pytest.param("kernels", {"base": PARABOLIC, "overrides": QUARTIC}, [], 2,
@@ -348,8 +364,8 @@ def test_config_integer_too_long_to_parse_exits_2(tmp_path, capsys):
 
 
 def test_mc_path_samples_cap_rejected_fast(tmp_path, capsys):
-    # a billion paths would spawn a billion seed streams before the
-    # (n_paths, n) noise array; the pre-check refuses them first
+    # a billion paths would ask for a 12 TB (n_paths, n) noise array; the
+    # pre-check refuses them first
     cfg = _write_config(tmp_path, base=PARABOLIC, overrides={"mc.n_paths": 10**9})
     tracemalloc.start()
     start = time.perf_counter()

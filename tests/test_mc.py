@@ -5,12 +5,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import qcle.mc
 from qcle import (BathParams, PotentialParams, SpectralQuadrature, TimeGrid,
                   chi_q, chi_v, estimate_moments, estimate_response,
-                  integrate_qcle, sample_noise, variance)
-from qcle.mc import (MAX_PATH_SAMPLES, MAX_SYNTHESIS_LENGTH, Ensemble,
-                     NoiseEnsemble, PathSamplesError, SynthesisLengthError,
-                     _propagator_constants, _synthesis_length, thermal_velocities)
+                  integrate_qcle, noise_psd, sample_noise, variance)
+from qcle.mc import (MAX_PATH_SAMPLES, MAX_SYNTHESIS_LENGTH, NOISE_BLOCK_SAMPLES,
+                     Ensemble, NoiseEnsemble, PathSamplesError,
+                     SynthesisLengthError, _propagator_constants,
+                     _synthesis_length, thermal_velocities)
+from qcle.moments import _preparation_cross_term
 from qcle.params import parabolic
 
 CLASSICAL = BathParams(gamma=1.0, temp=1.0, nu=1e4)
@@ -28,10 +31,39 @@ def test_seed_determinism():
     assert np.array_equal(a.values, b.values)
     c = sample_noise(grid, CLASSICAL, 6, seed=43)
     assert not np.array_equal(a.values, c.values)
-    # path streams keyed by index: the first paths of a larger ensemble
-    # coincide with the smaller one
+    # one stream drawn path after path: the first paths of a larger
+    # ensemble coincide with the smaller one, also across a synthesis block
     d = sample_noise(grid, CLASSICAL, 9, seed=42)
     assert np.array_equal(a.values, d.values[:6])
+    rows = NOISE_BLOCK_SAMPLES // _synthesis_length(grid, CLASSICAL.nu)
+    e = sample_noise(grid, CLASSICAL, rows - 3, seed=42)
+    f = sample_noise(grid, CLASSICAL, rows + 5, seed=42)
+    assert np.array_equal(e.values, f.values[:rows - 3])
+
+
+@pytest.mark.parametrize("bath", [CLASSICAL, QUANTUM], ids=["classical", "quantum"])
+def test_noise_matches_full_spectrum_synthesis(bath, monkeypatch):
+    # reference: the same normals per path, (xr, xi) = rows [p, 0] and [p, 1],
+    # mirrored into a Hermitian full spectrum and transformed by a complex
+    # FFT whose real part is kept; blocks of 3 paths leave a partial block
+    grid = TimeGrid(10.0, 501)
+    n_paths, seed = 40, 3
+    nfft = _synthesis_length(grid, bath.nu)
+    monkeypatch.setattr(qcle.mc, "NOISE_BLOCK_SAMPLES", 3 * nfft)
+    half = nfft // 2
+    wk = 2.0 * np.pi * np.fft.fftfreq(nfft, d=grid.dt)
+    amp = np.sqrt(noise_psd(wk, bath.gamma, bath.temp, bath.nu) / (nfft * grid.dt))
+    ref = np.empty((n_paths, grid.n))
+    c = np.zeros(nfft, dtype=complex)
+    normals = np.random.default_rng(seed).standard_normal((n_paths, 2, half + 1))
+    for p, (xr, xi) in enumerate(normals):
+        c[0] = amp[0] * xr[0]
+        c[half] = amp[half] * xr[half]
+        c[1:half] = amp[1:half] * (xr[1:half] + 1j * xi[1:half]) / np.sqrt(2.0)
+        c[half + 1:] = np.conj(c[1:half][::-1])
+        ref[p] = np.fft.fft(c).real[:grid.n]
+    noise = sample_noise(grid, bath, n_paths, seed).values
+    assert np.max(np.abs(noise - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 def test_noise_zero_mean():
@@ -147,16 +179,16 @@ def test_quantum_variance_against_matched_theory():
     grid = TimeGrid(10.0, 1001)
     pot = parabolic()
     quad = SpectralQuadrature(omega_max=np.pi / grid.dt, n=12001, rtol=np.inf)
-    sig_th = variance(grid, QUANTUM, pot, quad=quad, include_preparation=False)
-    assert np.min(sig_th.values) >= 0.0
+    sig_th = (variance(grid, QUANTUM, pot, quad=quad).values
+              - _preparation_cross_term(grid, QUANTUM, pot.eta, tail_tol=1e-12))
+    assert np.min(sig_th) >= 0.0
     noise = sample_noise(grid, QUANTUM, 8000, seed=11)
     v0 = thermal_velocities(QUANTUM, 8000, seed=11)
     est = estimate_moments(integrate_qcle(noise, pot, q0=0.7, v0=v0))
     tail = grid.times >= 8.0
-    z = (est.variance.values[tail] - sig_th.values[tail]) \
-        / est.stderr_variance.values[tail]
+    z = (est.variance.values[tail] - sig_th[tail]) / est.stderr_variance.values[tail]
     assert np.max(np.abs(z)) < 4.0
-    rel = np.max(np.abs(est.variance.values - sig_th.values)) / sig_th.values[-1]
+    rel = np.max(np.abs(est.variance.values - sig_th)) / sig_th[-1]
     assert rel < 0.12
 
 

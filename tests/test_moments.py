@@ -214,8 +214,9 @@ def test_variance_matches_matrix_quadrature(case, include_preparation):
     quad = SpectralQuadrature(n=2001, rtol=rtol)
     oracle, _ = _oracle_variance(grid, bath, eta, quad, include_preparation)
     pot = PotentialParams(eta=eta, alpha=0.2)
-    sig = variance(grid, bath, pot, quad=quad,
-                   include_preparation=include_preparation).values
+    sig = variance(grid, bath, pot, quad=quad).values
+    if not include_preparation:
+        sig = sig - _preparation_cross_term(grid, bath, eta, tail_tol=1e-12)
     # the widened critical roots enter the two forms differently at O(1e-10)
     tol = 1e-10 if case == "critical" else 1e-12
     assert np.max(np.abs(sig - oracle)) <= tol * np.max(np.abs(oracle))
@@ -231,14 +232,13 @@ def test_quadrature_error_parity_with_oracle(bath, grid):
     quad = SpectralQuadrature()
     _, est = _oracle_variance(grid, bath, 1.0, quad, include_preparation=False)
     if est <= quad.rtol:
-        variance(grid, bath, parabolic(), quad=quad, include_preparation=False)
+        variance(grid, bath, parabolic(), quad=quad)
     else:
         with pytest.raises(QuadratureError):
-            variance(grid, bath, parabolic(), quad=quad, include_preparation=False)
+            variance(grid, bath, parabolic(), quad=quad)
     # a tolerance nothing meets exposes the estimate itself
     with pytest.raises(QuadratureError) as err:
-        variance(grid, bath, parabolic(), quad=SpectralQuadrature(rtol=1e-12),
-                 include_preparation=False)
+        variance(grid, bath, parabolic(), quad=SpectralQuadrature(rtol=1e-12))
     assert err.value.estimate == pytest.approx(est, rel=1e-9)
 
 
@@ -247,8 +247,7 @@ def test_variance_memory_stays_linear():
     grid = TimeGrid(12.0, 12001)
     tracemalloc.start()
     try:
-        variance(grid, CLASSICAL, parabolic(), quad=SpectralQuadrature(n=6001),
-                 include_preparation=False)
+        variance(grid, CLASSICAL, parabolic(), quad=SpectralQuadrature(n=6001))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

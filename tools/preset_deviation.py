@@ -12,8 +12,12 @@ max|change - parent| / max|parent column| over every numeric CSV column,
 with the file and column it occurs in. A column whose
 parent maximum is below 1e-12 is pure roundoff (such as the stderr of an
 alpha = 0 ensemble), so its absolute deviation is printed instead, as `abs`.
-The validate line says whether the acceptance report bytes match. This
-names and bounds a numerical change the way the digests show "same bytes".
+A Monte Carlo column with a standard-error column (STDERR) also gives the
+worst |change - parent| / sqrt(se_parent^2 + se_change^2), as `z`, over the
+nodes where that is defined; a stderr column that is pure roundoff carries
+no statistics and is skipped. The validate line says whether the acceptance
+report bytes match. This names and bounds a numerical change the way the
+digests show "same bytes".
 """
 
 from __future__ import annotations
@@ -27,6 +31,8 @@ import numpy as np
 from preset_digests import run_cli, runs
 
 TINY = 1e-12
+# value column -> its standard-error column in the mc CSVs
+STDERR = {"mean": "stderr_mean", "variance": "stderr_variance", "r_hat": "stderr"}
 
 
 def _columns(path: Path) -> dict[str, np.ndarray]:
@@ -35,8 +41,9 @@ def _columns(path: Path) -> dict[str, np.ndarray]:
 
 
 def _worst(parent: Path, change: Path) -> str:
-    """'rel=R (file:column)' and 'abs=A (file:column)' for the worst columns."""
-    worst = {"rel": (0.0, ""), "abs": (0.0, "")}
+    """'rel=R (file:column)', 'abs=A (file:column)' and 'z=Z (file:column)'
+    for the worst columns."""
+    worst = {"rel": (0.0, ""), "abs": (0.0, ""), "z": (0.0, "")}
     for p_csv in sorted(parent.glob("*.csv")):
         c_csv = change / p_csv.name
         if not c_csv.exists():
@@ -52,6 +59,14 @@ def _worst(parent: Path, change: Path) -> str:
             dev = dev if kind == "abs" else dev / scale
             if dev >= worst[kind][0]:
                 worst[kind] = (dev, f"{p_csv.name}:{name}")
+            se_name = STDERR.get(name)
+            if (se_name in p_cols and se_name in c_cols
+                    and np.max(np.abs(p_cols[se_name])) >= TINY):
+                se = np.hypot(p_cols[se_name], c_cols[se_name])
+                z = float(np.max(np.abs(c_col - p_col)[se > 0] / se[se > 0],
+                                 initial=0.0))
+                if z >= worst["z"][0]:
+                    worst["z"] = (z, f"{p_csv.name}:{name}")
     return " ".join(f"{kind}={dev:.1e} ({where})"
                     for kind, (dev, where) in worst.items() if where) or "no CSV"
 
