@@ -1,6 +1,6 @@
-"""Shared numerical helpers: trapezoid calculus, discrete convolutions,
-uniform-grid Fourier sums (one chirp-z convolution each) and the kernel
-function (1 - e^{-x})/x."""
+"""Shared numerical helpers: trapezoid calculus, an overflow-safe square,
+discrete convolutions, uniform-grid Fourier sums (one chirp-z convolution
+each) and the kernel function (1 - e^{-x})/x."""
 
 from __future__ import annotations
 
@@ -20,24 +20,42 @@ def trapezoid_weights(n: int, dx: float) -> np.ndarray:
     return w
 
 
+def square(x: float) -> float:
+    """x**2 as a float through numpy's float64 power, the same C pow as
+    Python's; past the float range it gives inf where Python's raises
+    OverflowError."""
+    return float(np.float64(x) ** 2)
+
+
 def _next_pow2(n: int) -> int:
     return 1 << (int(n - 1).bit_length())
 
 
-def linear_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def convolution_fft(a: np.ndarray, n_other: int) -> np.ndarray:
+    """The transform linear_convolve takes of a complex `a` when it convolves
+    `a` with n_other samples; pass it as linear_convolve's fa or fb to take
+    it once for several convolutions."""
+    a = np.asarray(a)
+    return np.fft.fft(a, _next_pow2(a.shape[-1] + n_other - 1))
+
+
+def linear_convolve(a: np.ndarray, b: np.ndarray, fa=None, fb=None) -> np.ndarray:
     """Full linear convolution along the last axis with zero padding, via FFT.
 
     Numerically equivalent (to roundoff) to the direct summation
     sum_j a[..., j] b[..., k-j] with zeros outside the arrays; leading axes
-    broadcast; deterministic.
+    broadcast; deterministic. fa and fb, if given, are the convolution_fft
+    of a and of b (complex route only), and give the same bits.
     """
     a = np.asarray(a)
     b = np.asarray(b)
     n = a.shape[-1] + b.shape[-1] - 1
     nfft = _next_pow2(n)
     if np.iscomplexobj(a) or np.iscomplexobj(b):
-        fa = np.fft.fft(a, nfft)
-        fb = np.fft.fft(b, nfft)
+        if fa is None:
+            fa = np.fft.fft(a, nfft)
+        if fb is None:
+            fb = np.fft.fft(b, nfft)
         return np.fft.ifft(fa * fb)[..., :n]
     fa = np.fft.rfft(a, nfft)
     fb = np.fft.rfft(b, nfft)

@@ -222,9 +222,10 @@ def write_csv(path: Path, header: list[str], columns: list[np.ndarray]):
         if text:
             w.writerows(zip(*columns))
             return
+        # one % over every row: the values interleaved row by row
         line = ",".join(["%.16e"] * len(columns)) + "\r\n"
-        cols = [col.tolist() for col in columns]
-        fh.write("".join([line % row for row in zip(*cols)]))
+        values = np.column_stack(columns).ravel().tolist()
+        fh.write(line * len(columns[0]) % tuple(values))
 
 
 def write_manifest(path: Path, payload: dict):
@@ -483,7 +484,10 @@ def main(argv: Optional[list[str]] = None) -> int:
         return _config_error([f"--out {out}: {e.strerror or e}"])
     m = _base_manifest(cfg, sub)
     try:
-        code = cmd(cfg, out, m, **kwargs)
+        # a numerical failure is reported once, as the error below: no numpy
+        # warnings before it (djm_solve's own errstate still raises)
+        with np.errstate(all="ignore"):
+            code = cmd(cfg, out, m, **kwargs)
     except NUMERICAL_ERRORS as e:
         m.setdefault("diagnostics", {})["error"] = str(e)
         write_manifest(out / "manifest.json", m)

@@ -38,8 +38,8 @@ from typing import Optional
 import numpy as np
 
 from . import kernels
-from ._numutil import (cumtrapz, e1m, phase_stepped_sum, trapezoid_weights,
-                       volterra_conv)
+from ._numutil import (cumtrapz, e1m, phase_stepped_sum, square,
+                       trapezoid_weights, volterra_conv)
 from .djm import ConvergenceError, DjmSolution, djm_solve
 from .grids import FreqGrid, SampledSignal, Spectrum, TimeGrid
 from .params import BathParams, PotentialParams
@@ -162,7 +162,7 @@ def _growing_tail(bath: BathParams, eta: float, roots: np.ndarray,
     sums to a Hurwitz zeta tail.
     """
     nu = bath.nu
-    a, b = bath.gamma / nu, eta / nu**2
+    a, b = bath.gamma / nu, eta / square(nu)
     p = np.zeros(TAIL_ORDER)
     p[0], p[1] = 1.0, -a
     for k in range(2, TAIL_ORDER):
@@ -172,7 +172,7 @@ def _growing_tail(bath: BathParams, eta: float, roots: np.ndarray,
     for k in range(1, TAIL_ORDER):
         q[:, k] = p[k] - roots / nu * q[:, k - 1]
     zeta = _power_tails(m + 1.0, np.arange(2.0, TAIL_ORDER + 2))
-    return 2.0 * bath.gamma * bath.temp / nu**2 * (q @ zeta)
+    return 2.0 * bath.gamma * bath.temp / square(nu) * (q @ zeta)
 
 
 def _decaying_sum(t: np.ndarray, nun: np.ndarray, a: np.ndarray) -> np.ndarray:

@@ -18,14 +18,20 @@ gives the fixed-point form R = f + B(R) with
 from __future__ import annotations
 
 import functools
+import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._numutil import cumtrapz
+from ._numutil import cumtrapz, square
 from .djm import DjmSolution, djm_solve
 from .grids import SampledSignal, TimeGrid
 from .params import BathParams, PotentialParams
+
+
+# substeps whose Duffing coefficients are held as Python floats at once
+COEFF_BLOCK = 4096
 
 
 class StepInstabilityError(RuntimeError):
@@ -69,7 +75,7 @@ def volterra_b(r: SampledSignal, problem: ResponseProblem) -> SampledSignal:
 
 def _restoring(r: np.ndarray, sig: np.ndarray, pot: PotentialParams) -> np.ndarray:
     """w(y) = (eta + 3 alpha sigma^2(y)) R(y) + alpha f0^2 R(y)^3."""
-    return (pot.eta + 3.0 * pot.alpha * sig) * r + pot.alpha * pot.f0**2 * r**3
+    return (pot.eta + 3.0 * pot.alpha * sig) * r + pot.alpha * square(pot.f0) * r**3
 
 
 def _volterra_b_values(r: np.ndarray, tau: np.ndarray, sig: np.ndarray,
@@ -155,60 +161,78 @@ def _substeps_per_step(dt: float, dt_sub: float) -> float:
     return max(1.0, float(np.ceil(dt / dt_sub - 1e-12)))
 
 
+def _linear_coefficients(problem: ResponseProblem, n_sub: int, h: float):
+    """-(eta + 3 alpha sigma^2) at the start, midpoint and end of every
+    substep, as float triples, with sigma^2 interpolated linearly between
+    grid nodes; converted COEFF_BLOCK substeps at a time, so a long run holds
+    no list of all of them."""
+    grid, pot = problem.grid, problem.potential
+    t_nodes, sig = grid.times, problem.sigma2.values
+    offsets = np.arange(n_sub) * h
+    rows = max(1, COEFF_BLOCK // n_sub)
+
+    def block(j0: int):
+        steps = np.arange(j0, min(j0 + rows, grid.n - 1))
+        t_sub = (steps[:, None] * grid.dt + offsets[None, :]).ravel()
+        return zip(*[(-(pot.eta + 3.0 * pot.alpha * np.interp(ts, t_nodes, sig))
+                      ).tolist() for ts in (t_sub, t_sub + h / 2.0, t_sub + h)])
+
+    return itertools.chain.from_iterable(map(block, range(0, grid.n - 1, rows)))
+
+
 def integrate_duffing(problem: ResponseProblem, dt_sub: float,
                       blowup_guard: float = 1e8) -> SampledSignal:
     """Classic fourth-order Runge-Kutta integration of the response ODE,
     with sigma^2 interpolated linearly between grid nodes and the result
-    resampled onto the grid."""
+    resampled onto the grid.
+
+    The loop runs on plain Python floats: numpy gives the linear
+    coefficients (_linear_coefficients), and each stage's velocity
+    v + c h k, which is also its position slope, is computed once. Every
+    operation is the IEEE one a loop over numpy scalars makes, so the bits
+    are the same. A float ** 3 past the float range, where numpy gives inf,
+    raises OverflowError; that ends the integration at the same grid step
+    as the non-finite value would.
+    """
     grid = problem.grid
     dt = grid.dt
     if dt_sub > dt * (1 + 1e-12):
         raise ValueError("dt_sub must not exceed the grid spacing")
     n_sub = int(_substeps_per_step(dt, dt_sub))
     h = dt / n_sub
-    pot, bath = problem.potential, problem.bath
-    gamma = bath.gamma
-    eta, alpha, f0 = pot.eta, pot.alpha, pot.f0
-    tilt = pot.epsilon / f0
-    af2 = alpha * f0**2
+    pot = problem.potential
+    ng = -problem.bath.gamma
+    tilt = pot.epsilon / pot.f0
+    af2 = pot.alpha * square(pot.f0)
+    coeffs = _linear_coefficients(problem, n_sub, h)
 
-    # sigma^2 at substep times and midpoints, interpolated once up front
-    t_nodes = grid.times
-    sub = np.arange(grid.n - 1)[:, None] * dt + np.arange(n_sub)[None, :] * h
-    t_sub = sub.ravel()
-    sig_a = np.interp(t_sub, t_nodes, problem.sigma2.values)
-    sig_m = np.interp(t_sub + h / 2.0, t_nodes, problem.sigma2.values)
-    sig_b = np.interp(t_sub + h, t_nodes, problem.sigma2.values)
-
-    out = np.empty(grid.n)
-    out[0] = 0.0
+    hh, h6 = 0.5 * h, h / 6.0
+    out = [0.0]
     r, v = 0.0, 1.0
-
-    def acc(rr, sig):
-        return -(eta + 3.0 * alpha * sig) * rr - af2 * rr**3 - tilt
-
-    idx = 0
     for j in range(grid.n - 1):
-        for _ in range(n_sub):
-            sa, smid, sb = sig_a[idx], sig_m[idx], sig_b[idx]
-            idx += 1
-            k1r = v
-            k1v = -gamma * v + acc(r, sa)
-            k2r = v + 0.5 * h * k1v
-            k2v = -gamma * (v + 0.5 * h * k1v) + acc(r + 0.5 * h * k1r, smid)
-            k3r = v + 0.5 * h * k2v
-            k3v = -gamma * (v + 0.5 * h * k2v) + acc(r + 0.5 * h * k2r, smid)
-            k4r = v + h * k3v
-            k4v = -gamma * (v + h * k3v) + acc(r + h * k3r, sb)
-            r += (h / 6.0) * (k1r + 2.0 * k2r + 2.0 * k3r + k4r)
-            v += (h / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
+        try:
+            for ca, cm, cb in itertools.islice(coeffs, n_sub):
+                k1v = ng * v + (ca * r - af2 * r**3 - tilt)
+                k2r = v + hh * k1v
+                rr = r + hh * v
+                k2v = ng * k2r + (cm * rr - af2 * rr**3 - tilt)
+                k3r = v + hh * k2v
+                rr = r + hh * k2r
+                k3v = ng * k3r + (cm * rr - af2 * rr**3 - tilt)
+                k4r = v + h * k3v
+                rr = r + h * k3r
+                k4v = ng * k4r + (cb * rr - af2 * rr**3 - tilt)
+                r += h6 * (v + 2.0 * k2r + 2.0 * k3r + k4r)
+                v += h6 * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
+        except OverflowError:  # r**3 past the float range
+            r = math.inf
         if not (abs(r) < blowup_guard and abs(v) < blowup_guard):
             raise StepInstabilityError(
-                f"integration blew up near t = {t_nodes[j + 1]:.3g}; "
+                f"integration blew up near t = {grid.times[j + 1]:.3g}; "
                 "reduce dt_sub"
             )
-        out[j + 1] = r
-    return SampledSignal(grid, out)
+        out.append(r)
+    return SampledSignal(grid, np.array(out))
 
 
 def ode_residual(r: SampledSignal, problem: ResponseProblem) -> float:
@@ -224,5 +248,5 @@ def ode_residual(r: SampledSignal, problem: ResponseProblem) -> float:
     rr = vals[1:-1]
     sig = problem.sigma2.values[1:-1]
     res = rdd + bath.gamma * rd + (pot.eta + 3.0 * pot.alpha * sig) * rr \
-        + pot.alpha * pot.f0**2 * rr**3 + pot.epsilon / pot.f0
+        + pot.alpha * square(pot.f0) * rr**3 + pot.epsilon / pot.f0
     return float(np.max(np.abs(res)))

@@ -25,7 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from ._numutil import linear_convolve, phase_stepped_sum, trapezoid_weights
+from ._numutil import (convolution_fft, linear_convolve, phase_stepped_sum,
+                       square, trapezoid_weights)
 from .djm import DjmSolution, djm_solve
 from .grids import FreqGrid, SampledSignal, Spectrum, TimeGrid
 from .params import BathParams, PotentialParams
@@ -60,19 +61,19 @@ def phi_omega(problem: SusceptibilityProblem) -> Spectrum:
     return Spectrum(problem.grid, reg, dirac).hermitian_symmetrized()
 
 
-def _convolve_spectra(a: Spectrum, b: Spectrum) -> Spectrum:
+def _convolve_spectra(a: Spectrum, b: Spectrum, fa=None, fb=None) -> Spectrum:
     """(a * b)(w) = int a(w - w') b(w') dw' truncated to the grid.
 
     regular*regular by grid summation (zero padding outside); a Dirac at
     w = 0 adds its weight times the other regular part, and two Diracs give
-    one at w = 0 with the product weight.
+    one at w = 0 with the product weight. fa and fb, if given, are the
+    _numutil.convolution_fft of a.values and of b.values.
     """
     if a.grid != b.grid:
         raise ValueError("spectra live on different grids")
     grid = a.grid
     n, z = grid.n, grid.zero_index
-    full = linear_convolve(a.values, b.values) * grid.d_omega
-    reg = full[z: z + n].copy()
+    reg = linear_convolve(a.values, b.values, fa, fb)[z: z + n] * grid.d_omega
     # adding a zero weight would still turn a -0.0 of reg into +0.0
     if a.dirac:
         reg += a.dirac * b.values
@@ -82,19 +83,22 @@ def _convolve_spectra(a: Spectrum, b: Spectrum) -> Spectrum:
 
 
 def psi_operator(chi: Spectrum, problem: SusceptibilityProblem) -> Spectrum:
-    """Nonlinear frequency-domain operator (zero when alpha = 0)."""
+    """Nonlinear frequency-domain operator (zero when alpha = 0). Both
+    convolutions with chi share one transform of chi."""
     if chi.grid != problem.grid:
         raise ValueError("chi must live on the problem grid")
     pot = problem.potential
     grid = problem.grid
     two_pi = 2.0 * np.pi
-    chi2 = _convolve_spectra(chi, chi)
+    f02 = square(pot.f0)
+    fchi = convolution_fft(chi.values, grid.n)
+    chi2 = _convolve_spectra(chi, chi, fchi, fchi)
     bracket_reg = pot.alpha * (3.0 * problem.sigma2_spec.values
-                               + (pot.f0**2 / two_pi) * chi2.values)
+                               + (f02 / two_pi) * chi2.values)
     bracket_dirac = (pot.alpha * 3.0 * problem.sigma2_spec.dirac
-                     + pot.alpha * (pot.f0**2 / two_pi) * chi2.dirac)
+                     + pot.alpha * (f02 / two_pi) * chi2.dirac)
     bracket = Spectrum(grid, bracket_reg, bracket_dirac)
-    outer = _convolve_spectra(chi, bracket)
+    outer = _convolve_spectra(chi, bracket, fchi)
     chit = kernels.chi_tilde(grid.omegas, problem.bath.gamma, pot.eta)
     reg = -(1.0 / two_pi) * chit * outer.values
     dirac = -(1.0 / two_pi) * chit[grid.zero_index] * outer.dirac

@@ -5,6 +5,7 @@ import hashlib
 import json
 import time
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -90,6 +91,8 @@ def test_write_csv_matches_per_value_writer(tmp_path):
         (["criterion", "passed", "detail"],
          [["1", "2"], ["1", "0"], ["max err 1e-3, bound 1e-6", 'say "hi"']]),
         (["t"], [np.array([])]),
+        (["t"], [x]),
+        (["t", "a", "b"], [[0.5], x[3:4], [-0.0]]),
     ]
     for i, (header, columns) in enumerate(tables):
         ours, ref = tmp_path / f"ours{i}.csv", tmp_path / f"ref{i}.csv"
@@ -291,6 +294,15 @@ def _tree(root: Path) -> dict:
     # every chi row overflows to NaN; no CSV of them is written
     pytest.param("kernels", {"base": PARABOLIC, "overrides": {"bath.gamma": 1e200}},
                  [], 3, id="kernels_non_finite"),
+    # f0^2 is inf past 1.3e154, so the first recursion term is not finite
+    pytest.param("response", {"base": PARABOLIC, "overrides": {"potential.f0": 1e200}},
+                 [], 3, id="f0_square_response"),
+    pytest.param("susceptibility",
+                 {"base": PARABOLIC, "overrides": {"potential.f0": 1e200}},
+                 [], 3, id="f0_square_susceptibility"),
+    # nu^2 is inf: the classical limit (test_huge_nu_is_the_classical_limit)
+    pytest.param("moments", {"base": PARABOLIC, "overrides": {"bath.nu": 1e200}},
+                 [], 0, id="nu_square"),
     pytest.param("mc", {"base": BISTABLE, "overrides": ESCAPED}, [], 3,
                  id="mc_no_survivors"),
     pytest.param("kernels", {"base": PARABOLIC, "overrides": QUARTIC}, [], 2,
@@ -301,7 +313,8 @@ def _tree(root: Path) -> dict:
 def test_failure_contract(tmp_path, monkeypatch, capsys, sub, config, extra,
                           code):
     # config errors exit 2 before any file is written; numerical failures
-    # exit 3 with a manifest that records the error; neither gives a traceback
+    # exit 3 with a manifest that records the error; neither gives a traceback,
+    # and a run that succeeds prints nothing
     monkeypatch.chdir(tmp_path)  # a relative --out names a file in tmp_path
     out = tmp_path / "o"
     argv = [sub, "--out", str(out), *extra]
@@ -314,9 +327,42 @@ def test_failure_contract(tmp_path, monkeypatch, capsys, sub, config, extra,
     if code == 2:
         assert err.startswith("config error:")
         assert _tree(tmp_path) == before
-    else:
+    elif code == 3:
         assert err.startswith("numerical error:")
         assert json.loads((out / "manifest.json").read_text())["diagnostics"]["error"]
+    else:
+        assert err == ""
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert "error" not in manifest["diagnostics"]
+
+
+def test_numerical_error_is_all_of_stderr(tmp_path, capsys):
+    # the numpy warnings of a failing run neither reach stderr nor, turned
+    # into errors, escape as an exception
+    cfg = _write_config(tmp_path, base=PARABOLIC, overrides={"bath.gamma": 1e200})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["kernels", "--config", str(cfg),
+                     "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("sub", ["moments", "response", "susceptibility"])
+def test_huge_nu_is_the_classical_limit(tmp_path, sub):
+    # past nu = 1.3e154 the Matsubara tail's nu^2 is inf and the tail 0; at
+    # nu = 1e150 it is below the last bit already: the same bytes
+    outs = []
+    for nu in (1e150, 1e200):
+        run = tmp_path / f"nu{nu:g}"
+        run.mkdir()
+        cfg = _write_config(run, base=PARABOLIC, overrides={"bath.nu": nu})
+        assert main([sub, "--config", str(cfg), "--out", str(run / "o")]) == 0
+        outs.append(run / "o")
+    names = sorted(p.name for p in outs[0].glob("*.csv"))
+    assert names and names == sorted(p.name for p in outs[1].glob("*.csv"))
+    for name in names:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
 
 # every tolerances, integrator and mc key, each at a valid value other than

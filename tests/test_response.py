@@ -8,8 +8,9 @@ from qcle import (BathParams, PotentialParams,
                   chi_q, chi_v, djm_solve, integrate_duffing, ode_residual,
                   solve_response_djm, variance, volterra_b, volterra_f,
                   zero_sigma2)
+from qcle.moments import SpectralQuadrature
 from qcle.params import parabolic
-from qcle.response import solve_response_windowed
+from qcle.response import _substeps_per_step, solve_response_windowed
 
 BATH = BathParams(gamma=1.0, temp=1.0, nu=1e4)
 
@@ -117,6 +118,106 @@ def test_integrate_duffing_guards():
     prob2 = ResponseProblem(pot, BATH, zero_sigma2(grid), grid)
     with pytest.raises(StepInstabilityError):
         integrate_duffing(prob2, dt_sub=0.1, blowup_guard=100.0)
+
+
+def _numpy_scalar_duffing(problem, dt_sub, blowup_guard=1e8):
+    """Reference: integrate_duffing as a loop over numpy scalars, with sigma^2
+    read per substep from interpolated arrays and an RK4 acceleration
+    function."""
+    grid = problem.grid
+    dt = grid.dt
+    n_sub = int(_substeps_per_step(dt, dt_sub))
+    h = dt / n_sub
+    pot, bath = problem.potential, problem.bath
+    gamma = bath.gamma
+    eta, alpha, f0 = pot.eta, pot.alpha, pot.f0
+    tilt = pot.epsilon / f0
+    af2 = alpha * f0**2
+    t_nodes = grid.times
+    sub = np.arange(grid.n - 1)[:, None] * dt + np.arange(n_sub)[None, :] * h
+    t_sub = sub.ravel()
+    sig_a = np.interp(t_sub, t_nodes, problem.sigma2.values)
+    sig_m = np.interp(t_sub + h / 2.0, t_nodes, problem.sigma2.values)
+    sig_b = np.interp(t_sub + h, t_nodes, problem.sigma2.values)
+    out = np.empty(grid.n)
+    out[0] = 0.0
+    r, v = 0.0, 1.0
+
+    def acc(rr, sig):
+        return -(eta + 3.0 * alpha * sig) * rr - af2 * rr**3 - tilt
+
+    idx = 0
+    for j in range(grid.n - 1):
+        for _ in range(n_sub):
+            sa, smid, sb = sig_a[idx], sig_m[idx], sig_b[idx]
+            idx += 1
+            k1r = v
+            k1v = -gamma * v + acc(r, sa)
+            k2r = v + 0.5 * h * k1v
+            k2v = -gamma * (v + 0.5 * h * k1v) + acc(r + 0.5 * h * k1r, smid)
+            k3r = v + 0.5 * h * k2v
+            k3v = -gamma * (v + 0.5 * h * k2v) + acc(r + 0.5 * h * k2r, smid)
+            k4r = v + h * k3v
+            k4v = -gamma * (v + h * k3v) + acc(r + h * k3r, sb)
+            r += (h / 6.0) * (k1r + 2.0 * k2r + 2.0 * k3r + k4r)
+            v += (h / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
+        if not (abs(r) < blowup_guard and abs(v) < blowup_guard):
+            raise StepInstabilityError(
+                f"integration blew up near t = {t_nodes[j + 1]:.3g}; "
+                "reduce dt_sub"
+            )
+        out[j + 1] = r
+    return SampledSignal(grid, out)
+
+
+def _quantum_sigma2(grid, pot):
+    bath = BathParams(gamma=1.0, temp=0.5, nu=2.0)
+    return variance(grid, bath, pot, quad=SpectralQuadrature(300.0, rtol=0.1))
+
+
+DUFFING_GRID = TimeGrid(10.0, 1001)
+RAMP = SampledSignal(DUFFING_GRID, np.linspace(0.0, 0.4, DUFFING_GRID.n))
+TILTED_WELL = PotentialParams(eta=-1.0, alpha=1.0, epsilon=0.1, f0=0.5)
+
+
+@pytest.mark.parametrize("pot,quantum,dt_sub", [
+    pytest.param(parabolic(), False, 0.01, id="alpha0-nsub1"),
+    pytest.param(parabolic(), False, 0.01 / 7, id="alpha0-nsub7"),
+    pytest.param(PotentialParams(eta=0.0, alpha=1.0, f0=1.0), False, 0.004,
+                 id="quartic-nsub3"),
+    pytest.param(TILTED_WELL, False, 0.01, id="tilted_double_well-nsub1"),
+    pytest.param(TILTED_WELL, False, 0.0025, id="tilted_double_well-nsub4"),
+    pytest.param(PotentialParams(eta=1.0, alpha=0.2, f0=1.0), True, 0.001,
+                 id="quantum_nu-nsub10"),
+])
+def test_integrate_duffing_matches_numpy_scalar_loop(pot, quantum, dt_sub):
+    # the plain-float loop makes the same IEEE operations: the same bits
+    sig = _quantum_sigma2(DUFFING_GRID, pot) if quantum else RAMP
+    prob = ResponseProblem(pot, BATH, sig, DUFFING_GRID)
+    ours = integrate_duffing(prob, dt_sub=dt_sub).values
+    assert np.array_equal(ours, _numpy_scalar_duffing(prob, dt_sub).values)
+
+
+@pytest.mark.parametrize("grid,pot,dt_sub,guard", [
+    # the guard trips at a grid node with every value finite
+    pytest.param(TimeGrid(30.0, 301), PotentialParams(eta=-1.0, alpha=1e-12),
+                 0.1, 100.0, id="guard"),
+    # r**3 overflows inside a grid step of 20 substeps
+    pytest.param(TimeGrid(10.0, 11), PotentialParams(eta=1.0, alpha=1e8, f0=1.0),
+                 0.05, 1e8, id="cube_overflow"),
+])
+def test_integrate_duffing_blowup_node_matches(grid, pot, dt_sub, guard):
+    prob = ResponseProblem(pot, BATH, zero_sigma2(grid), grid)
+    with pytest.raises(StepInstabilityError) as ours:
+        integrate_duffing(prob, dt_sub=dt_sub, blowup_guard=guard)
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(StepInstabilityError) as ref:
+        _numpy_scalar_duffing(prob, dt_sub, blowup_guard=guard)
+    assert str(ours.value) == str(ref.value)
+    if guard == 1e8:
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError,
+                                                      match="power"):
+            _numpy_scalar_duffing(prob, dt_sub)
 
 
 def test_ode_residual_cases():

@@ -7,6 +7,8 @@ from qcle import (BathParams, EdgeToleranceError, FreqGrid, PotentialParams,
                   Spectrum, SusceptibilityProblem, TimeGrid, chi_tilde, chi_v,
                   phi_omega, psi_operator, response_from_susceptibility,
                   solve_susceptibility)
+from qcle import kernels
+from qcle._numutil import linear_convolve
 from qcle.params import parabolic
 from qcle.susceptibility import _inverse_transform
 
@@ -64,6 +66,58 @@ def test_psi_delta_algebra():
     assert np.max(np.abs(psi.values)) == 0.0
     expected = -1.0 * w * (3 * alpha * s_eq + alpha * f0**2 * w**2 / (4 * np.pi**2))
     assert psi.dirac == pytest.approx(expected, rel=1e-12)
+
+
+def _convolve_unshared(a, b):
+    """Reference: one spectral convolution through linear_convolve, which
+    takes both transforms itself."""
+    grid = a.grid
+    n, z = grid.n, grid.zero_index
+    full = linear_convolve(a.values, b.values) * grid.d_omega
+    reg = full[z: z + n].copy()
+    if a.dirac:
+        reg += a.dirac * b.values
+    if b.dirac:
+        reg += b.dirac * a.values
+    return Spectrum(grid, reg, a.dirac * b.dirac)
+
+
+def _psi_unshared(chi, problem):
+    """Reference: psi_operator with chi transformed in each convolution."""
+    pot, grid = problem.potential, problem.grid
+    two_pi = 2.0 * np.pi
+    chi2 = _convolve_unshared(chi, chi)
+    bracket = Spectrum(
+        grid,
+        pot.alpha * (3.0 * problem.sigma2_spec.values
+                     + (pot.f0**2 / two_pi) * chi2.values),
+        pot.alpha * 3.0 * problem.sigma2_spec.dirac
+        + pot.alpha * (pot.f0**2 / two_pi) * chi2.dirac)
+    outer = _convolve_unshared(chi, bracket)
+    chit = kernels.chi_tilde(grid.omegas, problem.bath.gamma, pot.eta)
+    reg = -(1.0 / two_pi) * chit * outer.values
+    dirac = -(1.0 / two_pi) * chit[grid.zero_index] * outer.dirac
+    return Spectrum(grid, reg, dirac).hermitian_symmetrized()
+
+
+@pytest.mark.parametrize("epsilon", [0.0, 0.1], ids=["untilted", "tilted"])
+@pytest.mark.parametrize("s_dirac", [0.0, 2.0 * np.pi * 0.3],
+                         ids=["no_sigma_dirac", "sigma_dirac"])
+def test_psi_shared_transform_matches_unshared(epsilon, s_dirac):
+    # sharing the transform of chi between both convolutions keeps the bits
+    grid = FreqGrid(40.0, 2001)
+    w = grid.omegas
+    s2 = Spectrum(grid, 1.0 / (1.0 + w * w) + 1j * w / (1.0 + w * w) ** 2,
+                  s_dirac)
+    pot = PotentialParams(eta=-1.0, alpha=0.5, epsilon=epsilon, f0=0.3)
+    prob = SusceptibilityProblem(pot, BATH, s2, grid)
+    chi = phi_omega(prob)
+    assert (chi.dirac != 0) == (epsilon != 0)
+    for _ in range(2):  # phi, then a first iterate with a wider spectrum
+        ours, ref = psi_operator(chi, prob), _psi_unshared(chi, prob)
+        assert np.array_equal(ours.values, ref.values)
+        assert ours.dirac == ref.dirac
+        chi = chi + ours
 
 
 def test_psi_time_domain_oracle():

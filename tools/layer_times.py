@@ -1,0 +1,108 @@
+"""Wall time of each Python-bound layer at fixed sizes, for one checkout.
+
+    python3 tools/layer_times.py [CHECKOUT]
+
+Imports qcle from CHECKOUT's `src/` (default: the checkout holding this
+script), on one thread, and times each layer below as the best of 5 calls
+in this process:
+
+- `integrate_duffing` on `configs/bistable.json` at dt_sub 2e-3 (the
+  preset's) and 5e-4 (the quantum-response workload's);
+- `psi_operator` on that preset's 32001-node frequency grid;
+- `write_csv` of a 32001 x 4 table;
+- `variance` on the preset's time grid, classical and at nu = 1 (with the
+  quantum-response workload's quadrature: omega_max 300, rtol 0.1);
+- `sample_noise` and `integrate_qcle` at 2000 paths x 1501 nodes.
+
+Prints one JSON line: the checkout, the versions and the seconds per
+layer. Compare two checkouts by running it on each, one after the other.
+"""
+
+from __future__ import annotations
+
+import os
+
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import json  # noqa: E402
+import platform  # noqa: E402
+import sys  # noqa: E402
+import tempfile  # noqa: E402
+import time  # noqa: E402
+from dataclasses import replace  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+REPEATS = 5
+PRESET = "bistable"
+N_PATHS = 2000
+MC_SEED = 12345
+
+
+def best_of(fn, repeats: int = REPEATS) -> float:
+    best = float("inf")
+    for _ in range(repeats):
+        start = time.perf_counter()
+        fn()
+        best = min(best, time.perf_counter() - start)
+    return best
+
+
+def main(argv: list[str]) -> int:
+    root = Path(argv[0] if argv else Path(__file__).resolve().parent.parent)
+    config = root / "configs" / f"{PRESET}.json"
+    if not (root / "src" / "qcle" / "__init__.py").is_file() or not config.is_file():
+        print(f"no src/qcle or configs/{PRESET}.json under {root}", file=sys.stderr)
+        return 2
+    sys.path.insert(0, str(root / "src"))
+
+    import numpy as np
+
+    from qcle.cli import parse_config, write_csv
+    from qcle.mc import integrate_qcle, sample_noise
+    from qcle.moments import SpectralQuadrature, variance, variance_spectrum
+    from qcle.response import ResponseProblem, integrate_duffing
+    from qcle.susceptibility import SusceptibilityProblem, phi_omega, psi_operator
+
+    cfg = parse_config(config)
+    grid, fg = cfg.time_grid, cfg.freq_grid
+    sig2 = variance(grid, cfg.bath, cfg.potential, quad=cfg.quad)
+    response = ResponseProblem(cfg.potential, cfg.bath, sig2, grid)
+    spec2 = variance_spectrum(sig2, fg, plateau_tol=cfg.settings["plateau_tol"])
+    susc = SusceptibilityProblem(cfg.potential, cfg.bath, spec2, fg)
+    chi = phi_omega(susc)
+    table = [fg.omegas, chi.values.real, chi.values.imag, spec2.values.real]
+    quantum = replace(cfg.bath, nu=1.0)
+    quantum_quad = SpectralQuadrature(300.0, cfg.quad.n, 0.1)
+    noise = sample_noise(grid, cfg.bath, N_PATHS, MC_SEED)
+
+    seconds = {}
+    for dt_sub in (2e-3, 5e-4):
+        seconds[f"integrate_duffing dt_sub={dt_sub:g}"] = best_of(
+            lambda: integrate_duffing(response, dt_sub=dt_sub))
+    seconds[f"psi_operator n={fg.n}"] = best_of(lambda: psi_operator(chi, susc))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "table.csv"
+        seconds[f"write_csv {fg.n}x{len(table)}"] = best_of(
+            lambda: write_csv(path, ["a", "b", "c", "d"], table))
+    seconds[f"variance n={grid.n} classical"] = best_of(
+        lambda: variance(grid, cfg.bath, cfg.potential, quad=cfg.quad))
+    seconds[f"variance n={grid.n} nu=1"] = best_of(
+        lambda: variance(grid, quantum, cfg.potential, quad=quantum_quad))
+    seconds[f"sample_noise {N_PATHS}x{grid.n}"] = best_of(
+        lambda: sample_noise(grid, cfg.bath, N_PATHS, MC_SEED))
+    seconds[f"integrate_qcle {N_PATHS}x{grid.n}"] = best_of(
+        lambda: integrate_qcle(noise, cfg.potential, q0=cfg.q0, v0=cfg.v0))
+
+    print(json.dumps({
+        "checkout": str(root),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "best_of": REPEATS,
+        "seconds": {k: round(v, 5) for k, v in seconds.items()},
+    }))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
