@@ -179,23 +179,20 @@ def criterion_5() -> CriterionResult:
     grid = TimeGrid(1.0, 1001)
     dt = grid.dt
 
+    partial = []  # the partial sums S_0 .. S_{k-2}: the iterates B sees
+
     def apply_b(u):
+        partial.append(u)
         return cumtrapz(u, dt)
 
     f = np.ones(grid.n)
     sol = djm_solve(f, apply_b, tol=1e-9, k_max=15)
     err = float(np.max(np.abs(sol.partial_sum - np.exp(grid.times))))
-    # telescoping: sum(terms[:m+2]) = f + B(sum(terms[:m+1])) for every m
+    # telescoping: S_{m+1} = f + B(S_m) for every m
+    partial.append(sol.partial_sum)
     tele = 0.0
-    s = np.zeros(grid.n)
-    partial = []
-    for u in sol.terms:
-        s = s + u
-        partial.append(s.copy())
-    for m in range(len(sol.terms) - 1):
-        lhs = partial[m + 1]
-        rhs = f + apply_b(partial[m])
-        tele = max(tele, float(np.max(np.abs(lhs - rhs))))
+    for lhs, s in zip(partial[1:], partial):
+        tele = max(tele, float(np.max(np.abs(lhs - (f + cumtrapz(s, dt))))))
     n_terms = sol.k
     ok = sol.converged and err < 1e-6 and n_terms <= 15 and tele < 1e-12
     return _result(5, "recursion benchmark e^t", ok,

@@ -9,7 +9,7 @@ stderr and in the manifest's diagnostics.error). Outputs are CSV with 17
 significant digits plus a JSON manifest echoing the configuration,
 tolerances, seeds and solver diagnostics; reruns of the same config are
 byte-identical. SCHEMA declares every config key with its type, default and
-range.
+range; a section or key it does not declare is a config error.
 """
 
 from __future__ import annotations
@@ -155,7 +155,7 @@ def parse_config(path: Path, seed_override: Optional[int] = None) -> RunConfig:
     if not isinstance(raw, dict):
         raise ConfigError(["top level must be an object"])
 
-    errors: list[str] = []
+    errors = [f"{name}: unknown section" for name in raw if name not in SCHEMA]
     values: dict[str, dict] = {}
     for name, keys in SCHEMA.items():
         sec = raw.get(name)
@@ -168,6 +168,7 @@ def parse_config(path: Path, seed_override: Optional[int] = None) -> RunConfig:
         elif not isinstance(sec, dict):
             errors.append(f"{name}: must be an object")
             sec = {}
+        errors += [f"{name}.{key}: unknown key" for key in sec if key not in keys]
         if name == "mc" and seed_override is not None:
             sec = {**sec, "seed": seed_override}
         values[name] = {key: _get(sec, name, key, spec, errors)

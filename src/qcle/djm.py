@@ -2,7 +2,8 @@
 
 The recursion u0 = f, u1 = B(u0), u_{m+1} = B(u0+...+u_m) - B(u0+...+u_{m-1})
 telescopes so that the partial sums satisfy S_{m+1} = f + B(S_m) exactly;
-the solver iterates in that form and records the increments as terms.
+the solver iterates in that form and keeps only the running sum and the
+norm of each increment u_m = S_m - S_{m-1}.
 Elements only need +, - and a norm: plain scalars, numpy arrays and Spectrum
 objects all work.
 """
@@ -40,9 +41,8 @@ def default_norm(x) -> float:
 
 @dataclass
 class DjmSolution:
-    """Recursion terms, their norms, the accumulated solution and diagnostics."""
+    """The accumulated solution, the norm of every term and the stop flag."""
 
-    terms: list
     partial_sum: Any
     term_norms: list[float]
     converged: bool
@@ -50,7 +50,7 @@ class DjmSolution:
     @property
     def k(self) -> int:
         """Number of terms computed (including u0)."""
-        return len(self.terms)
+        return len(self.term_norms)
 
 
 def djm_solve(f: Any, apply_b: Callable[[Any], Any], tol: float,
@@ -66,23 +66,19 @@ def djm_solve(f: Any, apply_b: Callable[[Any], Any], tol: float,
     n0 = default_norm(f)
     if not np.isfinite(n0):
         raise NonFiniteTermError(0)
-    sol = DjmSolution(terms=[f], partial_sum=f, term_norms=[n0], converged=False)
+    sol = DjmSolution(partial_sum=f, term_norms=[n0], converged=False)
 
-    s_prev = f
     for m in range(1, k_max + 1):
         try:
             with np.errstate(over="raise", invalid="raise"):
-                s_next = f + apply_b(s_prev)
+                s_next = f + apply_b(sol.partial_sum)
         except FloatingPointError:
             raise NonFiniteTermError(m) from None
-        u = s_next - s_prev
-        nu_m = default_norm(u)
+        nu_m = default_norm(s_next - sol.partial_sum)
         if not np.isfinite(nu_m):
             raise NonFiniteTermError(m)
-        sol.terms.append(u)
         sol.term_norms.append(nu_m)
         sol.partial_sum = s_next
-        s_prev = s_next
         if nu_m < tol:
             sol.converged = True
             break

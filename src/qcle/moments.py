@@ -49,6 +49,8 @@ from .params import BathParams, PotentialParams
 PLATEAU_FRAC = 0.1
 # the preparation term drops decaying Matsubara terms below e^{-DECAY_CUT}
 DECAY_CUT = 40.0
+# tolerance of the kernels.xi_q0_weights list of the preparation term
+TAIL_TOL = 1e-12
 # largest temporary of the blocked decaying sum, in elements
 BLOCK_ELEMENTS = 1 << 15
 # powers of 1/n in the tail of the growing Matsubara weights
@@ -197,8 +199,8 @@ def _decaying_sum(t: np.ndarray, nun: np.ndarray, a: np.ndarray) -> np.ndarray:
     return out
 
 
-def _preparation_cross_term(grid: TimeGrid, bath: BathParams, eta: float,
-                            tail_tol: float) -> np.ndarray:
+def _preparation_cross_term(grid: TimeGrid, bath: BathParams,
+                            eta: float) -> np.ndarray:
     """2 int_0^t chi_q(y) <phi_v(y) q0> dy, <phi_v(y) q0> = -sum_n c_n E_n(y).
 
     E_n = (s_+ g_+ - s_- g_-)/w0 with g_s(y) = (e^{sy} - e^{-nu_n y})/(nu_n
@@ -210,7 +212,7 @@ def _preparation_cross_term(grid: TimeGrid, bath: BathParams, eta: float,
     - decaying: d(y) = sum_n c_n nu_n e^{-nu_n y}/((nu_n + s_+)(nu_n + s_-)),
       real, over prefixes of the kernels.xi_q0_weights list
       (_decaying_sum), whose truncation error at y >= dt is below
-      tail_tol/nu_N.
+      TAIL_TOL/nu_N.
 
     Terms with |nu_n + s_+-| t_max < 1, where both parts outgrow g_s (an
     overdamped root near a Matsubara frequency), keep the per-term form
@@ -232,7 +234,7 @@ def _preparation_cross_term(grid: TimeGrid, bath: BathParams, eta: float,
             "bath.gamma or |potential.eta|, or increase nu")
     m = max(32, int(m))
     nun, cn = kernels.xi_q0_weights(bath.gamma, bath.temp, bath.nu, eta,
-                                    t_min=grid.dt, tol=tail_tol)
+                                    t_min=grid.dt, tol=TAIL_TOL)
     nu_m = bath.nu * np.arange(1.0, m + 1)
     c_m = kernels.xi_q0_coefficients(nu_m, bath.gamma, bath.temp, eta)
     near = np.any(np.abs(nu_m[:, None] + roots) * grid.t_max < 1.0, axis=1)
@@ -287,8 +289,7 @@ def variance(grid: TimeGrid, bath: BathParams, potential: PotentialParams,
             "regulator with a larger tolerances.quad_rtol",
             est,
         )
-    sig2 = (base + noise[0]
-            + _preparation_cross_term(grid, bath, eta, tail_tol=1e-12))
+    sig2 = base + noise[0] + _preparation_cross_term(grid, bath, eta)
     sig2[0] = 0.0
     return SampledSignal(grid, sig2)
 
@@ -350,8 +351,8 @@ def mean_trajectory(q0: float, v0: float, potential: PotentialParams,
         f = f - potential.epsilon * cumtrapz(cv, grid.dt)
 
     if potential.alpha == 0.0:
-        sol = DjmSolution(terms=[f], partial_sum=f,
-                          term_norms=[float(np.max(np.abs(f)))], converged=True)
+        sol = DjmSolution(partial_sum=f, term_norms=[float(np.max(np.abs(f)))],
+                          converged=True)
         return SampledSignal(grid, f), sol
 
     if sigma2 is None:

@@ -14,8 +14,9 @@ delta(w). Transforming the response ODE under this convention gives
 Every Dirac component sits at w = 0 and is carried symbolically as one
 weight (Spectrum.dirac) and convolved exactly; regular parts are convolved as
 zero-padded grid sums via FFT (equal to the direct sums to roundoff), and the
-inverse transform is one chirp-z sum (_numutil.phase_stepped_sum). Every
-operation re-enforces exact Hermitian symmetry of its output.
+inverse transform is one chirp-z sum (_numutil.phase_stepped_sum). phi_omega
+and psi_operator project their outputs onto exact Hermitian symmetry, so
+every partial sum f + B(S) of the recursion is exactly Hermitian as well.
 """
 
 from __future__ import annotations
@@ -66,7 +67,8 @@ def _convolve_spectra(a: Spectrum, b: Spectrum, fa=None, fb=None) -> Spectrum:
 
     regular*regular by grid summation (zero padding outside); a Dirac at
     w = 0 adds its weight times the other regular part, and two Diracs give
-    one at w = 0 with the product weight. fa and fb, if given, are the
+    one at w = 0 with the product weight, taken in numpy so that an overflow
+    raises under the caller's errstate. fa and fb, if given, are the
     _numutil.convolution_fft of a.values and of b.values.
     """
     if a.grid != b.grid:
@@ -79,7 +81,7 @@ def _convolve_spectra(a: Spectrum, b: Spectrum, fa=None, fb=None) -> Spectrum:
         reg += a.dirac * b.values
     if b.dirac:
         reg += b.dirac * a.values
-    return Spectrum(grid, reg, a.dirac * b.dirac)
+    return Spectrum(grid, reg, np.complex128(a.dirac) * b.dirac)
 
 
 def psi_operator(chi: Spectrum, problem: SusceptibilityProblem) -> Spectrum:
@@ -114,7 +116,7 @@ def solve_susceptibility(problem: SusceptibilityProblem, tol: float = 1e-8,
         return psi_operator(chi, problem)
 
     sol = djm_solve(f, apply_b, tol=tol, k_max=k_max)
-    return sol.partial_sum.hermitian_symmetrized(), sol
+    return sol.partial_sum, sol
 
 
 def _inverse_transform(chi: Spectrum, times: np.ndarray,

@@ -174,6 +174,17 @@ def test_invalid_values_exit_2(tmp_path, capsys):
     assert main(["response", "--out", str(tmp_path / "o")]) == 2  # no config
 
 
+def test_unknown_sections_and_keys_exit_2(tmp_path, capsys):
+    cfg = _write_config(tmp_path, overrides={
+        "bogus": 1, "tolerances.djm_tol_": 1e-9, "mc.sed": 3})
+    assert main(["kernels", "--config", str(cfg), "--out",
+                 str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    for message in ("bogus: unknown section", "tolerances.djm_tol_: unknown key",
+                    "mc.sed: unknown key"):
+        assert message in err
+
+
 def test_nonconvergence_exits_3_with_manifest(tmp_path):
     cfg = _write_config(tmp_path, overrides={
         "potential.alpha": 0.3,
@@ -278,6 +289,10 @@ def _tree(root: Path) -> dict:
                              "overrides": {"tolerances.quad_n": 100000000001}},
                  [], 2, id="quad_nodes"),
     pytest.param("kernels", {}, ["--out", "config.json"], 2, id="out_is_file"),
+    pytest.param("kernels", {"overrides": {"bogus": {}}}, [], 2,
+                 id="unknown_section"),
+    pytest.param("kernels", {"overrides": {"tolerances.djm_tol_": 1e-9}}, [], 2,
+                 id="unknown_key"),
     pytest.param("moments", {"base": BISTABLE, "overrides": BLOWUP}, [], 3,
                  id="moments_overflow"),
     pytest.param("susceptibility", {"base": BISTABLE, "overrides": BLOWUP}, [], 3,
@@ -300,6 +315,14 @@ def _tree(root: Path) -> dict:
     pytest.param("susceptibility",
                  {"base": PARABOLIC, "overrides": {"potential.f0": 1e200}},
                  [], 3, id="f0_square_susceptibility"),
+    # the tilt Dirac weight -2 pi (eps/f0)/eta is finite, but its square in
+    # the first psi application is not
+    pytest.param("susceptibility",
+                 {"base": PARABOLIC, "overrides": {"potential.epsilon": 1e200}},
+                 [], 3, id="epsilon_square_1e200"),
+    pytest.param("susceptibility",
+                 {"base": PARABOLIC, "overrides": {"potential.epsilon": 1e300}},
+                 [], 3, id="epsilon_square_1e300"),
     # nu^2 is inf: the classical limit (test_huge_nu_is_the_classical_limit)
     pytest.param("moments", {"base": PARABOLIC, "overrides": {"bath.nu": 1e200}},
                  [], 0, id="nu_square"),

@@ -34,15 +34,29 @@ def _volterra_exp_problem(n=1001):
     return grid, np.ones(n), lambda u: cumtrapz(u, dt)
 
 
+def _solve_recording(f, apply_b, **kwargs):
+    """djm_solve plus its partial sums S_0 .. S_{k-1}: the iterates apply_b
+    sees, then the returned partial_sum."""
+    partial = []
+
+    def recording_b(u):
+        partial.append(u)
+        return apply_b(u)
+
+    sol = djm_solve(f, recording_b, **kwargs)
+    return sol, partial + [sol.partial_sum]
+
+
 def test_volterra_exponential():
     grid, f, apply_b = _volterra_exp_problem()
-    sol = djm_solve(f, apply_b, tol=1e-9, k_max=25)
+    sol, partial = _solve_recording(f, apply_b, tol=1e-9, k_max=25)
     assert sol.converged
     assert np.max(np.abs(sol.partial_sum - np.exp(grid.times))) < 1e-6
-    # terms reproduce the Taylor partial sums t^k/k!
+    # the increments u_k = S_k - S_{k-1} reproduce the Taylor terms t^k/k!
     t = grid.times
     for k in (1, 3, 6):
-        assert np.max(np.abs(sol.terms[k] - t**k / math.factorial(k))) < 1e-4
+        u_k = partial[k] - partial[k - 1]
+        assert np.max(np.abs(u_k - t**k / math.factorial(k))) < 1e-4
 
 
 def test_max_error_remainder():
@@ -58,13 +72,17 @@ def test_max_error_remainder():
 
 def test_telescoping_identity():
     grid, f, apply_b = _volterra_exp_problem()
-    sol = djm_solve(f, apply_b, tol=1e-9, k_max=25)
-    partial = np.cumsum(np.asarray(sol.terms), axis=0)
-    for m in range(len(sol.terms) - 1):
+    sol, partial = _solve_recording(f, apply_b, tol=1e-9, k_max=25)
+    assert len(partial) == sol.k
+    for m in range(sol.k - 1):
         rhs = f + apply_b(partial[m])
         assert np.max(np.abs(partial[m + 1] - rhs)) < 1e-12
-    # partial_sum equals the elementwise sum of terms
-    assert np.max(np.abs(partial[-1] - sol.partial_sum)) < 1e-12
+    # the term norms are the norms of the increments, and the increments
+    # sum to partial_sum
+    norms = [np.max(np.abs(b - a)) for a, b in zip(partial, partial[1:])]
+    assert sol.term_norms == [np.max(np.abs(f))] + norms
+    increments = np.diff(np.asarray(partial), axis=0)
+    assert np.max(np.abs(f + increments.sum(axis=0) - sol.partial_sum)) < 1e-12
 
 
 def test_determinism_bit_identical():
@@ -73,6 +91,12 @@ def test_determinism_bit_identical():
     b = djm_solve(f, apply_b, tol=1e-9, k_max=25)
     assert np.array_equal(a.partial_sum, b.partial_sum)
     assert a.term_norms == b.term_norms
+
+
+def test_solution_keeps_no_terms():
+    _, f, apply_b = _volterra_exp_problem()
+    sol = djm_solve(f, apply_b, tol=1e-9, k_max=25)
+    assert set(vars(sol)) == {"partial_sum", "term_norms", "converged"}
 
 
 def test_k_max_reached_is_flag_not_exception():

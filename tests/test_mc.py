@@ -180,7 +180,7 @@ def test_quantum_variance_against_matched_theory():
     pot = parabolic()
     quad = SpectralQuadrature(omega_max=np.pi / grid.dt, n=12001, rtol=np.inf)
     sig_th = (variance(grid, QUANTUM, pot, quad=quad).values
-              - _preparation_cross_term(grid, QUANTUM, pot.eta, tail_tol=1e-12))
+              - _preparation_cross_term(grid, QUANTUM, pot.eta))
     assert np.min(sig_th) >= 0.0
     noise = sample_noise(grid, QUANTUM, 8000, seed=11)
     v0 = thermal_velocities(QUANTUM, 8000, seed=11)

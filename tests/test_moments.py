@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 from qcle import (BathParams, FreqGrid, PotentialParams, QuadratureError,
-                  SampledSignal, SpectralQuadrature, TimeGrid, chi_q, chi_v,
-                  chi_v_dot, mean_trajectory, variance, variance_spectrum)
+                  SampledSignal, SpectralQuadrature, SusceptibilityProblem,
+                  TimeGrid, chi_q, chi_v, chi_v_dot, mean_trajectory,
+                  solve_susceptibility, variance, variance_spectrum)
 from qcle._numutil import cumtrapz, e1m, trapezoid_weights
 from qcle.kernels import effective_roots, noise_psd, xi_q0_coefficients
 from qcle.moments import (PlateauError, _growing_tail, _preparation_cross_term,
@@ -71,7 +72,7 @@ def _oracle_variance(grid, bath, eta, quad, include_preparation=True):
     est = float(np.max(np.abs(noise - noise_halfrange))) / scale
     sig2 = base + noise
     if include_preparation:
-        sig2 = sig2 + _preparation_cross_term(grid, bath, eta, tail_tol=1e-12)
+        sig2 = sig2 + _preparation_cross_term(grid, bath, eta)
     sig2[0] = 0.0
     return sig2, est
 
@@ -216,7 +217,7 @@ def test_variance_matches_matrix_quadrature(case, include_preparation):
     pot = PotentialParams(eta=eta, alpha=0.2)
     sig = variance(grid, bath, pot, quad=quad).values
     if not include_preparation:
-        sig = sig - _preparation_cross_term(grid, bath, eta, tail_tol=1e-12)
+        sig = sig - _preparation_cross_term(grid, bath, eta)
     # the widened critical roots enter the two forms differently at O(1e-10)
     tol = 1e-10 if case == "critical" else 1e-12
     assert np.max(np.abs(sig - oracle)) <= tol * np.max(np.abs(oracle))
@@ -252,6 +253,26 @@ def test_variance_memory_stays_linear():
     finally:
         tracemalloc.stop()
     assert peak < 32e6
+
+
+def test_susceptibility_memory_does_not_grow_with_the_recursion():
+    # the recursion keeps its running sum, not every term: 20 more operator
+    # applications on 8001 nodes would hold 20 more 128 kB spectra
+    bath = BathParams(gamma=1.0, temp=0.5, nu=1e4)
+    pot = PotentialParams(eta=1.0, alpha=0.3, epsilon=0.0, f0=0.1)
+    fg = FreqGrid(400.0, 8001)
+    spec = variance_spectrum(variance(TimeGrid(15.0, 1501), bath, pot), fg)
+    prob = SusceptibilityProblem(pot, bath, spec, fg)
+    peaks = []
+    for k_max in (4, 24):
+        tracemalloc.start()
+        try:
+            _, sol = solve_susceptibility(prob, tol=1e-300, k_max=k_max)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert sol.k == k_max + 1
+    assert peaks[1] - peaks[0] < 0.5e6
 
 
 def _per_term_preparation(grid, bath, eta, n_terms):
@@ -300,7 +321,7 @@ def test_preparation_term_matches_per_term_sum(case):
     p1, p2, p4 = (_per_term_preparation(grid, bath, eta, 1000 * k)
                   for k in (1, 2, 4))
     oracle = (8.0 * p4 - 6.0 * p2 + p1) / 3.0
-    got = _preparation_cross_term(grid, bath, eta, tail_tol=1e-12)
+    got = _preparation_cross_term(grid, bath, eta)
     scale = np.max(np.abs(oracle))
     assert np.max(np.abs(got - oracle)) <= 1e-9 * scale
     # the truncated sum alone is off by its tail

@@ -153,6 +153,22 @@ def test_solve_ho_single_term():
     assert chi.is_hermitian()
 
 
+@pytest.mark.parametrize("epsilon", [0.0, 0.05])
+def test_solution_is_the_hermitian_partial_sum(epsilon):
+    # every partial sum is f + B(S) of two projected spectra, so projecting
+    # it again would change no byte
+    grid = FreqGrid(50.0, 2001)
+    pot = PotentialParams(eta=1.0, alpha=0.3, epsilon=epsilon, f0=0.1)
+    sigma2 = Spectrum(grid, 0.2 / (1.0 + grid.omegas**2), 2.0 * np.pi * 0.4)
+    prob = SusceptibilityProblem(pot, BATH, sigma2, grid)
+    chi, sol = solve_susceptibility(prob, tol=1e-10, k_max=40)
+    assert sol.converged and sol.k > 2
+    assert chi is sol.partial_sum
+    sym = chi.hermitian_symmetrized()
+    assert chi.values.tobytes() == sym.values.tobytes()
+    assert repr(chi.dirac) == repr(sym.dirac)
+
+
 def test_reconstruction_ho_closed_form_pair():
     fg = FreqGrid(5000.0, 100001)
     chi = Spectrum(fg, chi_tilde(fg.omegas, 1.0, 1.0)).hermitian_symmetrized()

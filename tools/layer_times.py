@@ -8,14 +8,17 @@ in this process:
 
 - `integrate_duffing` on `configs/bistable.json` at dt_sub 2e-3 (the
   preset's) and 5e-4 (the quantum-response workload's);
-- `psi_operator` on that preset's 32001-node frequency grid;
+- `psi_operator` and `solve_susceptibility` (at the preset's djm_tol and
+  djm_k_max) on that preset's 32001-node frequency grid;
 - `write_csv` of a 32001 x 4 table;
 - `variance` on the preset's time grid, classical and at nu = 1 (with the
   quantum-response workload's quadrature: omega_max 300, rtol 0.1);
 - `sample_noise` and `integrate_qcle` at 2000 paths x 1501 nodes.
 
-Prints one JSON line: the checkout, the versions and the seconds per
-layer. Compare two checkouts by running it on each, one after the other.
+Prints one JSON line: the checkout, the versions, the seconds per layer
+and, from one more untimed call, the `tracemalloc` peak of
+`solve_susceptibility` in MB. Compare two checkouts by running it on each,
+one after the other.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ import platform  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
 import time  # noqa: E402
+import tracemalloc  # noqa: E402
 from dataclasses import replace  # noqa: E402
 from pathlib import Path  # noqa: E402
 
@@ -62,7 +66,8 @@ def main(argv: list[str]) -> int:
     from qcle.mc import integrate_qcle, sample_noise
     from qcle.moments import SpectralQuadrature, variance, variance_spectrum
     from qcle.response import ResponseProblem, integrate_duffing
-    from qcle.susceptibility import SusceptibilityProblem, phi_omega, psi_operator
+    from qcle.susceptibility import (SusceptibilityProblem, phi_omega, psi_operator,
+                                     solve_susceptibility)
 
     cfg = parse_config(config)
     grid, fg = cfg.time_grid, cfg.freq_grid
@@ -81,6 +86,13 @@ def main(argv: list[str]) -> int:
         seconds[f"integrate_duffing dt_sub={dt_sub:g}"] = best_of(
             lambda: integrate_duffing(response, dt_sub=dt_sub))
     seconds[f"psi_operator n={fg.n}"] = best_of(lambda: psi_operator(chi, susc))
+    tol, k_max = cfg.settings["djm_tol"], cfg.settings["djm_k_max"]
+    solve = f"solve_susceptibility n={fg.n}"
+    seconds[solve] = best_of(lambda: solve_susceptibility(susc, tol, k_max))
+    tracemalloc.start()
+    solve_susceptibility(susc, tol, k_max)
+    peak_mb = {solve: round(tracemalloc.get_traced_memory()[1] / 1e6, 3)}
+    tracemalloc.stop()
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "table.csv"
         seconds[f"write_csv {fg.n}x{len(table)}"] = best_of(
@@ -100,6 +112,7 @@ def main(argv: list[str]) -> int:
         "numpy": np.__version__,
         "best_of": REPEATS,
         "seconds": {k: round(v, 5) for k, v in seconds.items()},
+        "tracemalloc_peak_mb": peak_mb,
     }))
     return 0
 
