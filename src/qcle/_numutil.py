@@ -31,35 +31,33 @@ def _next_pow2(n: int) -> int:
     return 1 << (int(n - 1).bit_length())
 
 
-def convolution_fft(a: np.ndarray, n_other: int) -> np.ndarray:
-    """The transform linear_convolve takes of a complex `a` when it convolves
-    `a` with n_other samples; pass it as linear_convolve's fa or fb to take
-    it once for several convolutions."""
-    a = np.asarray(a)
-    return np.fft.fft(a, _next_pow2(a.shape[-1] + n_other - 1))
-
-
-def linear_convolve(a: np.ndarray, b: np.ndarray, fa=None, fb=None) -> np.ndarray:
+def linear_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Full linear convolution along the last axis with zero padding, via FFT.
 
     Numerically equivalent (to roundoff) to the direct summation
     sum_j a[..., j] b[..., k-j] with zeros outside the arrays; leading axes
-    broadcast; deterministic. fa and fb, if given, are the convolution_fft
-    of a and of b (complex route only), and give the same bits.
+    of b broadcast against those of a; deterministic.
     """
     a = np.asarray(a)
     b = np.asarray(b)
     n = a.shape[-1] + b.shape[-1] - 1
     nfft = _next_pow2(n)
     if np.iscomplexobj(a) or np.iscomplexobj(b):
-        if fa is None:
-            fa = np.fft.fft(a, nfft)
-        if fb is None:
-            fb = np.fft.fft(b, nfft)
-        return np.fft.ifft(fa * fb)[..., :n]
+        fa = np.fft.fft(a, nfft)
+        fa *= np.fft.fft(b, nfft)
+        return np.fft.ifft(fa)[..., :n]
     fa = np.fft.rfft(a, nfft)
-    fb = np.fft.rfft(b, nfft)
-    return np.fft.irfft(fa * fb, nfft)[..., :n]
+    fa *= np.fft.rfft(b, nfft)
+    return np.fft.irfft(fa, nfft)[..., :n]
+
+
+def hermitian_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """sum_j A[j] B[k-j], k = 0 .. m-1, for Hermitian A, B given by halves
+    a = A[0:m], b = B[0:m]; laid out circularly, each has a real DFT (hfft)."""
+    nfft = _next_pow2(4 * a.size - 3)
+    fa = np.fft.hfft(a, nfft)
+    fa *= np.fft.hfft(b, nfft)
+    return np.fft.ihfft(fa)[:a.size]
 
 
 def volterra_conv(kernel: np.ndarray, h: np.ndarray, dt: float) -> np.ndarray:

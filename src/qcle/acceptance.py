@@ -179,20 +179,21 @@ def criterion_5() -> CriterionResult:
     grid = TimeGrid(1.0, 1001)
     dt = grid.dt
 
-    partial = []  # the partial sums S_0 .. S_{k-2}: the iterates B sees
+    iterates, images = [], []  # S_0 .. S_{k-2}, the iterates B sees, and B(S_m)
 
     def apply_b(u):
-        partial.append(u)
-        return cumtrapz(u, dt)
+        iterates.append(u)
+        images.append(cumtrapz(u, dt))
+        return images[-1]
 
     f = np.ones(grid.n)
     sol = djm_solve(f, apply_b, tol=1e-9, k_max=15)
     err = float(np.max(np.abs(sol.partial_sum - np.exp(grid.times))))
-    # telescoping: S_{m+1} = f + B(S_m) for every m
-    partial.append(sol.partial_sum)
-    tele = 0.0
-    for lhs, s in zip(partial[1:], partial):
-        tele = max(tele, float(np.max(np.abs(lhs - (f + cumtrapz(s, dt))))))
+    # telescoping: S_m = u_0+...+u_m, u_0 = f, u_{j+1} = B(S_j) - B(S_{j-1})
+    iterates.append(sol.partial_sum)
+    u = [f] + [b - a for a, b in zip([0.0] + images, images)]
+    tele = max(float(np.max(np.abs(s - total)))
+               for s, total in zip(iterates, np.cumsum(u, axis=0)))
     n_terms = sol.k
     ok = sol.converged and err < 1e-6 and n_terms <= 15 and tele < 1e-12
     return _result(5, "recursion benchmark e^t", ok,

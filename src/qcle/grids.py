@@ -103,6 +103,11 @@ class Spectrum:
         # a weight carries no sign of zero: + 0j turns -0.0 parts into +0.0
         object.__setattr__(self, "dirac", complex(self.dirac) + 0j)
 
+    @classmethod
+    def from_half(cls, grid: FreqGrid, half: np.ndarray, dirac: complex) -> "Spectrum":
+        """Hermitian spectrum with `half` on the omega >= 0 nodes."""
+        return cls(grid, np.concatenate([np.conj(half[:0:-1]), half]), dirac)
+
     def sup_norm(self) -> float:
         return max(float(np.max(np.abs(self.values))), abs(self.dirac))
 

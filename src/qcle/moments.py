@@ -327,9 +327,7 @@ def variance_spectrum(sigma2: SampledSignal, grid: FreqGrid,
     # on w >= 0 and mirrored (the grid's nodes are symmetric bit for bit)
     half = grid.omegas[grid.zero_index:]
     acc = phase_stepped_sum(transient * wt, 0.0, sigma2.grid.dt, half, +1)
-    reg_half = 2.0 * np.real(acc)
-    reg = np.concatenate([reg_half[:0:-1], reg_half])
-    return Spectrum(grid, reg, 2.0 * np.pi * sig_eq)
+    return Spectrum.from_half(grid, 2.0 * np.real(acc), 2.0 * np.pi * sig_eq)
 
 
 def mean_trajectory(q0: float, v0: float, potential: PotentialParams,

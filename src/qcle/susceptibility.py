@@ -12,11 +12,11 @@ delta(w). Transforming the response ODE under this convention gives
                  int dw'' chi(w'') chi(w' - w'') ].
 
 Every Dirac component sits at w = 0 and is carried symbolically as one
-weight (Spectrum.dirac) and convolved exactly; regular parts are convolved as
-zero-padded grid sums via FFT (equal to the direct sums to roundoff), and the
-inverse transform is one chirp-z sum (_numutil.phase_stepped_sum). phi_omega
-and psi_operator project their outputs onto exact Hermitian symmetry, so
-every partial sum f + B(S) of the recursion is exactly Hermitian as well.
+weight (Spectrum.dirac) and convolved exactly. Every spectrum transforms a
+real function of time and is Hermitian, which psi_operator requires: regular
+parts are convolved as zero-padded grid sums of their w >= 0 halves (hfft and
+ihfft; equal to the direct sums to roundoff) and mirrored, and the inverse
+transform is one chirp-z sum (_numutil.phase_stepped_sum).
 """
 
 from __future__ import annotations
@@ -26,8 +26,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from ._numutil import (convolution_fft, linear_convolve, phase_stepped_sum,
-                       square, trapezoid_weights)
+# linear_convolve is unused here, but perfbench/tracing.py rebinds this name
+from ._numutil import (hermitian_convolve, linear_convolve,  # noqa: F401
+                       phase_stepped_sum, square, trapezoid_weights)
 from .djm import DjmSolution, djm_solve
 from .grids import FreqGrid, SampledSignal, Spectrum, TimeGrid
 from .params import BathParams, PotentialParams
@@ -47,6 +48,8 @@ class SusceptibilityProblem:
     def __post_init__(self):
         if self.sigma2_spec.grid != self.grid:
             raise ValueError("sigma2 spectrum must live on the problem grid")
+        if not self.sigma2_spec.is_hermitian():
+            raise ValueError("sigma2 spectrum must be Hermitian")
 
 
 def phi_omega(problem: SusceptibilityProblem) -> Spectrum:
@@ -62,49 +65,48 @@ def phi_omega(problem: SusceptibilityProblem) -> Spectrum:
     return Spectrum(problem.grid, reg, dirac).hermitian_symmetrized()
 
 
-def _convolve_spectra(a: Spectrum, b: Spectrum, fa=None, fb=None) -> Spectrum:
-    """(a * b)(w) = int a(w - w') b(w') dw' truncated to the grid.
+def _convolve_spectra(a: Spectrum, b: Spectrum) -> Spectrum:
+    """(a * b)(w) = int a(w - w') b(w') dw' on the grid, a and b Hermitian.
 
     regular*regular by grid summation (zero padding outside); a Dirac at
     w = 0 adds its weight times the other regular part, and two Diracs give
     one at w = 0 with the product weight, taken in numpy so that an overflow
-    raises under the caller's errstate. fa and fb, if given, are the
-    _numutil.convolution_fft of a.values and of b.values.
+    raises under the caller's errstate.
     """
     if a.grid != b.grid:
         raise ValueError("spectra live on different grids")
     grid = a.grid
-    n, z = grid.n, grid.zero_index
-    reg = linear_convolve(a.values, b.values, fa, fb)[z: z + n] * grid.d_omega
+    a_half, b_half = a.values[grid.zero_index:], b.values[grid.zero_index:]
+    reg = hermitian_convolve(a_half, b_half) * grid.d_omega
     # adding a zero weight would still turn a -0.0 of reg into +0.0
     if a.dirac:
-        reg += a.dirac * b.values
+        reg += a.dirac * b_half
     if b.dirac:
-        reg += b.dirac * a.values
-    return Spectrum(grid, reg, np.complex128(a.dirac) * b.dirac)
+        reg += b.dirac * a_half
+    return Spectrum.from_half(grid, reg, np.complex128(a.dirac) * b.dirac)
 
 
 def psi_operator(chi: Spectrum, problem: SusceptibilityProblem) -> Spectrum:
-    """Nonlinear frequency-domain operator (zero when alpha = 0). Both
-    convolutions with chi share one transform of chi."""
+    """Nonlinear frequency-domain operator (zero when alpha = 0). chi must
+    be Hermitian; the output is Hermitian by construction."""
     if chi.grid != problem.grid:
         raise ValueError("chi must live on the problem grid")
-    pot = problem.potential
-    grid = problem.grid
+    if not chi.is_hermitian():
+        raise ValueError("chi must be Hermitian: chi(-w) = conj(chi(w))")
+    pot, grid = problem.potential, problem.grid
     two_pi = 2.0 * np.pi
     f02 = square(pot.f0)
-    fchi = convolution_fft(chi.values, grid.n)
-    chi2 = _convolve_spectra(chi, chi, fchi, fchi)
+    chi2 = _convolve_spectra(chi, chi)
     bracket_reg = pot.alpha * (3.0 * problem.sigma2_spec.values
                                + (f02 / two_pi) * chi2.values)
     bracket_dirac = (pot.alpha * 3.0 * problem.sigma2_spec.dirac
                      + pot.alpha * (f02 / two_pi) * chi2.dirac)
     bracket = Spectrum(grid, bracket_reg, bracket_dirac)
-    outer = _convolve_spectra(chi, bracket, fchi)
+    outer = _convolve_spectra(chi, bracket)
     chit = kernels.chi_tilde(grid.omegas, problem.bath.gamma, pot.eta)
     reg = -(1.0 / two_pi) * chit * outer.values
     dirac = -(1.0 / two_pi) * chit[grid.zero_index] * outer.dirac
-    return Spectrum(grid, reg, dirac).hermitian_symmetrized()
+    return Spectrum(grid, reg, dirac)
 
 
 def solve_susceptibility(problem: SusceptibilityProblem, tol: float = 1e-8,

@@ -13,8 +13,11 @@ acceptance-status section. The test asserts the criterion exactly as stated
 and is marked as a strict expected failure so the discrepancy stays visible.
 """
 
+import re
+
 import pytest
 
+from qcle import acceptance
 from qcle.acceptance import run_acceptance
 
 
@@ -41,6 +44,21 @@ def test_criterion_4_ode_residuals():
 def test_criterion_5_recursion_benchmark():
     res = run_acceptance([5])[0]
     assert res.passed, res.detail
+
+
+def test_criterion_5_catches_drifting_partial_sums(monkeypatch):
+    # a solver whose partial sums drift by 1e-9 from f + B(S) still converges
+    # to e^t within 1e-6, but its S_m are no longer the telescoped sums
+    solve = acceptance.djm_solve
+
+    def drifting(f, apply_b, tol, k_max):
+        return solve(f, lambda s: apply_b(s) + 1e-9, tol=tol, k_max=k_max)
+
+    monkeypatch.setattr(acceptance, "djm_solve", drifting)
+    res = acceptance.criterion_5()
+    assert not res.passed
+    tele = float(re.search(r"telescoping (\S+)", res.detail).group(1))
+    assert tele >= 0.9e-9, res.detail
 
 
 @pytest.mark.xfail(strict=True,

@@ -1,10 +1,39 @@
-"""Shared numerical primitives: the chirp-z Fourier sum and e1m."""
+"""Shared numerical primitives: the Hermitian convolution, the chirp-z
+Fourier sum and e1m."""
 
 import mpmath
 import numpy as np
 import pytest
 
-from qcle._numutil import e1m, phase_stepped_sum
+from qcle._numutil import e1m, hermitian_convolve, phase_stepped_sum
+
+
+def _hermitian_half(rng, m, kind):
+    re, im = rng.normal(size=m), rng.normal(size=m)
+    im[0] = 0.0
+    if kind == "real":
+        return re + 0j
+    if kind == "odd_imaginary":
+        return 1j * im
+    return re + 1j * im
+
+
+@pytest.mark.parametrize("kind", ["general", "real", "odd_imaginary"])
+@pytest.mark.parametrize("m", [1, 2, 5, 33])
+def test_hermitian_convolve_matches_direct_sum(m, kind):
+    rng = np.random.default_rng(m)
+    a, b = _hermitian_half(rng, m, kind), _hermitian_half(rng, m, "general")
+
+    def full(h):  # A[k] for k = -(m-1) .. m-1
+        return np.concatenate([np.conj(h[:0:-1]), h])
+
+    fa, fb = full(a), full(b)
+    # j and k - j both in -(m-1) .. m-1
+    direct = np.array([sum(fa[m - 1 + j] * fb[m - 1 + k - j]
+                           for j in range(k - m + 1, m)) for k in range(m)])
+    got = hermitian_convolve(a, b)
+    assert got.shape == (m,)
+    assert np.max(np.abs(got - direct)) <= 1e-14 * max(np.max(np.abs(direct)), 1e-300)
 
 
 @pytest.mark.parametrize("rows", [None, 2])

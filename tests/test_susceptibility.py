@@ -69,8 +69,8 @@ def test_psi_delta_algebra():
 
 
 def _convolve_unshared(a, b):
-    """Reference: one spectral convolution through linear_convolve, which
-    takes both transforms itself."""
+    """Reference: one spectral convolution of the full grids through the
+    complex route of linear_convolve."""
     grid = a.grid
     n, z = grid.n, grid.zero_index
     full = linear_convolve(a.values, b.values) * grid.d_omega
@@ -83,7 +83,8 @@ def _convolve_unshared(a, b):
 
 
 def _psi_unshared(chi, problem):
-    """Reference: psi_operator with chi transformed in each convolution."""
+    """Reference: psi_operator through full complex convolutions, projected
+    onto Hermitian symmetry."""
     pot, grid = problem.potential, problem.grid
     two_pi = 2.0 * np.pi
     chi2 = _convolve_unshared(chi, chi)
@@ -103,8 +104,8 @@ def _psi_unshared(chi, problem):
 @pytest.mark.parametrize("epsilon", [0.0, 0.1], ids=["untilted", "tilted"])
 @pytest.mark.parametrize("s_dirac", [0.0, 2.0 * np.pi * 0.3],
                          ids=["no_sigma_dirac", "sigma_dirac"])
-def test_psi_shared_transform_matches_unshared(epsilon, s_dirac):
-    # sharing the transform of chi between both convolutions keeps the bits
+def test_psi_matches_complex_route(epsilon, s_dirac):
+    # convolving through the w >= 0 halves changes the sums by roundoff only
     grid = FreqGrid(40.0, 2001)
     w = grid.omegas
     s2 = Spectrum(grid, 1.0 / (1.0 + w * w) + 1j * w / (1.0 + w * w) ** 2,
@@ -115,9 +116,31 @@ def test_psi_shared_transform_matches_unshared(epsilon, s_dirac):
     assert (chi.dirac != 0) == (epsilon != 0)
     for _ in range(2):  # phi, then a first iterate with a wider spectrum
         ours, ref = psi_operator(chi, prob), _psi_unshared(chi, prob)
-        assert np.array_equal(ours.values, ref.values)
+        scale = np.max(np.abs(ref.values))
+        assert np.max(np.abs(ours.values - ref.values)) <= 1e-14 * scale
         assert ours.dirac == ref.dirac
+        assert ours.is_hermitian()
         chi = chi + ours
+
+
+def test_psi_requires_hermitian_chi():
+    grid = FreqGrid(40.0, 1601)
+    pot = PotentialParams(eta=1.0, alpha=0.3, epsilon=0.0, f0=0.4)
+    prob = SusceptibilityProblem(pot, BATH, _zero_sigma_spec(grid), grid)
+    values = phi_omega(prob).values.copy()
+    values[grid.zero_index + 7] += 1e-3j
+    with pytest.raises(ValueError, match="Hermitian"):
+        psi_operator(Spectrum(grid, values), prob)
+
+
+def test_problem_requires_hermitian_sigma2_spectrum():
+    grid = FreqGrid(10.0, 401)
+    sym = 1.0 / (1.0 + grid.omegas**2)
+    with pytest.raises(ValueError, match="Hermitian"):
+        SusceptibilityProblem(parabolic(), BATH,
+                              Spectrum(grid, sym + 1e-3j * (grid.omegas > 0)), grid)
+    with pytest.raises(ValueError, match="Hermitian"):
+        SusceptibilityProblem(parabolic(), BATH, Spectrum(grid, sym, 1.0 + 0.5j), grid)
 
 
 def test_psi_time_domain_oracle():

@@ -8,16 +8,18 @@ in this process:
 
 - `integrate_duffing` on `configs/bistable.json` at dt_sub 2e-3 (the
   preset's) and 5e-4 (the quantum-response workload's);
-- `psi_operator` and `solve_susceptibility` (at the preset's djm_tol and
-  djm_k_max) on that preset's 32001-node frequency grid;
+- `variance_spectrum` of the preset's variance, `psi_operator` and
+  `solve_susceptibility` (at the preset's djm_tol and djm_k_max) on that
+  preset's 32001-node frequency grid, and `response_from_susceptibility`
+  of the solved chi on its time grid;
 - `write_csv` of a 32001 x 4 table;
 - `variance` on the preset's time grid, classical and at nu = 1 (with the
   quantum-response workload's quadrature: omega_max 300, rtol 0.1);
 - `sample_noise` and `integrate_qcle` at 2000 paths x 1501 nodes.
 
 Prints one JSON line: the checkout, the versions, the seconds per layer
-and, from one more untimed call, the `tracemalloc` peak of
-`solve_susceptibility` in MB. Compare two checkouts by running it on each,
+and, from one more untimed call each, the `tracemalloc` peaks of the four
+frequency-grid layers in MB. Compare two checkouts by running it on each,
 one after the other.
 """
 
@@ -52,6 +54,15 @@ def best_of(fn, repeats: int = REPEATS) -> float:
     return best
 
 
+def peak_mb(fn) -> float:
+    tracemalloc.start()
+    try:
+        fn()
+        return round(tracemalloc.get_traced_memory()[1] / 1e6, 3)
+    finally:
+        tracemalloc.stop()
+
+
 def main(argv: list[str]) -> int:
     root = Path(argv[0] if argv else Path(__file__).resolve().parent.parent)
     config = root / "configs" / f"{PRESET}.json"
@@ -67,13 +78,15 @@ def main(argv: list[str]) -> int:
     from qcle.moments import SpectralQuadrature, variance, variance_spectrum
     from qcle.response import ResponseProblem, integrate_duffing
     from qcle.susceptibility import (SusceptibilityProblem, phi_omega, psi_operator,
+                                     response_from_susceptibility,
                                      solve_susceptibility)
 
     cfg = parse_config(config)
     grid, fg = cfg.time_grid, cfg.freq_grid
     sig2 = variance(grid, cfg.bath, cfg.potential, quad=cfg.quad)
     response = ResponseProblem(cfg.potential, cfg.bath, sig2, grid)
-    spec2 = variance_spectrum(sig2, fg, plateau_tol=cfg.settings["plateau_tol"])
+    plateau_tol, edge_tol = cfg.settings["plateau_tol"], cfg.settings["edge_tol"]
+    spec2 = variance_spectrum(sig2, fg, plateau_tol=plateau_tol)
     susc = SusceptibilityProblem(cfg.potential, cfg.bath, spec2, fg)
     chi = phi_omega(susc)
     table = [fg.omegas, chi.values.real, chi.values.imag, spec2.values.real]
@@ -85,14 +98,21 @@ def main(argv: list[str]) -> int:
     for dt_sub in (2e-3, 5e-4):
         seconds[f"integrate_duffing dt_sub={dt_sub:g}"] = best_of(
             lambda: integrate_duffing(response, dt_sub=dt_sub))
-    seconds[f"psi_operator n={fg.n}"] = best_of(lambda: psi_operator(chi, susc))
     tol, k_max = cfg.settings["djm_tol"], cfg.settings["djm_k_max"]
-    solve = f"solve_susceptibility n={fg.n}"
-    seconds[solve] = best_of(lambda: solve_susceptibility(susc, tol, k_max))
-    tracemalloc.start()
-    solve_susceptibility(susc, tol, k_max)
-    peak_mb = {solve: round(tracemalloc.get_traced_memory()[1] / 1e6, 3)}
-    tracemalloc.stop()
+    solved = solve_susceptibility(susc, tol, k_max)[0]
+    layers = {
+        f"variance_spectrum n={fg.n}":
+            lambda: variance_spectrum(sig2, fg, plateau_tol=plateau_tol),
+        f"psi_operator n={fg.n}": lambda: psi_operator(chi, susc),
+        f"solve_susceptibility n={fg.n}":
+            lambda: solve_susceptibility(susc, tol, k_max),
+        f"response_from_susceptibility {fg.n}x{grid.n}":
+            lambda: response_from_susceptibility(solved, grid, edge_tol=edge_tol),
+    }
+    peaks = {}
+    for name, fn in layers.items():
+        seconds[name] = best_of(fn)
+        peaks[name] = peak_mb(fn)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "table.csv"
         seconds[f"write_csv {fg.n}x{len(table)}"] = best_of(
@@ -112,7 +132,7 @@ def main(argv: list[str]) -> int:
         "numpy": np.__version__,
         "best_of": REPEATS,
         "seconds": {k: round(v, 5) for k, v in seconds.items()},
-        "tracemalloc_peak_mb": peak_mb,
+        "tracemalloc_peak_mb": peaks,
     }))
     return 0
 
