@@ -53,10 +53,11 @@ def linear_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def hermitian_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """sum_j A[j] B[k-j], k = 0 .. m-1, for Hermitian A, B given by halves
-    a = A[0:m], b = B[0:m]; laid out circularly, each has a real DFT (hfft)."""
+    a = A[0:m], b = B[0:m]; laid out circularly, each has a real DFT (hfft).
+    When b is a, its one transform is squared."""
     nfft = _next_pow2(4 * a.size - 3)
     fa = np.fft.hfft(a, nfft)
-    fa *= np.fft.hfft(b, nfft)
+    fa *= fa if b is a else np.fft.hfft(b, nfft)
     return np.fft.ihfft(fa)[:a.size]
 
 

@@ -21,7 +21,7 @@ import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -208,7 +208,25 @@ def write_csv(path: Path, header: list[str], columns: list[np.ndarray]):
     """Numbers as %.16e (17 significant digits, exact round trip); a text
     table (the acceptance report) goes through csv quoting. A numeric
     column with a NaN or inf raises NonFiniteOutputError before the file is
-    opened."""
+    opened. The numbers are formatted and written CSV_BLOCK values at a
+    time (_csv_blocks), so the writer's memory does not grow with the table.
+
+    Every byte equals "%.16e" % x. A value x with 1e-280 < |x| < 1e280
+    takes a numpy path: with e = floor(log10|x|) and k = 16 - e, 10^k is
+    held as a double-double hi + lo built from exact integers, and
+    y = |x| * 10^k as yh + yl from Dekker's exact product |x| * hi plus
+    |x| * lo. The range keeps every partial product of the split normal and
+    finite, and the pair is within 2^-104 y < 5e-15 of y. So
+    D = yh + floor(yl) is the integer part of y (or, for a fraction within
+    5e-15 of an integer, one less, which rounds to the same digits), and
+    yl - floor(yl) its fraction to within 6e-15. The value is kept when D
+    lies in [10^16, 10^17) and the fraction is more than 1e-6 from 0.5, a
+    margin 10^8 times that error: its 17 digits are then D rounded to
+    nearest by the fraction, as % rounds them. +-0.0 are written directly.
+    Everything else goes through % and is spliced in: subnormals, |x|
+    outside that range, a decade log10 missed, near-ties, and a rounding
+    up to 10^17.
+    """
     text = any(len(col) and isinstance(col[0], str) for col in columns)
     if not text:
         columns = [np.asarray(col, dtype=float) for col in columns]
@@ -223,10 +241,105 @@ def write_csv(path: Path, header: list[str], columns: list[np.ndarray]):
         if text:
             w.writerows(zip(*columns))
             return
-        # one % over every row: the values interleaved row by row
-        line = ",".join(["%.16e"] * len(columns)) + "\r\n"
-        values = np.column_stack(columns).ravel().tolist()
-        fh.write(line * len(columns[0]) % tuple(values))
+        for chunk in _csv_blocks(columns):
+            fh.write(chunk)
+
+
+# values per block of write_csv
+CSV_BLOCK = 8192
+
+
+def _csv_blocks(columns: list[np.ndarray]) -> Iterator[str]:
+    """The rows of finite float64 columns as the text of "%.16e" joined by
+    "," and ended by CRLF, CSV_BLOCK values at a time; write_csv says why
+    the digits are exact. A field is 24 bytes plus its separator, padded
+    with zero bytes, which are dropped before the block is returned."""
+    ncols = len(columns)
+    n_rows = max(1, CSV_BLOCK // ncols)
+    # ASCII of 0000 .. 9999, one uint32 per 4-digit group
+    g = np.arange(10000)
+    quads = (np.stack([g // 1000, g // 100 % 10, g // 10 % 10, g % 10], axis=-1)
+             .astype(np.uint8) + ord("0")).view(np.uint32).ravel()
+    powers: dict[int, tuple[float, float]] = {}
+    for start in range(0, len(columns[0]), n_rows):
+        x = np.column_stack([col[start:start + n_rows] for col in columns])
+        rows = x.shape[0]
+        buf = np.zeros((rows, 25 * ncols + 1), np.uint8)
+        buf[:, -1] = ord("\n")
+        field = buf[:, :-1].reshape(rows, ncols, 25)
+        field[..., 24] = ord(",")
+        field[:, -1, 24] = ord("\r")
+
+        a = np.abs(x)
+        fast = (a > 1e-280) & (a < 1e280)
+        a = np.where(fast, a, 1.0)
+        e = np.floor(np.log10(a)).astype(np.int64)
+        k = 16 - e
+        k0, k1 = int(k.min()), int(k.max())
+        for j in range(k0, k1 + 1):
+            if j not in powers:
+                d = 10 ** abs(j)
+                if j >= 0:
+                    h = float(d)
+                    powers[j] = (h, float(d - int(h)))
+                else:
+                    h = 1 / d  # correctly rounded
+                    m, s = h.as_integer_ratio()
+                    powers[j] = (h, (s - m * d) / (s * d))
+        his, los = np.array([powers[j] for j in range(k0, k1 + 1)]).T
+        hi, lo = his[k - k0], los[k - k0]
+        # Dekker: with Veltkamp's split into halves, the first four terms
+        # of t sum to a * hi - p exactly
+        p = a * hi
+        c = 134217729.0 * a
+        ah = c - (c - a)
+        al = a - ah
+        c = 134217729.0 * hi
+        bh = c - (c - hi)
+        bl = hi - bh
+        t = ((ah * bh - p) + ah * bl + al * bh) + al * bl + a * lo
+        yh = p + t
+        yl = t - (yh - p)
+        fl = np.floor(yl)
+        digits = yh.astype(np.int64) + fl.astype(np.int64)
+        frac = yl - fl
+        ok = (fast & (digits >= 10 ** 16) & (digits < 10 ** 17)
+              & (np.abs(frac - 0.5) > 1e-6))
+        digits += frac > 0.5
+        ok &= digits < 10 ** 17
+        # a zero has e = 0 from a = 1.0; it needs digits 0
+        zero = x == 0
+        ok |= zero
+        digits[zero] = 0
+
+        lead = digits // 10 ** 16
+        rest = digits - lead * 10 ** 16
+        upper = rest // 10 ** 8
+        lower = rest - upper * 10 ** 8
+        groups = np.empty(x.shape + (4,), np.int64)
+        groups[..., 0] = upper // 10000
+        groups[..., 1] = upper - groups[..., 0] * 10000
+        groups[..., 2] = lower // 10000
+        groups[..., 3] = lower - groups[..., 2] * 10000
+        field[..., 0] = np.signbit(x) * np.uint8(ord("-"))
+        field[..., 1] = lead + ord("0")
+        field[..., 2] = ord(".")
+        field[..., 3:19] = quads[groups].view(np.uint8)
+        field[..., 19] = ord("e")
+        field[..., 20] = np.where(e < 0, np.uint8(ord("-")), np.uint8(ord("+")))
+        # the last three digits of the exponent's group; 2 digits below 100
+        exponent = np.abs(e)
+        field[..., 21:24] = quads[exponent, None].view(np.uint8)[..., 1:]
+        field[..., 21] *= exponent >= 100
+
+        slow = np.flatnonzero(~ok)
+        if slow.size:
+            values = x.ravel()[slow].tolist()
+            formatted = ("%-24.16e" * len(values) % tuple(values)).encode("ascii")
+            padded = np.frombuffer(formatted, np.uint8).reshape(-1, 24)
+            field[slow // ncols, slow % ncols, :24] = np.where(
+                padded == ord(" "), 0, padded)
+        yield buf.tobytes().replace(b"\0", b"").decode("ascii")
 
 
 def write_manifest(path: Path, payload: dict):

@@ -76,7 +76,8 @@ def _convolve_spectra(a: Spectrum, b: Spectrum) -> Spectrum:
     if a.grid != b.grid:
         raise ValueError("spectra live on different grids")
     grid = a.grid
-    a_half, b_half = a.values[grid.zero_index:], b.values[grid.zero_index:]
+    a_half = a.values[grid.zero_index:]
+    b_half = a_half if b is a else b.values[grid.zero_index:]
     reg = hermitian_convolve(a_half, b_half) * grid.d_omega
     # adding a zero weight would still turn a -0.0 of reg into +0.0
     if a.dirac:

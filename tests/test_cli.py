@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qcle.cli import NonFiniteOutputError, main, write_csv
+from qcle.cli import CSV_BLOCK, NonFiniteOutputError, main, write_csv
 
 CONFIG = {
     "potential": {"eta": 1.0, "alpha": 0.0, "epsilon": 0.0, "f0": 0.1},
@@ -84,8 +84,31 @@ def _per_value_csv(path: Path, header, columns):
                         for v in row])
 
 
+def _stress_values() -> np.ndarray:
+    """Values where a fast %.16e is most likely to go wrong, deterministic."""
+    rng = np.random.default_rng(2024)
+    bits = rng.integers(0, 2**64, size=100_000, dtype=np.uint64).view(np.float64)
+    ks = range(-290, 291)
+    decades = np.array([10.0**k for k in ks] + [float(f"1e{k}") for k in ks])
+    carries = np.array([float(f"9.99999999999999995e{k}") for k in ks])
+    near = [(base.view(np.int64)[:, None] + np.arange(-u, u + 1)).view(np.float64)
+            for base, u in ((decades, 4), (carries, 6))]
+    ints = rng.integers(10**15, 10**16, size=2000).astype(float)
+    ties = (ints[:, None] + [0.25, 0.5, 0.75]).ravel()
+    special = [0.0, -0.0, 5e-324, 2.2250738585072009e-308, 1e-310, 1e-300,
+               np.finfo(float).max, 1e300, 0.5, 1.0]
+    v = np.concatenate([*(x.ravel() for x in near), ties, np.nextafter(ties, 0),
+                        np.nextafter(ties, np.inf), special])
+    v = np.concatenate([bits, v, -v])
+    return v[np.isfinite(v)]
+
+
 def test_write_csv_matches_per_value_writer(tmp_path):
     x = np.array([-0.0, 0.0, 1e-300, -5e-324, 1.7976931348623157e308, 0.1, -2.5])
+    v = _stress_values()
+    n = v.size // 3
+    assert n % (CSV_BLOCK // 3)  # a last block shorter than the others
+    row = v[::v.size // 6][:7]
     tables = [
         (["t", "a", "b"], [np.arange(x.size) * 0.1, x, x[::-1]]),
         (["criterion", "passed", "detail"],
@@ -93,6 +116,9 @@ def test_write_csv_matches_per_value_writer(tmp_path):
         (["t"], [np.array([])]),
         (["t"], [x]),
         (["t", "a", "b"], [[0.5], x[3:4], [-0.0]]),
+        (["a", "b", "c"], [v[:n], v[n:2 * n], v[2 * n:3 * n]]),
+        (["a"], [v[::9]]),
+        (list("abcdefg"), [row[i:i + 1] for i in range(7)]),
     ]
     for i, (header, columns) in enumerate(tables):
         ours, ref = tmp_path / f"ours{i}.csv", tmp_path / f"ref{i}.csv"
@@ -100,6 +126,19 @@ def test_write_csv_matches_per_value_writer(tmp_path):
         _per_value_csv(ref, header, columns)
         assert hashlib.sha256(ours.read_bytes()).hexdigest() \
             == hashlib.sha256(ref.read_bytes()).hexdigest()
+
+
+def test_write_csv_memory_is_bounded(tmp_path):
+    # formatted block by block: the writer holds no table-sized text
+    t = np.linspace(0.0, 1.0, 200_001)
+    columns = [t, np.sin(t), np.cos(t) * 1e-30, np.zeros_like(t)]
+    tracemalloc.start()
+    try:
+        write_csv(tmp_path / "big.csv", ["t", "a", "b", "c"], columns)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -12,15 +12,16 @@ in this process:
   `solve_susceptibility` (at the preset's djm_tol and djm_k_max) on that
   preset's 32001-node frequency grid, and `response_from_susceptibility`
   of the solved chi on its time grid;
-- `write_csv` of a 32001 x 4 table;
+- `write_csv` of a 32001 x 4 table of the preset's spectra, and of a
+  32001 x 4 table of subnormals, which all take the `%` fallback;
 - `variance` on the preset's time grid, classical and at nu = 1 (with the
   quantum-response workload's quadrature: omega_max 300, rtol 0.1);
 - `sample_noise` and `integrate_qcle` at 2000 paths x 1501 nodes.
 
 Prints one JSON line: the checkout, the versions, the seconds per layer
-and, from one more untimed call each, the `tracemalloc` peaks of the four
-frequency-grid layers in MB. Compare two checkouts by running it on each,
-one after the other.
+and, from one more untimed call each, the `tracemalloc` peaks in MB of the
+four frequency-grid layers and of `write_csv` on the spectra table.
+Compare two checkouts by running it on each, one after the other.
 """
 
 from __future__ import annotations
@@ -90,6 +91,8 @@ def main(argv: list[str]) -> int:
     susc = SusceptibilityProblem(cfg.potential, cfg.bath, spec2, fg)
     chi = phi_omega(susc)
     table = [fg.omegas, chi.values.real, chi.values.imag, spec2.values.real]
+    subnormal = np.finfo(float).tiny * np.arange(1, fg.n + 1) / (fg.n + 1)
+    subnormals = [subnormal, -subnormal, subnormal, -subnormal]
     quantum = replace(cfg.bath, nu=1.0)
     quantum_quad = SpectralQuadrature(300.0, cfg.quad.n, 0.1)
     noise = sample_noise(grid, cfg.bath, N_PATHS, MC_SEED)
@@ -115,8 +118,10 @@ def main(argv: list[str]) -> int:
         peaks[name] = peak_mb(fn)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "table.csv"
-        seconds[f"write_csv {fg.n}x{len(table)}"] = best_of(
-            lambda: write_csv(path, ["a", "b", "c", "d"], table))
+        name = f"write_csv {fg.n}x{len(table)}"
+        for key, cols in ((name, table), (f"{name} subnormal", subnormals)):
+            seconds[key] = best_of(lambda: write_csv(path, ["a", "b", "c", "d"], cols))
+        peaks[name] = peak_mb(lambda: write_csv(path, ["a", "b", "c", "d"], table))
     seconds[f"variance n={grid.n} classical"] = best_of(
         lambda: variance(grid, cfg.bath, cfg.potential, quad=cfg.quad))
     seconds[f"variance n={grid.n} nu=1"] = best_of(
