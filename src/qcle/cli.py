@@ -364,9 +364,9 @@ def _base_manifest(cfg: Optional[RunConfig], subcommand: str) -> dict:
 
 
 def _dirac_row(spec: Spectrum) -> list:
-    """The Dirac at omega = 0 as [[0.0, re, im]], or [] when it is absent."""
-    w = spec.dirac
-    return [[0.0, w.real, w.imag]] if w else []
+    """The real Dirac weight w at omega = 0 as [[0.0, w, 0.0]] (the row keeps
+    the [omega, re, im] layout), or [] when it is absent."""
+    return [[0.0, spec.dirac, 0.0]] if spec.dirac else []
 
 
 # Each subcommand writes its CSVs into `out` and records its diagnostics in
@@ -407,8 +407,10 @@ def cmd_moments(cfg: RunConfig, out: Path, m: dict) -> int:
     })
     fg = cfg.freq_grid
     spec = variance_spectrum(sig2, fg, plateau_tol=s["plateau_tol"])
+    full = spec.full()
+    # the spectrum is real: + 0.0 writes the mirror's zeros as 0.0, not -0.0
     write_csv(out / "variance_spectrum.csv", ["omega", "re", "im"],
-              [fg.omegas, spec.values.real, spec.values.imag])
+              [fg.omegas, full.real, full.imag + 0.0])
     m["diagnostics"]["sigma2_singular"] = _dirac_row(spec)
     return 0
 
@@ -446,16 +448,13 @@ def cmd_susceptibility(cfg: RunConfig, out: Path, m: dict) -> int:
     if not sol.converged:
         raise ConvergenceError("susceptibility recursion did not converge",
                                sol.term_norms)
+    full = chi.full()
     write_csv(out / "susceptibility.csv", ["omega", "re", "im"],
-              [fg.omegas, chi.values.real, chi.values.imag])
-    rec, imag_resid = response_from_susceptibility(chi, cfg.time_grid,
-                                                   edge_tol=s["edge_tol"])
+              [fg.omegas, full.real, full.imag])
+    rec = response_from_susceptibility(chi, cfg.time_grid, edge_tol=s["edge_tol"])
     write_csv(out / "response_reconstructed.csv", ["t", "r"],
               [cfg.time_grid.times, rec.values])
-    m["diagnostics"].update({
-        "imag_residual": imag_resid,
-        "chi_singular": _dirac_row(chi),
-    })
+    m["diagnostics"]["chi_singular"] = _dirac_row(chi)
     return 0
 
 

@@ -79,37 +79,48 @@ class SampledSignal:
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Complex spectrum on a FreqGrid plus a symbolic Dirac at omega = 0.
+    """Hermitian spectrum on a FreqGrid, stored by its omega >= 0 half, plus
+    a symbolic Dirac at omega = 0.
 
-    `dirac` is the integral weight w of the component w * delta(omega); it is
-    never sampled onto the regular grid. Every Dirac of the susceptibility
-    equation sits at omega = 0 (the tilt and the variance plateau), and
-    convolving two of them gives another at omega = 0.
+    Every spectrum of the susceptibility equation transforms a real function
+    of time, so chi(-w) = conj(chi(w)): `half` holds the values on the nodes
+    zero_index .. n-1, real at omega = 0, and the omega < 0 nodes are their
+    conjugates (`full`). `dirac` is the real integral weight w of the
+    component w * delta(omega); it is never sampled onto the regular grid.
+    Every Dirac of the susceptibility equation sits at omega = 0 (the tilt
+    and the variance plateau), and convolving two of them gives another at
+    omega = 0.
     """
 
     grid: FreqGrid
-    values: np.ndarray
-    dirac: complex = 0j
+    half: np.ndarray
+    dirac: float = 0.0
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=complex)
-        object.__setattr__(self, "values", vals)
-        if vals.shape != (self.grid.n,):
+        half = np.asarray(self.half, dtype=complex)
+        object.__setattr__(self, "half", half)
+        if half.shape != (self.grid.zero_index + 1,):
             raise ValueError(
-                f"values shape {vals.shape} does not match grid with {self.grid.n} nodes"
+                f"half shape {half.shape} does not match the "
+                f"{self.grid.zero_index + 1} omega >= 0 nodes of the grid"
             )
-        if not np.all(np.isfinite(vals)):
+        if not np.all(np.isfinite(half)):
             raise ValueError("spectrum regular part must be finite at every node")
-        # a weight carries no sign of zero: + 0j turns -0.0 parts into +0.0
-        object.__setattr__(self, "dirac", complex(self.dirac) + 0j)
+        if half[0].imag != 0:
+            raise ValueError("a Hermitian spectrum is real at omega = 0")
+        # complex() keeps the imaginary part that float() would only warn about
+        w = complex(self.dirac)
+        if w.imag != 0:
+            raise ValueError("the Dirac weight of a Hermitian spectrum is real")
+        # a weight carries no sign of zero: + 0.0 turns -0.0 into +0.0
+        object.__setattr__(self, "dirac", w.real + 0.0)
 
-    @classmethod
-    def from_half(cls, grid: FreqGrid, half: np.ndarray, dirac: complex) -> "Spectrum":
-        """Hermitian spectrum with `half` on the omega >= 0 nodes."""
-        return cls(grid, np.concatenate([np.conj(half[:0:-1]), half]), dirac)
+    def full(self) -> np.ndarray:
+        """The regular part on every node: conj(half) mirrored onto omega < 0."""
+        return np.concatenate([np.conj(self.half[:0:-1]), self.half])
 
     def sup_norm(self) -> float:
-        return max(float(np.max(np.abs(self.values))), abs(self.dirac))
+        return max(float(np.max(np.abs(self.half))), abs(self.dirac))
 
     def _check_same_grid(self, other: "Spectrum"):
         if self.grid != other.grid:
@@ -117,20 +128,8 @@ class Spectrum:
 
     def __add__(self, other: "Spectrum") -> "Spectrum":
         self._check_same_grid(other)
-        return Spectrum(self.grid, self.values + other.values,
-                        self.dirac + other.dirac)
+        return Spectrum(self.grid, self.half + other.half, self.dirac + other.dirac)
 
     def __sub__(self, other: "Spectrum") -> "Spectrum":
         self._check_same_grid(other)
-        return Spectrum(self.grid, self.values - other.values,
-                        self.dirac - other.dirac)
-
-    def hermitian_symmetrized(self) -> "Spectrum":
-        """Project onto exact Hermitian symmetry chi(-w) = conj(chi(w))."""
-        vals = 0.5 * (self.values + np.conj(self.values[::-1]))
-        w = self.dirac
-        return Spectrum(self.grid, vals, 0.5 * (w + w.conjugate()))
-
-    def is_hermitian(self) -> bool:
-        return (bool(np.array_equal(self.values, np.conj(self.values[::-1])))
-                and self.dirac == self.dirac.conjugate())
+        return Spectrum(self.grid, self.half - other.half, self.dirac - other.dirac)

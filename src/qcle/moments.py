@@ -323,11 +323,11 @@ def variance_spectrum(sigma2: SampledSignal, grid: FreqGrid,
         )
     transient = vals - sig_eq
     wt = trapezoid_weights(n, sigma2.grid.dt)
-    # even extension: FT = 2 * int_0^tmax transient(t) cos(w t) dt, evaluated
-    # on w >= 0 and mirrored (the grid's nodes are symmetric bit for bit)
+    # even extension: FT = 2 * int_0^tmax transient(t) cos(w t) dt, real,
+    # evaluated on the w >= 0 half that a Spectrum stores
     half = grid.omegas[grid.zero_index:]
     acc = phase_stepped_sum(transient * wt, 0.0, sigma2.grid.dt, half, +1)
-    return Spectrum.from_half(grid, 2.0 * np.real(acc), 2.0 * np.pi * sig_eq)
+    return Spectrum(grid, 2.0 * np.real(acc), 2.0 * np.pi * sig_eq)
 
 
 def mean_trajectory(q0: float, v0: float, potential: PotentialParams,

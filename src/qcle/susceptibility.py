@@ -13,14 +13,16 @@ delta(w). Transforming the response ODE under this convention gives
 
 Every Dirac component sits at w = 0 and is carried symbolically as one
 weight (Spectrum.dirac) and convolved exactly. Every spectrum transforms a
-real function of time and is Hermitian, which psi_operator requires: regular
-parts are convolved as zero-padded grid sums of their w >= 0 halves (hfft and
-ihfft; equal to the direct sums to roundoff) and mirrored, and the inverse
-transform is one chirp-z sum (_numutil.phase_stepped_sum).
+real function of time and is Hermitian, so a Spectrum holds its w >= 0 half
+only: regular parts are convolved as zero-padded grid sums of their halves
+(hfft and ihfft; equal to the direct sums to roundoff), and the inverse
+transform is twice the real part of one chirp-z sum over the half
+(_numutil.phase_stepped_sum).
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,25 +50,29 @@ class SusceptibilityProblem:
     def __post_init__(self):
         if self.sigma2_spec.grid != self.grid:
             raise ValueError("sigma2 spectrum must live on the problem grid")
-        if not self.sigma2_spec.is_hermitian():
-            raise ValueError("sigma2 spectrum must be Hermitian")
+
+    @functools.cached_property
+    def chi_tilde_half(self) -> np.ndarray:
+        """chi_tilde on the w >= 0 nodes, shared by phi_omega and every
+        psi_operator application."""
+        omegas = self.grid.omegas[self.grid.zero_index:]
+        return kernels.chi_tilde(omegas, self.bath.gamma, self.potential.eta)
 
 
 def phi_omega(problem: SusceptibilityProblem) -> Spectrum:
     """Inhomogeneity: chi_tilde on the grid plus the tilt Dirac weight
     -2 pi (eps/f0) chi_tilde(0) at w = 0 when eps != 0."""
-    pot, bath = problem.potential, problem.bath
+    pot = problem.potential
     if pot.eta == 0 and pot.epsilon != 0:
         raise ValueError("chi_tilde(0) singular for eta = 0: tilt term undefined")
-    reg = kernels.chi_tilde(problem.grid.omegas, bath.gamma, pot.eta)
-    dirac = 0j
+    dirac = 0.0
     if pot.epsilon != 0:
-        dirac = complex(-2.0 * np.pi * (pot.epsilon / pot.f0) / pot.eta)
-    return Spectrum(problem.grid, reg, dirac).hermitian_symmetrized()
+        dirac = -2.0 * np.pi * (pot.epsilon / pot.f0) / pot.eta
+    return Spectrum(problem.grid, problem.chi_tilde_half, dirac)
 
 
 def _convolve_spectra(a: Spectrum, b: Spectrum) -> Spectrum:
-    """(a * b)(w) = int a(w - w') b(w') dw' on the grid, a and b Hermitian.
+    """(a * b)(w) = int a(w - w') b(w') dw' on the grid.
 
     regular*regular by grid summation (zero padding outside); a Dirac at
     w = 0 adds its weight times the other regular part, and two Diracs give
@@ -75,39 +81,32 @@ def _convolve_spectra(a: Spectrum, b: Spectrum) -> Spectrum:
     """
     if a.grid != b.grid:
         raise ValueError("spectra live on different grids")
-    grid = a.grid
-    a_half = a.values[grid.zero_index:]
-    b_half = a_half if b is a else b.values[grid.zero_index:]
-    reg = hermitian_convolve(a_half, b_half) * grid.d_omega
+    reg = hermitian_convolve(a.half, b.half) * a.grid.d_omega
     # adding a zero weight would still turn a -0.0 of reg into +0.0
     if a.dirac:
-        reg += a.dirac * b_half
+        reg += a.dirac * b.half
     if b.dirac:
-        reg += b.dirac * a_half
-    return Spectrum.from_half(grid, reg, np.complex128(a.dirac) * b.dirac)
+        reg += b.dirac * a.half
+    return Spectrum(a.grid, reg, np.float64(a.dirac) * b.dirac)
 
 
 def psi_operator(chi: Spectrum, problem: SusceptibilityProblem) -> Spectrum:
-    """Nonlinear frequency-domain operator (zero when alpha = 0). chi must
-    be Hermitian; the output is Hermitian by construction."""
+    """Nonlinear frequency-domain operator (zero when alpha = 0)."""
     if chi.grid != problem.grid:
         raise ValueError("chi must live on the problem grid")
-    if not chi.is_hermitian():
-        raise ValueError("chi must be Hermitian: chi(-w) = conj(chi(w))")
-    pot, grid = problem.potential, problem.grid
+    pot = problem.potential
     two_pi = 2.0 * np.pi
     f02 = square(pot.f0)
     chi2 = _convolve_spectra(chi, chi)
-    bracket_reg = pot.alpha * (3.0 * problem.sigma2_spec.values
-                               + (f02 / two_pi) * chi2.values)
+    bracket_reg = pot.alpha * (3.0 * problem.sigma2_spec.half
+                               + (f02 / two_pi) * chi2.half)
     bracket_dirac = (pot.alpha * 3.0 * problem.sigma2_spec.dirac
                      + pot.alpha * (f02 / two_pi) * chi2.dirac)
-    bracket = Spectrum(grid, bracket_reg, bracket_dirac)
-    outer = _convolve_spectra(chi, bracket)
-    chit = kernels.chi_tilde(grid.omegas, problem.bath.gamma, pot.eta)
-    reg = -(1.0 / two_pi) * chit * outer.values
-    dirac = -(1.0 / two_pi) * chit[grid.zero_index] * outer.dirac
-    return Spectrum(grid, reg, dirac)
+    outer = _convolve_spectra(chi, Spectrum(problem.grid, bracket_reg, bracket_dirac))
+    chit = problem.chi_tilde_half
+    reg = -(1.0 / two_pi) * chit * outer.half
+    dirac = -(1.0 / two_pi) * chit[0].real * outer.dirac
+    return Spectrum(problem.grid, reg, dirac)
 
 
 def solve_susceptibility(problem: SusceptibilityProblem, tol: float = 1e-8,
@@ -124,30 +123,27 @@ def solve_susceptibility(problem: SusceptibilityProblem, tol: float = 1e-8,
 
 def _inverse_transform(chi: Spectrum, times: np.ndarray,
                        edge_tol: float) -> np.ndarray:
-    """(1/2pi) int chi(w) e^{-iwt} dw at uniformly spaced times (complex):
-    the trapezoid rule of the regular part, summed by chirp-z, plus the exact
-    Dirac contribution.
+    """(1/2pi) int chi(w) e^{-iwt} dw at uniformly spaced times, real since
+    chi is Hermitian: twice the real part of the trapezoid rule over the
+    w >= 0 half, summed by chirp-z (its end weight dw/2 at w = 0 counts that
+    node once), plus the exact Dirac contribution.
 
     The regular part must have decayed at the grid edges (precondition).
     """
-    grid = chi.grid
-    edge = max(abs(chi.values[0]), abs(chi.values[-1]))
+    edge = abs(chi.half[-1])
     if edge > edge_tol:
         raise EdgeToleranceError(
             f"|chi| = {edge:.3e} at the grid edge exceeds {edge_tol:.1e}; "
             "the frequency grid is too narrow"
         )
     t = np.asarray(times, dtype=float)
-    wt = trapezoid_weights(grid.n, grid.d_omega)
-    acc = phase_stepped_sum(chi.values * wt, -grid.omega_max, grid.d_omega, t, -1)
-    acc += chi.dirac
-    return acc / (2.0 * np.pi)
+    d_omega = chi.grid.d_omega
+    wt = trapezoid_weights(chi.half.size, d_omega)
+    acc = phase_stepped_sum(chi.half * wt, 0.0, d_omega, t, -1)
+    return (2.0 * acc.real + chi.dirac) / (2.0 * np.pi)
 
 
 def response_from_susceptibility(chi: Spectrum, tgrid: TimeGrid,
-                                 edge_tol: float = 1e-3,
-                                 ) -> tuple[SampledSignal, float]:
-    """Inverse transform R(t) on the time grid and, as a diagnostic, the
-    largest imaginary residue over the nodes."""
-    acc = _inverse_transform(chi, tgrid.times, edge_tol)
-    return SampledSignal(tgrid, acc.real), float(np.max(np.abs(acc.imag)))
+                                 edge_tol: float = 1e-3) -> SampledSignal:
+    """Inverse transform R(t) on the time grid."""
+    return SampledSignal(tgrid, _inverse_transform(chi, tgrid.times, edge_tol))

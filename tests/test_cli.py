@@ -154,7 +154,10 @@ def test_moments_and_response_subcommands(tmp_path):
     out1 = tmp_path / "m"
     assert main(["moments", "--config", str(cfg), "--out", str(out1)]) == 0
     assert (out1 / "moments.csv").exists()
-    assert (out1 / "variance_spectrum.csv").exists()
+    header, rows = _read_csv(out1 / "variance_spectrum.csv")
+    assert header == ["omega", "re", "im"] and len(rows) == 8001
+    # the spectrum is real: its mirrored half is written with 0.0, not -0.0
+    assert {r[2] for r in rows} == {"0.0000000000000000e+00"}
     out2 = tmp_path / "r"
     assert main(["response", "--config", str(cfg), "--out", str(out2)]) == 0
     m = json.loads((out2 / "manifest.json").read_text())
@@ -167,7 +170,10 @@ def test_susceptibility_subcommand(tmp_path):
     out = tmp_path / "s"
     assert main(["susceptibility", "--config", str(cfg), "--out", str(out)]) == 0
     header, rows = _read_csv(out / "susceptibility.csv")
-    assert header == ["omega", "re", "im"]
+    assert header == ["omega", "re", "im"] and len(rows) == 8001
+    # the omega < 0 rows mirror the omega > 0 rows: re equal, im negated
+    re, im = (np.array([float(r[i]) for r in rows]) for i in (1, 2))
+    assert np.array_equal(re, re[::-1]) and np.array_equal(im, -im[::-1])
     assert (out / "response_reconstructed.csv").exists()
 
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from qcle._numutil import e1m, hermitian_convolve, phase_stepped_sum
+from qcle.kernels import chi_tilde
 
 
 def _hermitian_half(rng, m, kind):
@@ -51,6 +52,20 @@ def test_phase_stepped_sum_matches_direct_sum(rows, sign, n, m):
     assert got.shape == direct.shape
     bound = 1e-13 * np.sum(np.abs(coeffs), axis=-1, keepdims=True)
     assert np.all(np.abs(got - direct) <= bound)
+
+
+def test_phase_stepped_sum_centres_at_the_largest_coefficient():
+    # the inverse transform's sum over a susceptibility's w >= 0 half: the
+    # coefficients peak at the first node, where the grid's midpoint
+    # (w_max/2) would leave the chirp phases, and their roundoff, largest
+    n, m, dw = 16001, 1501, 0.05
+    om = dw * np.arange(n)
+    c = chi_tilde(om, 1.0, 1.0) * dw
+    ys = np.linspace(0.0, 15.0, m)
+    direct = np.concatenate([np.exp(-1j * np.outer(ys[i:i + 100], om)) @ c
+                             for i in range(0, m, 100)])
+    got = phase_stepped_sum(c, 0.0, dw, ys, -1)
+    assert np.max(np.abs(got - direct)) <= 1e-13 * np.sum(np.abs(c))
 
 
 # mpmath at 40 digits rounds 1 - e^{-x} to 0 for |x| below about 1e-20, so

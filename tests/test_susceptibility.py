@@ -16,16 +16,19 @@ BATH = BathParams(gamma=1.0, temp=1.0, nu=1e4)
 
 
 def _zero_sigma_spec(grid):
-    return Spectrum(grid, np.zeros(grid.n, dtype=complex))
+    return Spectrum(grid, np.zeros(grid.zero_index + 1))
+
+
+def _half(grid):
+    return grid.omegas[grid.zero_index:]
 
 
 def test_phi_omega_harmonic():
     grid = FreqGrid(10.0, 401)
     prob = SusceptibilityProblem(parabolic(), BATH, _zero_sigma_spec(grid), grid)
     phi = phi_omega(prob)
-    assert np.array_equal(phi.values, chi_tilde(grid.omegas, 1.0, 1.0))
+    assert np.array_equal(phi.full(), chi_tilde(grid.omegas, 1.0, 1.0))
     assert phi.dirac == 0
-    assert phi.is_hermitian()
 
 
 def test_phi_omega_tilt_weight():
@@ -49,7 +52,7 @@ def test_psi_vanishes_for_alpha_zero():
     prob = SusceptibilityProblem(parabolic(), BATH, _zero_sigma_spec(grid), grid)
     chi = phi_omega(prob)
     psi = psi_operator(chi, prob)
-    assert np.max(np.abs(psi.values)) == 0.0
+    assert np.max(np.abs(psi.half)) == 0.0
     assert psi.dirac == 0
 
 
@@ -59,46 +62,43 @@ def test_psi_delta_algebra():
     grid = FreqGrid(10.0, 401)
     alpha, f0, s_eq, w = 0.4, 0.8, 0.9, 1.7
     pot = PotentialParams(eta=1.0, alpha=alpha, epsilon=0.0, f0=f0)
-    s2 = Spectrum(grid, np.zeros(grid.n, dtype=complex), 2.0 * np.pi * s_eq)
+    s2 = Spectrum(grid, np.zeros(grid.zero_index + 1), 2.0 * np.pi * s_eq)
     prob = SusceptibilityProblem(pot, BATH, s2, grid)
-    chi = Spectrum(grid, np.zeros(grid.n, dtype=complex), w)
+    chi = Spectrum(grid, np.zeros(grid.zero_index + 1), w)
     psi = psi_operator(chi, prob)
-    assert np.max(np.abs(psi.values)) == 0.0
+    assert np.max(np.abs(psi.half)) == 0.0
     expected = -1.0 * w * (3 * alpha * s_eq + alpha * f0**2 * w**2 / (4 * np.pi**2))
     assert psi.dirac == pytest.approx(expected, rel=1e-12)
 
 
-def _convolve_unshared(a, b):
-    """Reference: one spectral convolution of the full grids through the
-    complex route of linear_convolve."""
-    grid = a.grid
-    n, z = grid.n, grid.zero_index
-    full = linear_convolve(a.values, b.values) * grid.d_omega
-    reg = full[z: z + n].copy()
-    if a.dirac:
-        reg += a.dirac * b.values
-    if b.dirac:
-        reg += b.dirac * a.values
-    return Spectrum(grid, reg, a.dirac * b.dirac)
+def _convolve_unshared(a, b, grid):
+    """Reference: one spectral convolution of two full-grid (values, Dirac
+    weight) pairs through the complex route of linear_convolve."""
+    (fa, wa), (fb, wb) = a, b
+    z = grid.zero_index
+    reg = linear_convolve(fa, fb)[z: z + grid.n] * grid.d_omega
+    if wa:
+        reg += wa * fb
+    if wb:
+        reg += wb * fa
+    return reg, wa * wb
 
 
 def _psi_unshared(chi, problem):
-    """Reference: psi_operator through full complex convolutions, projected
-    onto Hermitian symmetry."""
+    """Reference: psi_operator on every node of the grid, fed chi.full(),
+    through full complex convolutions; returns (values, Dirac weight)."""
     pot, grid = problem.potential, problem.grid
     two_pi = 2.0 * np.pi
-    chi2 = _convolve_unshared(chi, chi)
-    bracket = Spectrum(
-        grid,
-        pot.alpha * (3.0 * problem.sigma2_spec.values
-                     + (pot.f0**2 / two_pi) * chi2.values),
-        pot.alpha * 3.0 * problem.sigma2_spec.dirac
-        + pot.alpha * (pot.f0**2 / two_pi) * chi2.dirac)
-    outer = _convolve_unshared(chi, bracket)
+    c = (chi.full(), chi.dirac)
+    chi2, w2 = _convolve_unshared(c, c, grid)
+    bracket = (pot.alpha * (3.0 * problem.sigma2_spec.full()
+                            + (pot.f0**2 / two_pi) * chi2),
+               pot.alpha * 3.0 * problem.sigma2_spec.dirac
+               + pot.alpha * (pot.f0**2 / two_pi) * w2)
+    outer, w_outer = _convolve_unshared(c, bracket, grid)
     chit = kernels.chi_tilde(grid.omegas, problem.bath.gamma, pot.eta)
-    reg = -(1.0 / two_pi) * chit * outer.values
-    dirac = -(1.0 / two_pi) * chit[grid.zero_index] * outer.dirac
-    return Spectrum(grid, reg, dirac).hermitian_symmetrized()
+    return (-(1.0 / two_pi) * chit * outer,
+            -(1.0 / two_pi) * chit[grid.zero_index] * w_outer)
 
 
 @pytest.mark.parametrize("epsilon", [0.0, 0.1], ids=["untilted", "tilted"])
@@ -107,7 +107,7 @@ def _psi_unshared(chi, problem):
 def test_psi_matches_complex_route(epsilon, s_dirac):
     # convolving through the w >= 0 halves changes the sums by roundoff only
     grid = FreqGrid(40.0, 2001)
-    w = grid.omegas
+    w = _half(grid)
     s2 = Spectrum(grid, 1.0 / (1.0 + w * w) + 1j * w / (1.0 + w * w) ** 2,
                   s_dirac)
     pot = PotentialParams(eta=-1.0, alpha=0.5, epsilon=epsilon, f0=0.3)
@@ -115,32 +115,12 @@ def test_psi_matches_complex_route(epsilon, s_dirac):
     chi = phi_omega(prob)
     assert (chi.dirac != 0) == (epsilon != 0)
     for _ in range(2):  # phi, then a first iterate with a wider spectrum
-        ours, ref = psi_operator(chi, prob), _psi_unshared(chi, prob)
-        scale = np.max(np.abs(ref.values))
-        assert np.max(np.abs(ours.values - ref.values)) <= 1e-14 * scale
-        assert ours.dirac == ref.dirac
-        assert ours.is_hermitian()
+        ours = psi_operator(chi, prob)
+        ref, ref_dirac = _psi_unshared(chi, prob)
+        scale = np.max(np.abs(ref))
+        assert np.max(np.abs(ours.full() - ref)) <= 1e-14 * scale
+        assert ours.dirac == ref_dirac
         chi = chi + ours
-
-
-def test_psi_requires_hermitian_chi():
-    grid = FreqGrid(40.0, 1601)
-    pot = PotentialParams(eta=1.0, alpha=0.3, epsilon=0.0, f0=0.4)
-    prob = SusceptibilityProblem(pot, BATH, _zero_sigma_spec(grid), grid)
-    values = phi_omega(prob).values.copy()
-    values[grid.zero_index + 7] += 1e-3j
-    with pytest.raises(ValueError, match="Hermitian"):
-        psi_operator(Spectrum(grid, values), prob)
-
-
-def test_problem_requires_hermitian_sigma2_spectrum():
-    grid = FreqGrid(10.0, 401)
-    sym = 1.0 / (1.0 + grid.omegas**2)
-    with pytest.raises(ValueError, match="Hermitian"):
-        SusceptibilityProblem(parabolic(), BATH,
-                              Spectrum(grid, sym + 1e-3j * (grid.omegas > 0)), grid)
-    with pytest.raises(ValueError, match="Hermitian"):
-        SusceptibilityProblem(parabolic(), BATH, Spectrum(grid, sym, 1.0 + 0.5j), grid)
 
 
 def test_psi_time_domain_oracle():
@@ -149,9 +129,9 @@ def test_psi_time_domain_oracle():
     alpha, f0, s_const = 0.4, 0.8, 0.7
     pot = PotentialParams(eta=1.0, alpha=alpha, epsilon=0.0, f0=f0)
     grid = FreqGrid(200.0, 8001)
-    s2 = Spectrum(grid, np.zeros(grid.n, dtype=complex), 2.0 * np.pi * s_const)
+    s2 = Spectrum(grid, np.zeros(grid.zero_index + 1), 2.0 * np.pi * s_const)
     prob = SusceptibilityProblem(pot, BATH, s2, grid)
-    chi_r = Spectrum(grid, 1.0 / ((1.0 - 1j * grid.omegas) ** 2 + 1.0))
+    chi_r = Spectrum(grid, 1.0 / ((1.0 - 1j * _half(grid)) ** 2 + 1.0))
     psi = psi_operator(chi_r, prob)
 
     t = np.linspace(0.0, 30.0, 60001)
@@ -163,7 +143,7 @@ def test_psi_time_domain_oracle():
     mask = np.abs(grid.omegas) <= 20.0
     om = grid.omegas[mask]
     f_time = np.array([np.sum(g * np.exp(1j * w * t)) for w in om])
-    lhs = psi.values[mask] / (-chi_tilde(om, BATH.gamma, pot.eta))
+    lhs = psi.full()[mask] / (-chi_tilde(om, BATH.gamma, pot.eta))
     assert np.max(np.abs(lhs - f_time)) < 1e-3
 
 
@@ -172,55 +152,72 @@ def test_solve_ho_single_term():
     prob = SusceptibilityProblem(parabolic(), BATH, _zero_sigma_spec(grid), grid)
     chi, sol = solve_susceptibility(prob, tol=1e-10, k_max=25)
     assert sol.converged
-    assert np.max(np.abs(chi.values - chi_tilde(grid.omegas, 1.0, 1.0))) == 0.0
-    assert chi.is_hermitian()
+    assert np.max(np.abs(chi.full() - chi_tilde(grid.omegas, 1.0, 1.0))) == 0.0
 
 
 @pytest.mark.parametrize("epsilon", [0.0, 0.05])
 def test_solution_is_the_hermitian_partial_sum(epsilon):
-    # every partial sum is f + B(S) of two projected spectra, so projecting
-    # it again would change no byte
+    # the partial sum itself is the solution, a fixed point of
+    # chi = phi + psi[chi] to the recursion's tolerance, and it is Hermitian
+    # by its type: no projection is needed or possible
     grid = FreqGrid(50.0, 2001)
     pot = PotentialParams(eta=1.0, alpha=0.3, epsilon=epsilon, f0=0.1)
-    sigma2 = Spectrum(grid, 0.2 / (1.0 + grid.omegas**2), 2.0 * np.pi * 0.4)
+    sigma2 = Spectrum(grid, 0.2 / (1.0 + _half(grid)**2), 2.0 * np.pi * 0.4)
     prob = SusceptibilityProblem(pot, BATH, sigma2, grid)
     chi, sol = solve_susceptibility(prob, tol=1e-10, k_max=40)
     assert sol.converged and sol.k > 2
     assert chi is sol.partial_sum
-    sym = chi.hermitian_symmetrized()
-    assert chi.values.tobytes() == sym.values.tobytes()
-    assert repr(chi.dirac) == repr(sym.dirac)
+    assert (chi - phi_omega(prob) - psi_operator(chi, prob)).sup_norm() < 1e-10
+    full = chi.full()
+    assert np.array_equal(full, np.conj(full[::-1]))
+    assert type(chi.dirac) is float
+
+
+@pytest.mark.parametrize("dirac", [0.0, 2.0 * np.pi * 0.3],
+                         ids=["no_dirac", "dirac"])
+def test_inverse_transform_matches_full_grid_direct_sum(dirac):
+    # twice the real part of the sum over the half is the trapezoid rule
+    # over every node, where the end weight dw/2 at w = 0 counts that node once
+    fg = FreqGrid(400.0, 16001)
+    chi = Spectrum(fg, chi_tilde(_half(fg), 1.0, 1.0), dirac)
+    t = np.linspace(-2.0, 15.0, 171)
+    wt = np.full(fg.n, fg.d_omega)
+    wt[0] = wt[-1] = fg.d_omega / 2.0
+    direct = (np.exp(-1j * np.outer(t, fg.omegas)) @ (chi.full() * wt)
+              + dirac) / (2.0 * np.pi)
+    got = _inverse_transform(chi, t, 1e-3)
+    assert got.dtype == float
+    assert np.max(np.abs(got - direct)) <= 1e-13 * np.max(np.abs(direct))
 
 
 def test_reconstruction_ho_closed_form_pair():
     fg = FreqGrid(5000.0, 100001)
-    chi = Spectrum(fg, chi_tilde(fg.omegas, 1.0, 1.0)).hermitian_symmetrized()
+    chi = Spectrum(fg, chi_tilde(_half(fg), 1.0, 1.0))
     tg = TimeGrid(10.0, 501)
-    rec, imag_resid = response_from_susceptibility(chi, tg)
+    rec = response_from_susceptibility(chi, tg)
     assert np.max(np.abs(rec.values - chi_v(tg.times, 1.0, 1.0))) < 1e-4
-    assert imag_resid < 1e-10
 
 
 def test_reconstruction_singular_only():
     fg = FreqGrid(50.0, 2001)
     c = 0.37
-    chi = Spectrum(fg, np.zeros(fg.n, dtype=complex), 2.0 * np.pi * c)
-    rec, _ = response_from_susceptibility(chi, TimeGrid(5.0, 101))
+    chi = Spectrum(fg, np.zeros(fg.zero_index + 1), 2.0 * np.pi * c)
+    rec = response_from_susceptibility(chi, TimeGrid(5.0, 101))
     assert np.max(np.abs(rec.values - c)) < 1e-12
 
 
 def test_reconstruction_edge_guard():
     fg = FreqGrid(3.0, 301)
-    chi = Spectrum(fg, chi_tilde(fg.omegas, 1.0, 1.0))
+    chi = Spectrum(fg, chi_tilde(_half(fg), 1.0, 1.0))
     with pytest.raises(EdgeToleranceError):
         response_from_susceptibility(chi, TimeGrid(5.0, 101), edge_tol=1e-3)
 
 
 def test_causality_of_ho_spectrum():
     fg = FreqGrid(1000.0, 40001)
-    chi = Spectrum(fg, chi_tilde(fg.omegas, 1.0, 1.0)).hermitian_symmetrized()
+    chi = Spectrum(fg, chi_tilde(_half(fg), 1.0, 1.0))
     t_neg = np.linspace(-8.0, -0.5, 151)
-    assert np.max(np.abs(_inverse_transform(chi, t_neg, 1e-3).real)) < 1e-3
+    assert np.max(np.abs(_inverse_transform(chi, t_neg, 1e-3))) < 1e-3
 
 
 def test_chi_tilde_imaginary_part_sign():
@@ -231,25 +228,11 @@ def test_chi_tilde_imaginary_part_sign():
     assert np.array_equal(chi_tilde(-om, 1.0, 1.0).imag, -vals.imag)
 
 
-def test_hermitian_preserved_by_operations():
-    grid = FreqGrid(40.0, 1601)
-    pot = PotentialParams(eta=1.0, alpha=0.3, epsilon=0.2, f0=0.4)
-    s2 = Spectrum(grid, (1.0 / (1.0 + grid.omegas**2)).astype(complex),
-                  2.0 * np.pi * 0.8)
-    prob = SusceptibilityProblem(pot, BATH, s2, grid)
-    phi = phi_omega(prob)
-    assert phi.is_hermitian()
-    psi = psi_operator(phi, prob)
-    assert psi.is_hermitian()
-    assert (phi + psi).is_hermitian()
-    assert (phi - psi).is_hermitian()
-
-
 def test_grid_mismatch_rejected():
     g1 = FreqGrid(10.0, 401)
     g2 = FreqGrid(10.0, 801)
     prob = SusceptibilityProblem(parabolic(), BATH, _zero_sigma_spec(g1), g1)
     with pytest.raises(ValueError):
-        psi_operator(Spectrum(g2, np.zeros(g2.n, dtype=complex)), prob)
+        psi_operator(Spectrum(g2, np.zeros(g2.zero_index + 1)), prob)
     with pytest.raises(ValueError):
         SusceptibilityProblem(parabolic(), BATH, _zero_sigma_spec(g2), g1)

@@ -12,15 +12,16 @@ in this process:
   `solve_susceptibility` (at the preset's djm_tol and djm_k_max) on that
   preset's 32001-node frequency grid, and `response_from_susceptibility`
   of the solved chi on its time grid;
-- `write_csv` of a 32001 x 4 table of the preset's spectra, and of a
-  32001 x 4 table of subnormals, which all take the `%` fallback;
+- `write_csv` of a 32001 x 4 table of the preset's frequency kernels
+  (omega, chi_tilde, noise_psd), and of a 32001 x 4 table of subnormals,
+  which all take the `%` fallback;
 - `variance` on the preset's time grid, classical and at nu = 1 (with the
   quantum-response workload's quadrature: omega_max 300, rtol 0.1);
 - `sample_noise` and `integrate_qcle` at 2000 paths x 1501 nodes.
 
 Prints one JSON line: the checkout, the versions, the seconds per layer
 and, from one more untimed call each, the `tracemalloc` peaks in MB of the
-four frequency-grid layers and of `write_csv` on the spectra table.
+four frequency-grid layers and of `write_csv` on the kernels table.
 Compare two checkouts by running it on each, one after the other.
 """
 
@@ -74,6 +75,7 @@ def main(argv: list[str]) -> int:
 
     import numpy as np
 
+    from qcle import kernels
     from qcle.cli import parse_config, write_csv
     from qcle.mc import integrate_qcle, sample_noise
     from qcle.moments import SpectralQuadrature, variance, variance_spectrum
@@ -90,7 +92,9 @@ def main(argv: list[str]) -> int:
     spec2 = variance_spectrum(sig2, fg, plateau_tol=plateau_tol)
     susc = SusceptibilityProblem(cfg.potential, cfg.bath, spec2, fg)
     chi = phi_omega(susc)
-    table = [fg.omegas, chi.values.real, chi.values.imag, spec2.values.real]
+    chit = kernels.chi_tilde(fg.omegas, cfg.bath.gamma, cfg.potential.eta)
+    table = [fg.omegas, chit.real, chit.imag,
+             kernels.noise_psd(fg.omegas, cfg.bath.gamma, cfg.bath.temp, cfg.bath.nu)]
     subnormal = np.finfo(float).tiny * np.arange(1, fg.n + 1) / (fg.n + 1)
     subnormals = [subnormal, -subnormal, subnormal, -subnormal]
     quantum = replace(cfg.bath, nu=1.0)
