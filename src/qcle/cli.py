@@ -464,6 +464,7 @@ def cmd_mc(cfg: RunConfig, out: Path, m: dict) -> int:
     ens = integrate_qcle(noise, cfg.potential, q0=cfg.q0, v0=cfg.v0)
     m["diagnostics"]["n_excluded"] = ens.n_excluded
     est = estimate_moments(ens)
+    del ens  # one trajectory set at a time: the pair below holds its own
     write_csv(out / "mc_moments.csv",
               ["t", "mean", "stderr_mean", "variance", "stderr_variance"],
               [cfg.time_grid.times, est.mean.values, est.stderr_mean.values,

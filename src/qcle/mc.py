@@ -7,7 +7,9 @@ paths), giving a stationary band-limited real process whose lag covariance
 matches the closed form away from coincidence. Paths are
 propagated with an exponential (variation-of-constants) Heun step: the
 linear (gamma, eta) flow is exact, nonlinearity and noise enter through a
-trapezoidal force rule. The noise/initial-position preparation correlation
+trapezoidal force rule. Ensembles over the same noise, such as the kick
+pair of estimate_response, are stepped as one, and estimate_moments is the
+one estimator. The noise/initial-position preparation correlation
 is NOT imposed: sampling it would require a joint law for (noise, q0) that
 is not available, so only preparation-insensitive quantities are validated.
 """
@@ -81,6 +83,8 @@ class Ensemble:
             raise ValueError("trajectories must be (n_paths, grid.n)")
         exc = self.excluded
         exc = np.zeros(traj.shape[0], dtype=bool) if exc is None else np.asarray(exc, bool)
+        if exc.shape != (traj.shape[0],):
+            raise ValueError("excluded must be (n_paths,)")
         object.__setattr__(self, "excluded", exc)
 
     @property
@@ -188,14 +192,16 @@ def integrate_qcle(noise: NoiseEnsemble, potential: PotentialParams,
                    q0, v0, blowup_guard: float = 1e8) -> Ensemble:
     """Integrate qdd = -gamma qd - eta q - alpha q^3 - eps + xi(t) per path.
 
-    q0/v0 may be scalars or per-path arrays. The step is deterministic given
-    the sampled noise path; the linear part is propagated exactly, so the
-    alpha = 0 dynamics carries no time-discretization bias in the mean.
-    Paths whose |q| exceeds blowup_guard are flagged and excluded; on every
-    step where any path fails, the failed paths are reset to q = v = 0.
+    q0/v0 broadcast against (n_paths,); a leading axis of k rows makes k
+    ensembles over the same noise, returned as k * n_paths paths, one
+    ensemble after another. The step is deterministic given the sampled
+    noise path; the linear part is propagated exactly, so the alpha = 0
+    dynamics carries no time-discretization bias in the mean. Paths whose
+    |q| exceeds blowup_guard are flagged and excluded; on every step where
+    any path of an ensemble fails, its failed paths are reset to q = v = 0.
 
-    The loop runs time-major: row j of the (n, n_paths) arrays holds every
-    path at t_j, so each step reads and writes contiguous rows in place.
+    The loop runs time-major: row j of the (n, [k,] n_paths) arrays holds
+    every path at t_j, so each step reads and writes contiguous rows in place.
     """
     n_paths, n = noise.values.shape
     h = noise.grid.dt
@@ -205,15 +211,16 @@ def integrate_qcle(noise: NoiseEnsemble, potential: PotentialParams,
     ab_q = a_q + b_q
     cubic = alpha != 0
 
+    shape = np.broadcast_shapes(np.shape(q0), np.shape(v0), (n_paths,))
     xi = np.array(noise.values.T, order="C")  # (n, n_paths); always a copy
     xi -= eps  # the constant force, folded in once
-    traj = np.empty((n, n_paths))
+    traj = np.empty((n, *shape))
     traj[0] = q0
-    v = np.broadcast_to(np.asarray(v0, dtype=float), (n_paths,)).copy()
-    v_new, lin, tmp = np.empty((3, n_paths))
+    v = np.broadcast_to(np.asarray(v0, dtype=float), shape).copy()
+    v_new, lin, tmp = np.empty((3, *shape))
     if cubic:
-        f_j, f_n, q_pred = np.empty((3, n_paths))
-    alive = np.ones(n_paths, dtype=bool)
+        f_j, f_n, q_pred = np.empty((3, *shape))
+    alive = np.ones(shape, dtype=bool)
     for j in range(n - 1):
         q, q_new = traj[j], traj[j + 1]
         np.multiply(pqq, q, out=lin)
@@ -248,10 +255,11 @@ def integrate_qcle(noise: NoiseEnsemble, potential: PotentialParams,
         # the failing set worked out
         worst = np.max(np.abs(q_new, out=tmp))
         if not (worst <= blowup_guard and np.isfinite(worst)):
-            alive &= np.isfinite(q_new) & (np.abs(q_new) <= blowup_guard)
-            q_new[~alive] = 0.0
-            v[~alive] = 0.0
-    return Ensemble(noise.grid, traj.T, noise.seed, excluded=~alive)
+            ok = np.isfinite(q_new) & (np.abs(q_new) <= blowup_guard)
+            alive &= ok
+            reset = ~alive & ~ok.all(axis=-1, keepdims=True)  # failing ensembles
+            q_new[reset] = v[reset] = 0.0
+    return Ensemble(noise.grid, traj.reshape(n, -1).T, noise.seed, ~alive.ravel())
 
 
 def estimate_moments(ensemble: Ensemble) -> MomentEstimate:
@@ -292,28 +300,22 @@ def estimate_response(potential: PotentialParams, noise: NoiseEnsemble,
 
     The impulse f0*delta(t) is realized as a velocity kick v0 -> v0 + f0;
     R_hat(t) = [<q>_kicked - <q>_unkicked]/f0 with both ensembles driven by
-    the same noise paths. thermal_v0 samples the base velocity from N(0, T)
-    per path (shared between the pair, drawn from the noise's seed), which
-    matches the preparation behind the conditional-variance law entering the
-    response equation; nonlinear cross-checks need it. Returns (R_hat,
-    stderr) with the standard error taken over per-path differences.
+    the same noise paths, stepped as one (2, n_paths) ensemble. thermal_v0
+    samples the base velocity from N(0, T) per path (shared between the
+    pair, drawn from the noise's seed), which matches the preparation behind
+    the conditional-variance law entering the response equation; nonlinear
+    cross-checks need it. Returns (R_hat, stderr) of the per-path
+    differences, from estimate_moments; a pair is excluded if either path is.
     """
     if f0_kick == 0:
         raise ValueError("f0_kick must be nonzero")
     v0 = (thermal_velocities(noise.bath, noise.n_paths, noise.seed)
-          if thermal_v0 else 0.0)
-    base = integrate_qcle(noise, potential, q0=0.0, v0=v0)
-    kicked = integrate_qcle(noise, potential, q0=0.0, v0=v0 + f0_kick)
-    ok = ~(base.excluded | kicked.excluded)
-    diffs = kicked.trajectories - base.trajectories
-    del base, kicked  # only the difference is kept
-    if not ok.all():
-        diffs = diffs[ok]
+          if thermal_v0 else np.zeros(noise.n_paths))
+    pair = integrate_qcle(noise, potential, q0=0.0, v0=np.stack([v0, v0 + f0_kick]))
+    base, kicked = pair.trajectories.reshape(2, noise.n_paths, -1)
+    diffs = kicked - base
     diffs /= f0_kick
-    n = diffs.shape[0]
-    if n < 2:
-        raise SurvivorsError("need at least 2 non-excluded path pairs, "
-                             f"{n} of {noise.n_paths} survived the blow-up guard")
-    mean = diffs.mean(axis=0)
-    stderr = diffs.std(axis=0, ddof=1) / np.sqrt(n)
-    return SampledSignal(noise.grid, mean), SampledSignal(noise.grid, stderr)
+    excluded = pair.excluded.reshape(2, -1).any(axis=0)
+    del pair, base, kicked  # freed before estimate_moments allocates its own
+    est = estimate_moments(Ensemble(noise.grid, diffs, noise.seed, excluded))
+    return est.mean, est.stderr_mean

@@ -512,6 +512,20 @@ def test_mc_draws_the_noise_once(tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
+def test_mc_holds_one_trajectory_set_at_a_time(tmp_path):
+    # the preset's 2000 x 1501 paths: the noise, its time-major copy and the
+    # kick pair's two trajectory sets are about 96 MB; a third set (the
+    # moments ensemble kept alive) would be 120 MB
+    cfg = _write_config(tmp_path, base=BISTABLE)
+    tracemalloc.start()
+    try:
+        assert main(["mc", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 100e6
+
+
 def test_mc_synthesis_cap_rejected_fast(tmp_path):
     # nu = 1e-6 on the parabolic grid asks for an FFT of 2^31 points
     cfg = _write_config(tmp_path, base=PARABOLIC, overrides={"bath.nu": 1e-6})

@@ -10,7 +10,7 @@ from qcle import (BathParams, PotentialParams, SpectralQuadrature, TimeGrid,
                   chi_q, chi_v, estimate_moments, estimate_response,
                   integrate_qcle, noise_psd, sample_noise, variance)
 from qcle.mc import (MAX_PATH_SAMPLES, MAX_SYNTHESIS_LENGTH, NOISE_BLOCK_SAMPLES,
-                     Ensemble, NoiseEnsemble, PathSamplesError,
+                     Ensemble, NoiseEnsemble, PathSamplesError, SurvivorsError,
                      SynthesisLengthError, _propagator_constants,
                      _synthesis_length, thermal_velocities)
 from qcle.moments import _preparation_cross_term
@@ -218,6 +218,14 @@ def test_estimator_trivial_cases():
         estimate_moments(Ensemble(grid, two[:1], seed=0))
 
 
+def test_ensemble_rejects_a_mask_of_the_wrong_shape():
+    grid = TimeGrid(1.0, 11)
+    traj = np.zeros((5, 11))
+    for mask in (np.zeros(4, bool), np.zeros(6, bool), np.zeros((5, 1), bool)):
+        with pytest.raises(ValueError, match="excluded"):
+            Ensemble(grid, traj, seed=0, excluded=mask)
+
+
 def test_moments_skip_excluded_paths():
     grid = TimeGrid(5.0, 251)
     ens = integrate_qcle(sample_noise(grid, CLASSICAL, 40, seed=17), parabolic(),
@@ -375,5 +383,67 @@ def test_integration_leaves_the_noise_untouched():
     grid = TimeGrid(2.0, 201)
     noise = sample_noise(grid, CLASSICAL, 1, seed=3)  # (1, n): .T is contiguous
     before = noise.values.copy()
-    integrate_qcle(noise, PotentialParams(1.0, 0.2, 0.5, 0.1), 0.0, 0.0)
+    pot = PotentialParams(1.0, 0.2, 0.5, 0.1)
+    integrate_qcle(noise, pot, 0.0, 0.0)
     assert np.array_equal(noise.values, before)
+    integrate_qcle(noise, pot, 0.0, np.array([[0.0], [0.3]]))  # a batched pair
+    assert np.array_equal(noise.values, before)
+
+
+HARMONIC = PotentialParams(eta=1.0, alpha=0.0, epsilon=0.0, f0=0.1)
+
+
+@pytest.mark.parametrize("pot,thermal,guard,n_excluded", [
+    (HARMONIC, False, 1e8, 0),
+    (PotentialParams(eta=1.0, alpha=0.3, epsilon=0.0, f0=0.1), True, 1e8, 0),
+    (PotentialParams(eta=-1.0, alpha=1.0, epsilon=0.2, f0=0.1), True, 1e8, 0),
+    (HARMONIC, False, 0.5, 16),
+    (HARMONIC, False, 1.5, 8),
+], ids=["harmonic", "quartic_thermal", "tilted_double_well_thermal",
+        "guard_0.5", "guard_1.5"])
+def test_leading_axis_rows_match_separate_calls(pot, thermal, guard, n_excluded):
+    # each row of a (2, n_paths) v0 is one ensemble over the same noise:
+    # bit for bit what a call with that row alone gives, exclusions and the
+    # guard's resets included: a failure in one row resets only that row
+    grid = TimeGrid(10.0, 501)
+    noise = sample_noise(grid, CLASSICAL, 8, seed=13)
+    v0 = thermal_velocities(CLASSICAL, 8, seed=13) if thermal else np.zeros(8)
+    rows = np.stack([v0, v0 + 0.7])
+    pair = integrate_qcle(noise, pot, q0=0.0, v0=rows, blowup_guard=guard)
+    one = [integrate_qcle(noise, pot, q0=0.0, v0=row, blowup_guard=guard)
+           for row in rows]
+    assert pair.trajectories.shape == (16, grid.n)
+    assert np.array_equal(pair.trajectories,
+                          np.vstack([e.trajectories for e in one]))
+    assert np.array_equal(pair.excluded, np.concatenate([e.excluded for e in one]))
+    assert pair.n_excluded == n_excluded
+
+
+@pytest.mark.parametrize("pot,thermal", [
+    (PotentialParams(eta=1.0, alpha=0.3, epsilon=0.0, f0=0.1), True),
+    (PotentialParams(eta=1.0, alpha=0.3, epsilon=0.0, f0=0.1), False),
+    (PotentialParams(eta=-1.0, alpha=1.0, epsilon=0.2, f0=0.1), True),
+], ids=["quartic_thermal", "quartic", "tilted_double_well_thermal"])
+def test_response_pair_matches_two_separate_passes(pot, thermal):
+    grid = TimeGrid(8.0, 401)
+    noise = sample_noise(grid, CLASSICAL, 300, seed=41)
+    f0_kick = 0.1
+    r_hat, stderr = estimate_response(pot, noise, f0_kick, thermal_v0=thermal)
+    v0 = thermal_velocities(CLASSICAL, 300, seed=41) if thermal else 0.0
+    base = integrate_qcle(noise, pot, q0=0.0, v0=v0)
+    kicked = integrate_qcle(noise, pot, q0=0.0, v0=v0 + f0_kick)
+    assert not (base.excluded.any() or kicked.excluded.any())
+    diffs = kicked.trajectories - base.trajectories
+    diffs /= f0_kick
+    assert np.array_equal(r_hat.values, diffs.mean(axis=0))
+    se = diffs.std(axis=0, ddof=1) / np.sqrt(diffs.shape[0])
+    assert np.max(np.abs(stderr.values - se)) <= 1e-15 * np.max(se)
+
+
+def test_response_pair_without_survivors_raises():
+    # a kick of 1e9 sends every kicked path past the 1e8 guard, so no pair
+    # survives
+    grid = TimeGrid(5.0, 251)
+    noise = sample_noise(grid, CLASSICAL, 20, seed=5)
+    with pytest.raises(SurvivorsError, match="0 of 20"):
+        estimate_response(HARMONIC, noise, f0_kick=1e9)

@@ -17,11 +17,14 @@ in this process:
   which all take the `%` fallback;
 - `variance` on the preset's time grid, classical and at nu = 1 (with the
   quantum-response workload's quadrature: omega_max 300, rtol 0.1);
-- `sample_noise` and `integrate_qcle` at 2000 paths x 1501 nodes.
+- `sample_noise` and `integrate_qcle` at 2000 paths x 1501 nodes, and
+  `estimate_response` of the same noise (the preset's quartic potential,
+  f0_kick and thermal v0).
 
 Prints one JSON line: the checkout, the versions, the seconds per layer
 and, from one more untimed call each, the `tracemalloc` peaks in MB of the
-four frequency-grid layers and of `write_csv` on the kernels table.
+four frequency-grid layers, of `write_csv` on the kernels table and of a
+whole `qcle mc` run on the preset.
 Compare two checkouts by running it on each, one after the other.
 """
 
@@ -76,8 +79,9 @@ def main(argv: list[str]) -> int:
     import numpy as np
 
     from qcle import kernels
+    from qcle.cli import main as cli_main
     from qcle.cli import parse_config, write_csv
-    from qcle.mc import integrate_qcle, sample_noise
+    from qcle.mc import estimate_response, integrate_qcle, sample_noise
     from qcle.moments import SpectralQuadrature, variance, variance_spectrum
     from qcle.response import ResponseProblem, integrate_duffing
     from qcle.susceptibility import (SusceptibilityProblem, phi_omega, psi_operator,
@@ -134,6 +138,12 @@ def main(argv: list[str]) -> int:
         lambda: sample_noise(grid, cfg.bath, N_PATHS, MC_SEED))
     seconds[f"integrate_qcle {N_PATHS}x{grid.n}"] = best_of(
         lambda: integrate_qcle(noise, cfg.potential, q0=cfg.q0, v0=cfg.v0))
+    seconds[f"estimate_response {N_PATHS}x{grid.n}"] = best_of(
+        lambda: estimate_response(cfg.potential, noise, cfg.settings["f0_kick"],
+                                  cfg.settings["thermal_v0"]))
+    with tempfile.TemporaryDirectory() as tmp:
+        peaks[f"qcle mc {PRESET}"] = peak_mb(lambda: cli_main(
+            ["mc", "--config", str(config), "--out", str(Path(tmp) / "mc")]))
 
     print(json.dumps({
         "checkout": str(root),
