@@ -13,8 +13,7 @@ from .moments import (PlateauError, QuadratureError, SpectralQuadrature,
                       variance_spectrum)
 from .params import BathParams, PotentialParams, parabolic
 from .response import (ResponseProblem, StepInstabilityError, integrate_duffing,
-                       ode_residual, solve_response_djm, volterra_b, volterra_f,
-                       zero_sigma2)
+                       ode_residual, solve_response_windowed, zero_sigma2)
 from .susceptibility import (EdgeToleranceError, SusceptibilityProblem,
                              phi_omega, psi_operator,
                              response_from_susceptibility, solve_susceptibility)
@@ -31,7 +30,7 @@ __all__ = [
     "estimate_plateau", "estimate_response", "integrate_duffing",
     "integrate_qcle", "mean_trajectory", "noise_correlation", "noise_psd",
     "ode_residual", "omega0", "parabolic", "phi_omega", "psi_operator",
-    "response_from_susceptibility", "sample_noise", "solve_response_djm",
-    "solve_susceptibility", "variance", "variance_spectrum", "volterra_b",
-    "volterra_f", "xi_q0_corr", "zero_sigma2",
+    "response_from_susceptibility", "sample_noise", "solve_response_windowed",
+    "solve_susceptibility", "variance", "variance_spectrum", "xi_q0_corr",
+    "zero_sigma2",
 ]

@@ -27,8 +27,7 @@ from .mc import estimate_moments, estimate_response, integrate_qcle, sample_nois
 from .moments import variance, variance_spectrum
 from .params import BathParams, PotentialParams, parabolic
 from .response import (ResponseProblem, integrate_duffing, ode_residual,
-                       solve_response_djm, solve_response_windowed,
-                       zero_sigma2)
+                       solve_response_windowed, zero_sigma2)
 from .susceptibility import (SusceptibilityProblem, _inverse_transform,
                              response_from_susceptibility, solve_susceptibility)
 
@@ -110,7 +109,8 @@ def criterion_2() -> CriterionResult:
     bath = BathParams(gamma=1.0, temp=1.0, nu=1e4)
     prob = ResponseProblem(pot, bath, zero_sigma2(grid), grid)
     exact = kernels.chi_v(grid.times, bath.gamma, pot.eta)
-    r_djm, sol = solve_response_djm(prob, tol=1e-7, k_max=80)
+    r_djm, (sol,) = solve_response_windowed(prob, window=grid.t_max, tol=1e-7,
+                                            k_max=80)
     err_djm = float(np.max(np.abs(r_djm.values - exact)))
     r_ode = integrate_duffing(prob, dt_sub=1e-4)
     err_ode = float(np.max(np.abs(r_ode.values - exact)))
@@ -146,7 +146,8 @@ def criterion_4() -> CriterionResult:
     pot = parabolic()
     bath = BathParams(gamma=1.0, temp=1.0, nu=1e4)
     prob = ResponseProblem(pot, bath, zero_sigma2(grid), grid)
-    r_djm, sol = solve_response_djm(prob, tol=1e-7, k_max=80)
+    r_djm, (sol,) = solve_response_windowed(prob, window=grid.t_max, tol=1e-7,
+                                            k_max=80)
     if sol.converged:
         res = ode_residual(r_djm, prob)
         ok &= res < 1e-2

@@ -32,6 +32,7 @@ bias and no (n_t, N) temporaries.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -330,6 +331,21 @@ def variance_spectrum(sigma2: SampledSignal, grid: FreqGrid,
     return Spectrum(grid, 2.0 * np.real(acc), 2.0 * np.pi * sig_eq)
 
 
+def _closure_force(u: np.ndarray, sig: np.ndarray, c: float) -> np.ndarray:
+    """c u^3 + 3 u sigma^2: the cubic force <q^3> = G^3 + 3 G sigma^2 of the
+    Gaussian closure for the mean G (c = 1), and for the response R = G/f0
+    of the kick v0 = f0 (c = f0^2)."""
+    return c * u**3 + 3.0 * u * sig
+
+
+def _closure_b(u: np.ndarray, cv: np.ndarray, sig: np.ndarray, c: float,
+              alpha: float, dt: float) -> np.ndarray:
+    """The nonlinear Volterra operator of the mean and of the response,
+    B(u) = -alpha int_0^t chi_v(t-y) (c u^3 + 3 u sigma^2)(y) dy, by the
+    trapezoid rule on the nodes of u."""
+    return -alpha * volterra_conv(cv, _closure_force(u, sig, c), dt)
+
+
 def mean_trajectory(q0: float, v0: float, potential: PotentialParams,
                     bath: BathParams, grid: TimeGrid,
                     sigma2: Optional[SampledSignal] = None,
@@ -357,13 +373,8 @@ def mean_trajectory(q0: float, v0: float, potential: PotentialParams,
         sigma2 = variance(grid, bath, potential)
     if sigma2.grid != grid:
         raise ValueError("sigma2 grid does not match the requested grid")
-    sig = sigma2.values
-    alpha = potential.alpha
-
-    def apply_b(g: np.ndarray) -> np.ndarray:
-        h = g**3 + 3.0 * g * sig
-        return -alpha * volterra_conv(cv, h, grid.dt)
-
+    apply_b = functools.partial(_closure_b, cv=cv, sig=sigma2.values, c=1.0,
+                                alpha=potential.alpha, dt=grid.dt)
     sol = djm_solve(f, apply_b, tol=tol, k_max=k_max)
     if not sol.converged:
         raise ConvergenceError(

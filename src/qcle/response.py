@@ -1,18 +1,22 @@
-"""Time-domain response function: Volterra/Banach route and a direct
-Runge-Kutta integrator used as an independent cross-check.
+"""Time-domain response function: the Volterra/Banach route on the harmonic
+kernel, and a direct Runge-Kutta integrator used as an independent
+cross-check.
 
 The response obeys
 
-    Rdd + gamma Rd + (eta + 3 alpha sigma^2(t)) R + alpha f0^2 R^3 + eps/f0 = 0,
-    R(0) = 0, Rd(0) = 1,
+    Rdd + gamma Rd + eta R + N(R) + eps/f0 = 0,   R(0) = 0, Rd(0) = 1,
+    N(R) = 3 alpha sigma^2(t) R + alpha f0^2 R^3,
 
-the impulse being encoded entirely in the initial slope. Double integration
-gives the fixed-point form R = f + B(R) with
+the impulse being encoded entirely in the initial slope. The harmonic
+oscillator's impulse response chi_v solves the linear part, which leaves the
+fixed-point form R = f + B(R) with
 
-    f(t)    = t - (eps/(2 f0)) t^2
-    B(R)(t) = -int_0^t { gamma R(y)
-                         + (t-y) [ (eta + 3 alpha sigma^2(y)) R(y)
-                                   + alpha f0^2 R(y)^3 ] } dy.
+    f(t)    = chi_v(t) - (eps/f0) int_0^t chi_v(s) ds
+    B(R)(t) = -int_0^t chi_v(t-y) N(R(y)) dy.
+
+It is the mean trajectory's equation (moments.mean_trajectory) for
+(q0, v0) = (0, f0), divided by f0; both apply the one operator
+moments._closure_b, by the trapezoid rule on the grid.
 """
 
 from __future__ import annotations
@@ -24,9 +28,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._numutil import cumtrapz, square
+from . import kernels
+from ._numutil import cumtrapz, linear_convolve, square, trapezoid_weights
 from .djm import DjmSolution, djm_solve
 from .grids import SampledSignal, TimeGrid
+from .moments import _closure_b, _closure_force
 from .params import BathParams, PotentialParams
 
 
@@ -55,50 +61,13 @@ def zero_sigma2(grid: TimeGrid) -> SampledSignal:
     return SampledSignal(grid, np.zeros(grid.n))
 
 
-def volterra_f(grid: TimeGrid, epsilon: float, f0: float) -> SampledSignal:
-    """Inhomogeneity f(t) = t - (eps/(2 f0)) t^2 encoding R(0)=0, Rd(0)=1 and
-    the constant tilt forcing."""
-    if f0 == 0:
-        raise ValueError("f0 must be nonzero")
-    t = grid.times
-    return SampledSignal(grid, t - (epsilon / (2.0 * f0)) * t * t)
-
-
-def volterra_b(r: SampledSignal, problem: ResponseProblem) -> SampledSignal:
-    """Volterra operator B(R) by trapezoid quadrature on the grid."""
-    if r.grid != problem.grid:
-        raise ValueError("signal grid does not match problem grid")
-    vals = _volterra_b_values(r.values, problem.grid.times, problem.sigma2.values,
-                              problem)
-    return SampledSignal(problem.grid, vals)
-
-
-def _restoring(r: np.ndarray, sig: np.ndarray, pot: PotentialParams) -> np.ndarray:
-    """w(y) = (eta + 3 alpha sigma^2(y)) R(y) + alpha f0^2 R(y)^3."""
-    return (pot.eta + 3.0 * pot.alpha * sig) * r + pot.alpha * square(pot.f0) * r**3
-
-
-def _volterra_b_values(r: np.ndarray, tau: np.ndarray, sig: np.ndarray,
-                       problem: ResponseProblem) -> np.ndarray:
-    """B(R) over a window of nodes with local times tau (tau[0] = 0) and
-    sigma^2 values sig, without the history before the window."""
-    dt = problem.grid.dt
-    w = _restoring(r, sig, problem.potential)
-    return -(problem.bath.gamma * cumtrapz(r, dt) + tau * cumtrapz(w, dt)
-             - cumtrapz(tau * w, dt))
-
-
-def solve_response_djm(problem: ResponseProblem, tol: float = 1e-8,
-                       k_max: int = 25) -> tuple[SampledSignal, DjmSolution]:
-    """Solve the Volterra form by the Banach recursion over the whole grid:
-    the windowed solver with a single window.
-
-    Returns the accumulated response and the recursion diagnostics; callers
-    must check solution.converged (k_max exhaustion is not an exception).
-    """
-    r, (sol,) = solve_response_windowed(problem, window=problem.grid.t_max,
-                                        tol=tol, k_max=k_max)
-    return r, sol
+def _window_b(u: np.ndarray, **operator) -> np.ndarray:
+    """moments._closure_b on a window's nodes, exactly 0 at the first one (an
+    integral over an empty interval), where the FFT convolution leaves
+    roundoff."""
+    b = _closure_b(u, **operator)
+    b[0] = 0.0
+    return b
 
 
 def solve_response_windowed(problem: ResponseProblem, window: float,
@@ -106,51 +75,45 @@ def solve_response_windowed(problem: ResponseProblem, window: float,
                             ) -> tuple[SampledSignal, list[DjmSolution]]:
     """Banach recursion with horizon continuation.
 
-    On long horizons a single recursion overshoots before the factorial
-    decay sets in and the cubic term amplifies the overshoot beyond recovery.
-    The kernel gamma + (t-y)(...) is affine in t, so the history integral
-    over [0, T1] folds into an affine-in-t inhomogeneity and the recursion
-    restarts on [T1, T2] with identical discrete algebra: the converged
-    result satisfies the same global fixed-point identity R = f + B(R) on
-    the grid, node for node.
+    The horizon is cut into windows of length `window` (one window when it
+    is at least t_max), each solved by its own recursion. The earlier
+    windows enter a window's equation as one fixed history vector: the
+    trapezoid sum of chi_v(t-y) N(R(y)) over y <= T1, the window's start,
+    with half weights at 0 and T1. The window's own operator adds the sum
+    over [T1, t] with half weights at T1 and t, so the converged result
+    satisfies the global trapezoid identity R = f + B(R), node for node.
 
     The recursion stops at the first window that does not converge; that
     window holds its last partial sum and later windows hold zeros.
     """
     grid = problem.grid
     dt = grid.dt
-    t = grid.times
     pot, bath = problem.potential, problem.bath
     sig = problem.sigma2.values
-    n_win = max(2, int(round(window / dt)))
-    f_glob = volterra_f(grid, pot.epsilon, pot.f0).values
+    c = square(pot.f0)
+    # a window of at least t_max is one window
+    n_win = max(2, int(round(min(window, grid.t_max) / dt)))
+    cv = kernels.chi_v(grid.times, bath.gamma, pot.eta)
+    f = cv - (pot.epsilon / pot.f0) * cumtrapz(cv, dt)
 
     out = np.zeros(grid.n)
     sols: list[DjmSolution] = []
     start = 0
-    gam_hist = 0.0   # gamma * int_0^{T1} R
-    w0_hist = 0.0    # int_0^{T1} w
-    w1_hist = 0.0    # int_0^{T1} (T1 - y) w(y) dy
     while start < grid.n - 1:
         stop = min(start + n_win, grid.n - 1)
         sl = slice(start, stop + 1)
-        tau = t[sl] - t[start]
-        apply_b = functools.partial(_volterra_b_values, tau=tau, sig=sig[sl],
-                                    problem=problem)
-        f_loc = f_glob[sl] - gam_hist - w1_hist - tau * w0_hist
+        f_loc = f[sl]
+        if start:
+            force = _closure_force(out[:start + 1], sig[:start + 1], c)
+            f_loc = f_loc - pot.alpha * linear_convolve(
+                cv[:stop + 1], force * trapezoid_weights(start + 1, dt))[sl]
+        apply_b = functools.partial(_window_b, cv=cv[:stop - start + 1],
+                                    sig=sig[sl], c=c, alpha=pot.alpha, dt=dt)
         sol = djm_solve(f_loc, apply_b, tol=tol, k_max=k_max)
         sols.append(sol)
-        r_loc = sol.partial_sum
-        out[sl] = r_loc
+        out[sl] = sol.partial_sum
         if not sol.converged:
             break
-        # fold this window into the history integrals; the shift identity
-        # int_0^{T1}(T2-y)w = w1 + (T2-T1) w0 keeps everything incremental
-        w_loc = _restoring(r_loc, sig[sl], pot)
-        span = t[stop] - t[start]
-        w1_hist += span * w0_hist + float(np.trapezoid((t[stop] - t[sl]) * w_loc, dx=dt))
-        w0_hist += float(np.trapezoid(w_loc, dx=dt))
-        gam_hist += bath.gamma * float(np.trapezoid(r_loc, dx=dt))
         start = stop
     return SampledSignal(grid, out), sols
 

@@ -63,12 +63,11 @@ def phi_omega(problem: SusceptibilityProblem) -> Spectrum:
     """Inhomogeneity: chi_tilde on the grid plus the tilt Dirac weight
     -2 pi (eps/f0) chi_tilde(0) at w = 0 when eps != 0."""
     pot = problem.potential
-    if pot.eta == 0 and pot.epsilon != 0:
-        raise ValueError("chi_tilde(0) singular for eta = 0: tilt term undefined")
+    chit = problem.chi_tilde_half  # ValueError at eta = 0: chi_tilde(0) is singular
     dirac = 0.0
     if pot.epsilon != 0:
         dirac = -2.0 * np.pi * (pot.epsilon / pot.f0) / pot.eta
-    return Spectrum(problem.grid, problem.chi_tilde_half, dirac)
+    return Spectrum(problem.grid, chit, dirac)
 
 
 def _convolve_spectra(a: Spectrum, b: Spectrum) -> Spectrum:

@@ -300,6 +300,10 @@ def _tree(root: Path) -> dict:
                  id="djm_k_max"),
     pytest.param("response", {"overrides": {"tolerances.response_window": -1.0}},
                  [], 2, id="response_window"),
+    # a window of at least t_max is one window, however long
+    pytest.param("response", {"base": PARABOLIC,
+                              "overrides": {"tolerances.response_window": 1e308}},
+                 [], 0, id="response_window_huge"),
     pytest.param("response", {"overrides": {"integrator.dt_sub": 0.05}}, [], 2,
                  id="dt_sub"),
     pytest.param("kernels", {"drop": ["freq_grid"]}, [], 2, id="no_freq_grid"),

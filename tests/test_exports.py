@@ -3,7 +3,8 @@
 import qcle
 
 REMOVED = ("FunctionalProblem", "MomentSet", "asymmetric_bistable", "bistable",
-           "max_error_remainder", "nondimensionalize", "zero_noise")
+           "max_error_remainder", "nondimensionalize", "solve_response_djm",
+           "volterra_b", "volterra_f", "zero_noise")
 
 
 def test_all_names_resolve_once():

@@ -1,16 +1,17 @@
-"""Time-domain response: Volterra recursion and direct integration."""
+"""Time-domain response: harmonic-kernel Volterra recursion and direct
+integration."""
 
 import numpy as np
 import pytest
 
 from qcle import (BathParams, PotentialParams,
                   ResponseProblem, SampledSignal, StepInstabilityError, TimeGrid,
-                  chi_q, chi_v, djm_solve, integrate_duffing, ode_residual,
-                  solve_response_djm, variance, volterra_b, volterra_f,
-                  zero_sigma2)
+                  chi_q, chi_v, integrate_duffing, mean_trajectory, ode_residual,
+                  solve_response_windowed, variance, zero_sigma2)
+from qcle._numutil import cumtrapz, trapezoid_weights
 from qcle.moments import SpectralQuadrature
 from qcle.params import parabolic
-from qcle.response import _substeps_per_step, solve_response_windowed
+from qcle.response import _substeps_per_step
 
 BATH = BathParams(gamma=1.0, temp=1.0, nu=1e4)
 
@@ -20,46 +21,19 @@ def _ho_problem(t_max=10.0, n=2001):
     return ResponseProblem(parabolic(), BATH, zero_sigma2(grid), grid)
 
 
-def test_volterra_f_cases():
-    grid = TimeGrid(4.0, 401)
-    f = volterra_f(grid, epsilon=0.0, f0=0.1)
-    assert np.array_equal(f.values, grid.times)
-    f2 = volterra_f(grid, epsilon=1.0, f0=2.0)
-    assert f2.values[0] == 0.0
-    idx = 200  # t = 2
-    assert grid.times[idx] == pytest.approx(2.0)
-    assert f2.values[idx] == pytest.approx(1.0)  # 2 - (1/4)*4
-    with pytest.raises(ValueError):
-        volterra_f(grid, epsilon=0.0, f0=0.0)
-
-
-def test_volterra_b_polynomial_case():
-    # alpha = 0, R(t) = t: B(R) = -gamma t^2/2 - eta t^3/6
-    prob = _ho_problem(n=4001)
-    t = prob.grid.times
-    out = volterra_b(SampledSignal(prob.grid, t), prob)
-    exact = -t**2 / 2.0 - t**3 / 6.0
-    assert np.max(np.abs(out.values - exact)) < 2e-5  # trapezoid O(dt^2)
-    zero = volterra_b(zero_sigma2(prob.grid), prob)
-    assert np.array_equal(zero.values, np.zeros(prob.grid.n))
+def _one_window(problem, tol, k_max):
+    return solve_response_windowed(problem, window=problem.grid.t_max, tol=tol,
+                                   k_max=k_max)
 
 
 def test_ho_response_both_routes():
     prob = _ho_problem()
     exact = chi_v(prob.grid.times, 1.0, 1.0)
-    r, sol = solve_response_djm(prob, tol=1e-7, k_max=80)
+    r, (sol,) = _one_window(prob, tol=1e-7, k_max=80)
     assert sol.converged
     assert np.max(np.abs(r.values - exact)) < 1e-4
     r_ode = integrate_duffing(prob, dt_sub=1e-3)
     assert np.max(np.abs(r_ode.values - exact)) < 1e-6
-
-
-def test_fixed_point_identity():
-    prob = _ho_problem()
-    r, sol = solve_response_djm(prob, tol=1e-9, k_max=80)
-    recomposed = volterra_f(prob.grid, 0.0, 0.1).values \
-        + volterra_b(r, prob).values
-    assert np.max(np.abs(recomposed - r.values)) < 1e-7
 
 
 def test_tilt_superposition():
@@ -68,13 +42,12 @@ def test_tilt_superposition():
     grid = TimeGrid(10.0, 2001)
     pot = PotentialParams(eta=1.0, alpha=0.0, epsilon=0.05, f0=0.5)
     prob = ResponseProblem(pot, BATH, zero_sigma2(grid), grid)
-    r, sol = solve_response_djm(prob, tol=1e-8, k_max=80)
+    r, (sol,) = _one_window(prob, tol=1e-8, k_max=80)
     assert sol.converged
     t = grid.times
     exact = chi_v(t, 1.0, 1.0) - 0.1 * (1.0 - chi_q(t, 1.0, 1.0))
     assert np.max(np.abs(r.values - exact)) < 1e-4
-    # plateau: the plain recursion hits the double-precision overshoot wall
-    # beyond gamma*t ~ 15, so long horizons use the windowed continuation
+    # the plateau, on a long horizon in windows
     grid2 = TimeGrid(25.0, 2501)
     prob2 = ResponseProblem(pot, BATH, zero_sigma2(grid2), grid2)
     r2, sols = solve_response_windowed(prob2, window=2.5, tol=1e-9, k_max=60)
@@ -234,10 +207,10 @@ def test_linear_regime_independence():
     # alpha = 0: solution independent of f0 and sigma2
     grid = TimeGrid(8.0, 801)
     base = ResponseProblem(parabolic(f0=0.1), BATH, zero_sigma2(grid), grid)
-    r1, _ = solve_response_djm(base, tol=1e-9, k_max=80)
+    r1, _ = _one_window(base, tol=1e-9, k_max=80)
     sig = SampledSignal(grid, np.linspace(0.0, 2.0, grid.n))
     alt = ResponseProblem(parabolic(f0=7.0), BATH, sig, grid)
-    r2, _ = solve_response_djm(alt, tol=1e-9, k_max=80)
+    r2, _ = _one_window(alt, tol=1e-9, k_max=80)
     assert np.array_equal(r1.values, r2.values)
 
 
@@ -257,8 +230,7 @@ def test_scaling_law_alpha_f0():
 
 def test_windowed_matches_plain_and_integrator():
     # nonlinear problem with a physical sigma2: the windowed recursion agrees
-    # with the direct integrator; on a short horizon the plain recursion
-    # converges too and matches
+    # with the direct integrator, and on a short horizon with one window
     pot = PotentialParams(eta=1.0, alpha=0.3, epsilon=0.0, f0=0.1)
     bath = BathParams(gamma=1.0, temp=0.5, nu=1e4)
     grid = TimeGrid(12.0, 1201)
@@ -272,7 +244,7 @@ def test_windowed_matches_plain_and_integrator():
     short = TimeGrid(3.0, 301)
     sig_s = SampledSignal(short, sig2.values[:301])
     prob_s = ResponseProblem(pot, bath, sig_s, short)
-    r_plain, sol = solve_response_djm(prob_s, tol=1e-10, k_max=60)
+    r_plain, (sol,) = _one_window(prob_s, tol=1e-10, k_max=60)
     assert sol.converged
     r_win_s, _ = solve_response_windowed(prob_s, window=1.0, tol=1e-10, k_max=60)
     assert np.max(np.abs(r_plain.values - r_win_s.values)) < 1e-9
@@ -285,22 +257,76 @@ def _nonlinear_short_problem():
     return ResponseProblem(pot, BATH, sig, grid)
 
 
-def test_single_window_is_the_plain_recursion():
-    # one window runs the recursion on f and B themselves, bit for bit
+def _trapezoid_identity(problem, r):
+    """f + B(r) on every node, summed term by term: f = chi_v - (eps/f0)
+    int chi_v, B(r)(t_i) = -sum_j w_j chi_v(t_i - t_j) N(r)(t_j) with the
+    trapezoid weights of [0, t_i]."""
+    grid, pot = problem.grid, problem.potential
+    cv = chi_v(grid.times, problem.bath.gamma, pot.eta)
+    force = (3.0 * pot.alpha * problem.sigma2.values * r
+             + pot.alpha * pot.f0**2 * r**3)
+    b = [0.0] + [-(trapezoid_weights(i + 1, grid.dt) * cv[i::-1]) @ force[:i + 1]
+                 for i in range(1, grid.n)]
+    return cv - (pot.epsilon / pot.f0) * cumtrapz(cv, grid.dt) + np.array(b)
+
+
+def test_windowed_meets_the_global_identity():
+    # the history vector makes every window solve the global trapezoid
+    # equations on its nodes
+    grid = TimeGrid(15.0, 1501)
+    pot = PotentialParams(eta=1.0, alpha=0.3, epsilon=0.05, f0=0.1)
+    sig = SampledSignal(grid, np.linspace(0.0, 0.4, grid.n))
+    prob = ResponseProblem(pot, BATH, sig, grid)
+    tol = 1e-10
+    r, sols = solve_response_windowed(prob, window=2.5, tol=tol, k_max=60)
+    assert len(sols) == 6 and all(s.converged for s in sols)
+    assert np.max(np.abs(_trapezoid_identity(prob, r.values) - r.values)) <= 10 * tol
+
+
+def test_window_length_does_not_change_the_solution():
     prob = _nonlinear_short_problem()
-    grid = prob.grid
-    f = volterra_f(grid, prob.potential.epsilon, prob.potential.f0)
-    plain = djm_solve(
-        f.values, lambda r: volterra_b(SampledSignal(grid, r), prob).values,
-        tol=1e-10, k_max=60)
-    assert plain.converged
-    r, sols = solve_response_windowed(prob, window=grid.t_max, tol=1e-10, k_max=60)
-    assert len(sols) == 1
-    assert np.array_equal(r.values, plain.partial_sum)
-    assert sols[0].term_norms == plain.term_norms
-    r_djm, sol = solve_response_djm(prob, tol=1e-10, k_max=60)
-    assert np.array_equal(r_djm.values, r.values)
-    assert sol.term_norms == plain.term_norms
+    r1, sols = solve_response_windowed(prob, window=1.0, tol=1e-10, k_max=60)
+    assert len(sols) == 3 and all(s.converged for s in sols)
+    r2, (sol,) = _one_window(prob, tol=1e-10, k_max=60)
+    assert sol.converged
+    assert np.max(np.abs(r1.values - r2.values)) <= 1e-9
+
+
+def test_linear_response_is_the_tilted_harmonic_kernel():
+    # alpha = 0: R = chi_v - (eps/f0) int chi_v on the grid, in every window
+    grid = TimeGrid(15.0, 1501)
+    pot = PotentialParams(eta=1.0, alpha=0.0, epsilon=0.05, f0=0.1)
+    sig = SampledSignal(grid, np.linspace(0.0, 0.4, grid.n))
+    r, sols = solve_response_windowed(ResponseProblem(pot, BATH, sig, grid),
+                                      window=1.0, tol=1e-10, k_max=60)
+    assert all(s.converged for s in sols)
+    cv = chi_v(grid.times, 1.0, 1.0)
+    assert np.max(np.abs(r.values - (cv - 0.5 * cumtrapz(cv, grid.dt)))) <= 1e-13
+
+
+def test_response_is_the_kicked_mean():
+    # the response is the mean for (q0, v0) = (0, f0), divided by f0
+    prob = _nonlinear_short_problem()
+    tol = 1e-10
+    r, _ = solve_response_windowed(prob, window=1.0, tol=tol, k_max=60)
+    pot = prob.potential
+    g, _ = mean_trajectory(0.0, pot.f0, pot, prob.bath, prob.grid,
+                           sigma2=prob.sigma2, tol=tol * pot.f0, k_max=80)
+    assert np.max(np.abs(g.values / pot.f0 - r.values)) <= tol
+
+
+def test_quartic_well_converges_in_windows():
+    # the pure quartic well at alpha f0^2 = 1 on a long horizon, where the
+    # variance grows without a plateau: every window converges, and the
+    # result agrees with the integrator
+    grid = TimeGrid(15.0, 1501)
+    pot = PotentialParams(eta=0.0, alpha=1.0, epsilon=0.0, f0=1.0)
+    bath = BathParams(gamma=1.0, temp=0.2, nu=1e4)
+    prob = ResponseProblem(pot, bath, variance(grid, bath, pot), grid)
+    r, sols = solve_response_windowed(prob, window=2.5, tol=1e-10, k_max=60)
+    assert len(sols) == 6 and all(s.converged for s in sols)
+    r_ode = integrate_duffing(prob, dt_sub=2e-3)
+    assert np.max(np.abs(r.values - r_ode.values)) < 2e-5
 
 
 def test_k_max_exhaustion_keeps_partial_sum():

@@ -8,6 +8,9 @@ in this process:
 
 - `integrate_duffing` on `configs/bistable.json` at dt_sub 2e-3 (the
   preset's) and 5e-4 (the quantum-response workload's);
+- `solve_response_windowed` and `mean_trajectory` on the preset's time
+  grid and variance, at its response_window, djm_tol and djm_k_max (and
+  its q0, v0 for the mean);
 - `variance_spectrum` of the preset's variance, `psi_operator` and
   `solve_susceptibility` (at the preset's djm_tol and djm_k_max) on that
   preset's 32001-node frequency grid, and `response_from_susceptibility`
@@ -82,8 +85,10 @@ def main(argv: list[str]) -> int:
     from qcle.cli import main as cli_main
     from qcle.cli import parse_config, write_csv
     from qcle.mc import estimate_response, integrate_qcle, sample_noise
-    from qcle.moments import SpectralQuadrature, variance, variance_spectrum
-    from qcle.response import ResponseProblem, integrate_duffing
+    from qcle.moments import (SpectralQuadrature, mean_trajectory, variance,
+                              variance_spectrum)
+    from qcle.response import (ResponseProblem, integrate_duffing,
+                               solve_response_windowed)
     from qcle.susceptibility import (SusceptibilityProblem, phi_omega, psi_operator,
                                      response_from_susceptibility,
                                      solve_susceptibility)
@@ -110,6 +115,12 @@ def main(argv: list[str]) -> int:
         seconds[f"integrate_duffing dt_sub={dt_sub:g}"] = best_of(
             lambda: integrate_duffing(response, dt_sub=dt_sub))
     tol, k_max = cfg.settings["djm_tol"], cfg.settings["djm_k_max"]
+    seconds[f"solve_response_windowed n={grid.n}"] = best_of(
+        lambda: solve_response_windowed(response, cfg.settings["response_window"],
+                                        tol, k_max))
+    seconds[f"mean_trajectory n={grid.n}"] = best_of(
+        lambda: mean_trajectory(cfg.q0, cfg.v0, cfg.potential, cfg.bath, grid,
+                                sigma2=sig2, tol=tol, k_max=k_max))
     solved = solve_susceptibility(susc, tol, k_max)[0]
     layers = {
         f"variance_spectrum n={fg.n}":
