@@ -6,8 +6,9 @@ from .djm import ConvergenceError, DjmSolution, NonFiniteTermError, djm_solve
 from .grids import FreqGrid, SampledSignal, Spectrum, TimeGrid
 from .kernels import (chi_q, chi_tilde, chi_v, chi_v_dot, noise_correlation,
                       noise_psd, omega0, xi_q0_corr)
-from .mc import (Ensemble, MomentEstimate, NoiseEnsemble, estimate_moments,
-                 estimate_response, integrate_qcle, sample_noise)
+from .mc import (Ensemble, MCEstimate, MomentEstimate, NoiseEnsemble,
+                 estimate_mc, estimate_moments, estimate_response,
+                 integrate_qcle, sample_noise)
 from .moments import (PlateauError, QuadratureError, SpectralQuadrature,
                       estimate_plateau, mean_trajectory, variance,
                       variance_spectrum)
@@ -22,11 +23,11 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BathParams", "ConvergenceError", "DjmSolution", "EdgeToleranceError",
-    "Ensemble", "FreqGrid", "MomentEstimate", "NoiseEnsemble",
+    "Ensemble", "FreqGrid", "MCEstimate", "MomentEstimate", "NoiseEnsemble",
     "NonFiniteTermError", "PlateauError", "PotentialParams", "QuadratureError",
     "ResponseProblem", "SampledSignal", "SpectralQuadrature", "Spectrum",
     "StepInstabilityError", "SusceptibilityProblem", "TimeGrid", "chi_q",
-    "chi_tilde", "chi_v", "chi_v_dot", "djm_solve", "estimate_moments",
+    "chi_tilde", "chi_v", "chi_v_dot", "djm_solve", "estimate_mc", "estimate_moments",
     "estimate_plateau", "estimate_response", "integrate_duffing",
     "integrate_qcle", "mean_trajectory", "noise_correlation", "noise_psd",
     "ode_residual", "omega0", "parabolic", "phi_omega", "psi_operator",

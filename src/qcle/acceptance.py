@@ -23,7 +23,7 @@ from . import kernels
 from .djm import djm_solve
 from ._numutil import cumtrapz
 from .grids import FreqGrid, Spectrum, TimeGrid
-from .mc import estimate_moments, estimate_response, integrate_qcle, sample_noise
+from .mc import estimate_mc, estimate_response, sample_noise
 from .moments import variance, variance_spectrum
 from .params import BathParams, PotentialParams, parabolic
 from .response import (ResponseProblem, integrate_duffing, ode_residual,
@@ -234,20 +234,20 @@ def criterion_7() -> CriterionResult:
     grid = TimeGrid(15.0, 1501)
     q0, v0 = 1.0, 0.5
     noise = sample_noise(grid, bath, 10_000, seed=MC_SEED)
-    ens = integrate_qcle(noise, pot, q0=q0, v0=v0)
-    est = estimate_moments(ens)
+    mc = estimate_mc(noise, pot, q0=q0, v0=v0, f0_kick=0.1)
+    est = mc.moments
     th_mean = (kernels.chi_q(grid.times, bath.gamma, pot.eta) * q0
                + kernels.chi_v(grid.times, bath.gamma, pot.eta) * v0)
     z_mean = np.max(np.abs(est.mean.values[1:] - th_mean[1:])
                     / est.stderr_mean.values[1:])
     z_var = abs(est.variance.values[-1] - bath.temp / pot.eta) \
         / est.stderr_variance.values[-1]
-    r_hat, r_se = estimate_response(pot, noise, f0_kick=0.1)
+    r_hat, r_se = mc.r_hat, mc.stderr_r_hat
     # common random numbers make the alpha = 0 difference deterministic, so
     # the standard error degenerates to 0; allow float roundoff on top
     resp_viol = np.max(np.abs(r_hat.values - kernels.chi_v(grid.times, 1.0, 1.0))
                        - (3.0 * r_se.values + 1e-10))
-    ok = z_mean < 3.0 and z_var < 3.0 and resp_viol < 0 and ens.n_excluded == 0
+    ok = z_mean < 3.0 and z_var < 3.0 and resp_viol < 0 and not mc.excluded.any()
     return _result(7, "Monte Carlo oracle (harmonic)", bool(ok),
                    f"mean max|z| {z_mean:.2f}, equil var z {z_var:.2f} (<3), "
                    f"response margin {resp_viol:.1e} (3 se + 1e-10 roundoff floor)",

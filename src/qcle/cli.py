@@ -29,9 +29,12 @@ from . import __version__, kernels
 from .acceptance import CRITERIA, KNOWN_UNATTAINABLE, run_acceptance
 from .djm import ConvergenceError, NonFiniteTermError
 from .grids import FreqGrid, Spectrum, TimeGrid
-from .mc import (PathSamplesError, SurvivorsError, SynthesisLengthError,
-                 _check_path_samples, _synthesis_length, estimate_moments,
-                 estimate_response, integrate_qcle, sample_noise)
+# estimate_moments, estimate_response and integrate_qcle stay bound here:
+# perfbench/tracing.py wraps the MC layers under these names
+from .mc import (PathSamplesError, SurvivorsError, SynthesisLengthError,  # noqa: F401
+                 _check_path_samples, _synthesis_length, estimate_mc,
+                 estimate_moments, estimate_response, integrate_qcle,
+                 sample_noise)
 from .moments import (PlateauError, QuadratureError, SpectralQuadrature,
                       mean_trajectory, variance, variance_spectrum)
 from .params import BathParams, PotentialParams
@@ -461,18 +464,27 @@ def cmd_susceptibility(cfg: RunConfig, out: Path, m: dict) -> int:
 def cmd_mc(cfg: RunConfig, out: Path, m: dict) -> int:
     s = cfg.settings
     noise = sample_noise(cfg.time_grid, cfg.bath, s["n_paths"], s["seed"])
-    ens = integrate_qcle(noise, cfg.potential, q0=cfg.q0, v0=cfg.v0)
-    m["diagnostics"]["n_excluded"] = ens.n_excluded
-    est = estimate_moments(ens)
-    del ens  # one trajectory set at a time: the pair below holds its own
+
+    def record(masks):  # the MCEstimate, or the SurvivorsError of the pass
+        m["diagnostics"].update(
+            n_excluded=int(np.count_nonzero(masks.excluded)),
+            n_excluded_pair=int(np.count_nonzero(masks.pair_excluded)))
+
+    # the moments ensemble and the kick pair in one pass
+    try:
+        est = estimate_mc(noise, cfg.potential, cfg.q0, cfg.v0, s["f0_kick"],
+                          thermal_v0=s["thermal_v0"])
+    except SurvivorsError as e:
+        record(e)
+        raise
+    record(est)
+    mom = est.moments
     write_csv(out / "mc_moments.csv",
               ["t", "mean", "stderr_mean", "variance", "stderr_variance"],
-              [cfg.time_grid.times, est.mean.values, est.stderr_mean.values,
-               est.variance.values, est.stderr_variance.values])
-    r_hat, r_se = estimate_response(cfg.potential, noise, f0_kick=s["f0_kick"],
-                                    thermal_v0=s["thermal_v0"])
+              [cfg.time_grid.times, mom.mean.values, mom.stderr_mean.values,
+               mom.variance.values, mom.stderr_variance.values])
     write_csv(out / "mc_response.csv", ["t", "r_hat", "stderr"],
-              [cfg.time_grid.times, r_hat.values, r_se.values])
+              [cfg.time_grid.times, est.r_hat.values, est.stderr_r_hat.values])
     return 0
 
 

@@ -182,7 +182,8 @@ def test_mc_subcommand_and_seed_override(tmp_path):
     out = tmp_path / "mc"
     assert main(["mc", "--config", str(cfg), "--out", str(out)]) == 0
     m = json.loads((out / "manifest.json").read_text())
-    assert m["effective"]["seed"] == 99 and m["diagnostics"]["n_excluded"] == 0
+    assert m["effective"]["seed"] == 99
+    assert m["diagnostics"] == {"n_excluded": 0, "n_excluded_pair": 0}
     out2 = tmp_path / "mc2"
     main(["mc", "--config", str(cfg), "--out", str(out2), "--seed", "123"])
     m2 = json.loads((out2 / "manifest.json").read_text())
@@ -461,7 +462,10 @@ def test_mc_records_exclusions_before_the_estimators(tmp_path):
     out = tmp_path / "o"
     assert main(["mc", "--config", str(cfg), "--out", str(out)]) == 3
     diagnostics = json.loads((out / "manifest.json").read_text())["diagnostics"]
+    # both counts come from the one pass, before the survivors are checked:
+    # every path from q0 = 1000 escapes, every kick pair from q0 = 0 stays
     assert diagnostics["n_excluded"] == 50
+    assert diagnostics["n_excluded_pair"] == 0
     assert "0 of 50" in diagnostics["error"]
 
 
@@ -517,9 +521,10 @@ def test_mc_draws_the_noise_once(tmp_path, monkeypatch):
 
 
 def test_mc_holds_one_trajectory_set_at_a_time(tmp_path):
-    # the preset's 2000 x 1501 paths: the noise, its time-major copy and the
-    # kick pair's two trajectory sets are about 96 MB; a third set (the
-    # moments ensemble kept alive) would be 120 MB
+    # the preset's 2000 x 1501 paths: the time-major noise is 24 MB, and the
+    # one pass steps the moments ensemble and the kick pair on a ring of
+    # BLOCK_ROWS + 1 rows (3 MB); one stored trajectory set or a copy of the
+    # noise would add another 24 MB
     cfg = _write_config(tmp_path, base=BISTABLE)
     tracemalloc.start()
     try:
@@ -527,7 +532,7 @@ def test_mc_holds_one_trajectory_set_at_a_time(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 100e6
+    assert peak <= 40e6
 
 
 def test_mc_synthesis_cap_rejected_fast(tmp_path):

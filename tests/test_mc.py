@@ -7,10 +7,11 @@ import pytest
 
 import qcle.mc
 from qcle import (BathParams, PotentialParams, SpectralQuadrature, TimeGrid,
-                  chi_q, chi_v, estimate_moments, estimate_response,
+                  chi_q, chi_v, estimate_mc, estimate_moments, estimate_response,
                   integrate_qcle, noise_psd, sample_noise, variance)
-from qcle.mc import (MAX_PATH_SAMPLES, MAX_SYNTHESIS_LENGTH, NOISE_BLOCK_SAMPLES,
-                     Ensemble, NoiseEnsemble, PathSamplesError, SurvivorsError,
+from qcle.mc import (BLOCK_ROWS, MAX_PATH_SAMPLES, MAX_SYNTHESIS_LENGTH,
+                     NOISE_BLOCK_SAMPLES, Ensemble, NoiseEnsemble,
+                     PathSamplesError, SurvivorsError,
                      SynthesisLengthError, _propagator_constants,
                      _synthesis_length, thermal_velocities)
 from qcle.moments import _preparation_cross_term
@@ -447,3 +448,167 @@ def test_response_pair_without_survivors_raises():
     noise = sample_noise(grid, CLASSICAL, 20, seed=5)
     with pytest.raises(SurvivorsError, match="0 of 20"):
         estimate_response(HARMONIC, noise, f0_kick=1e9)
+
+
+def _stacked_moments(traj, excluded=None):
+    """The per-node estimators over a stored (n_paths, n) trajectory array,
+    as the moments were computed before the block reducer."""
+    if excluded is not None:
+        traj = traj[~excluded]
+    n = traj.shape[0]
+    mean = traj.mean(axis=0)
+    prod = traj - mean
+    prod *= prod
+    var = np.sum(prod, axis=0) / (n - 1)
+    prod *= prod
+    m4 = np.mean(prod, axis=0)
+    se_var = np.sqrt(np.maximum((m4 - var**2 * (n - 3) / (n - 1)) / n, 0.0))
+    return mean, var, np.sqrt(var / n), se_var
+
+
+def _stacked_pair(noise, pot, f0_kick, thermal):
+    v0 = (thermal_velocities(noise.bath, noise.n_paths, noise.seed) if thermal
+          else np.zeros(noise.n_paths))
+    pair = integrate_qcle(noise, pot, q0=0.0, v0=np.stack([v0, v0 + f0_kick]))
+    base, kicked = pair.trajectories.reshape(2, noise.n_paths, -1)
+    diffs = kicked - base
+    diffs /= f0_kick
+    return diffs, pair.excluded.reshape(2, -1).any(axis=0)
+
+
+ONE_PASS_CASES = [
+    (HARMONIC, False),
+    (PotentialParams(eta=1.0, alpha=0.3, epsilon=0.0, f0=0.1), True),
+    (PotentialParams(eta=-1.0, alpha=1.0, epsilon=0.2, f0=0.1), True),
+]
+ONE_PASS_IDS = ["harmonic", "quartic_thermal", "tilted_double_well_thermal"]
+
+
+@pytest.mark.parametrize("pot,thermal", ONE_PASS_CASES, ids=ONE_PASS_IDS)
+@pytest.mark.parametrize("n", [2, BLOCK_ROWS // 2, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 1,
+                               301], ids=["n2", "n_lt_B", "n_B+1", "n_2B+1", "n301"])
+def test_one_pass_matches_the_stacked_route(pot, thermal, n):
+    # the moments ensemble and the kick pair stepped as one batch on a ring
+    # of BLOCK_ROWS + 1 rows and reduced block by block: bit for bit what
+    # the stored trajectories give, on blocks that end anywhere
+    grid = TimeGrid(0.01 * (n - 1), n)
+    noise = sample_noise(grid, QUANTUM, 50, seed=23)
+    q0, v0, f0_kick = 0.4, 0.3, 0.1
+    mc = estimate_mc(noise, pot, q0, v0, f0_kick, thermal_v0=thermal)
+    assert not (mc.excluded.any() or mc.pair_excluded.any())
+    ens = integrate_qcle(noise, pot, q0=q0, v0=v0)
+    est = estimate_moments(ens)
+    ref = _stacked_moments(ens.trajectories)
+    for name, want in zip(("mean", "variance", "stderr_mean", "stderr_variance"), ref):
+        assert np.array_equal(getattr(mc.moments, name).values, want), name
+        assert np.array_equal(getattr(est, name).values, want), name
+    r_hat, stderr = estimate_response(pot, noise, f0_kick, thermal_v0=thermal)
+    diffs, _ = _stacked_pair(noise, pot, f0_kick, thermal)
+    pair_ref = _stacked_moments(diffs)
+    for got in ((mc.r_hat, mc.stderr_r_hat), (r_hat, stderr)):
+        assert np.array_equal(got[0].values, pair_ref[0])
+        assert np.array_equal(got[1].values, pair_ref[2])
+
+
+@pytest.mark.parametrize("n", [2, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 1, 200])
+def test_ring_blocks_are_the_stored_rows(n):
+    # a ring of BLOCK_ROWS + 1 rows hands over consecutive blocks that cover
+    # every node once, each equal to the rows integrate_qcle stores
+    grid = TimeGrid(0.01 * (n - 1), n)
+    noise = sample_noise(grid, CLASSICAL, 6, seed=3)
+    pot = PotentialParams(eta=1.0, alpha=0.3, epsilon=0.1, f0=0.1)
+    v0 = np.stack([np.zeros(6), np.full(6, 0.2)])
+    rows = integrate_qcle(noise, pot, 0.5, v0).trajectories.T.reshape(n, 2, 6)
+    ring = np.empty((BLOCK_ROWS + 1, 2, 6))
+    alive = np.ones((2, 6), dtype=bool)
+    nodes = 0
+    for j0, block in qcle.mc._step_rows(noise, pot, 0.5, v0, 1e8, ring, alive):
+        assert j0 == nodes and len(block) <= BLOCK_ROWS + 1
+        assert np.array_equal(block, rows[j0:j0 + len(block)])
+        nodes += len(block)
+    assert nodes == n and alive.all()
+
+
+def _blown_noise(grid, n_paths, seed, paths):
+    """Classical noise with inf at one node of the given paths, kept
+    time-major: every ensemble over it fails the blow-up guard on them."""
+    xi = sample_noise(grid, CLASSICAL, n_paths, seed).values.T.copy()
+    xi[grid.n // 3, paths] = np.inf
+    return NoiseEnsemble(grid, CLASSICAL, xi.T, seed)
+
+
+def test_one_pass_exclusions_match_the_stacked_route():
+    # inf noise excludes paths 3, 17 and 30 everywhere; q0 = 1e9 excludes
+    # paths 5, 17 and 22 of the moments ensemble only. The pass reruns with
+    # the exclusions known and drops each failed path from every node,
+    # earlier ones included
+    grid = TimeGrid(2.0, 201)
+    noise = _blown_noise(grid, 40, 13, [3, 17, 30])
+    q0 = np.full(40, 0.2)
+    q0[[5, 17, 22]] = 1e9
+    v0, f0_kick = 0.0, 0.1
+    mc = estimate_mc(noise, HARMONIC, q0, v0, f0_kick)
+    ens = integrate_qcle(noise, HARMONIC, q0=q0, v0=v0)
+    diffs, pair_excluded = _stacked_pair(noise, HARMONIC, f0_kick, False)
+    assert np.array_equal(np.flatnonzero(ens.excluded), [3, 5, 17, 22, 30])
+    assert np.array_equal(np.flatnonzero(pair_excluded), [3, 17, 30])
+    assert np.array_equal(mc.excluded, ens.excluded)
+    assert np.array_equal(mc.pair_excluded, pair_excluded)
+    est = estimate_moments(ens)
+    ref = _stacked_moments(ens.trajectories, ens.excluded)
+    for name, want in zip(("mean", "variance", "stderr_mean", "stderr_variance"), ref):
+        assert np.array_equal(getattr(mc.moments, name).values,
+                              getattr(est, name).values), name
+        assert np.array_equal(getattr(mc.moments, name).values, want), name
+    pair_ref = _stacked_moments(diffs, pair_excluded)
+    assert np.array_equal(mc.r_hat.values, pair_ref[0])
+    assert np.array_equal(mc.stderr_r_hat.values, pair_ref[2])
+
+
+def test_one_pass_survivors_error_carries_both_masks():
+    grid = TimeGrid(2.0, 201)
+    # the moments ensemble fails: paths 0-37 by their noise, 38 by its q0
+    noise = _blown_noise(grid, 40, 13, np.arange(38))
+    q0 = np.full(40, 0.2)
+    q0[38] = 1e9
+    with pytest.raises(SurvivorsError, match="1 of 40") as info:
+        estimate_mc(noise, HARMONIC, q0, 0.0, 0.1)
+    assert info.value.excluded.sum() == 39 and info.value.pair_excluded.sum() == 38
+    # the pair alone fails: every kicked path escapes
+    noise = sample_noise(grid, CLASSICAL, 40, seed=13)
+    with pytest.raises(SurvivorsError, match="0 of 40") as info:
+        estimate_mc(noise, HARMONIC, 0.2, 0.0, 1e9)
+    assert info.value.excluded.sum() == 0 and info.value.pair_excluded.sum() == 40
+
+
+def _row_major_noise(grid, bath, n_paths, seed):
+    """sample_noise's synthesis written path by path into (n_paths, n)."""
+    nfft = _synthesis_length(grid, bath.nu)
+    half = nfft // 2
+    wk = 2.0 * np.pi * np.fft.rfftfreq(nfft, d=grid.dt)
+    amp = np.sqrt(noise_psd(wk, bath.gamma, bath.temp, bath.nu) / (nfft * grid.dt))
+    amp[1:half] /= np.sqrt(2.0)
+    rng = np.random.default_rng(seed)
+    rows = max(1, NOISE_BLOCK_SAMPLES // nfft)
+    out = np.empty((n_paths, grid.n))
+    for p in range(0, n_paths, rows):
+        x = rng.standard_normal((min(rows, n_paths - p), 2, half + 1))
+        out[p:p + len(x)] = np.fft.hfft(amp * (x[:, 0] + 1j * x[:, 1]),
+                                        nfft)[:, :grid.n]
+    return out
+
+
+@pytest.mark.parametrize("block", [None, 3], ids=["default_blocks", "blocks_of_3"])
+@pytest.mark.parametrize("bath", [CLASSICAL, QUANTUM], ids=["classical", "quantum"])
+def test_time_major_fill_matches_the_row_major_fill(bath, block, monkeypatch):
+    # the time-major buffer holds the bits of the row-major fill, whatever
+    # the synthesis block, with a partial block left at the end
+    grid = TimeGrid(5.0, 251)
+    nfft = _synthesis_length(grid, bath.nu)
+    if block is not None:
+        monkeypatch.setattr(qcle.mc, "NOISE_BLOCK_SAMPLES", block * nfft)
+    n_paths = 7 * (NOISE_BLOCK_SAMPLES // nfft) + 3
+    noise = sample_noise(grid, bath, n_paths, seed=8)
+    assert noise.values.shape == (n_paths, grid.n)
+    assert noise.values.T.flags.c_contiguous  # row j: every path at t_j
+    assert np.array_equal(noise.values, _row_major_noise(grid, bath, n_paths, 8))

@@ -20,9 +20,10 @@ in this process:
   which all take the `%` fallback;
 - `variance` on the preset's time grid, classical and at nu = 1 (with the
   quantum-response workload's quadrature: omega_max 300, rtol 0.1);
-- `sample_noise` and `integrate_qcle` at 2000 paths x 1501 nodes, and
+- `sample_noise` and `integrate_qcle` at 2000 paths x 1501 nodes,
   `estimate_response` of the same noise (the preset's quartic potential,
-  f0_kick and thermal v0).
+  f0_kick and thermal v0), and `estimate_mc`, the one pass of `qcle mc`
+  that steps the preset's moments ensemble and that kick pair as one batch.
 
 Prints one JSON line: the checkout, the versions, the seconds per layer
 and, from one more untimed call each, the `tracemalloc` peaks in MB of the
@@ -81,7 +82,7 @@ def main(argv: list[str]) -> int:
 
     import numpy as np
 
-    from qcle import kernels
+    from qcle import kernels, mc
     from qcle.cli import main as cli_main
     from qcle.cli import parse_config, write_csv
     from qcle.mc import estimate_response, integrate_qcle, sample_noise
@@ -152,6 +153,11 @@ def main(argv: list[str]) -> int:
     seconds[f"estimate_response {N_PATHS}x{grid.n}"] = best_of(
         lambda: estimate_response(cfg.potential, noise, cfg.settings["f0_kick"],
                                   cfg.settings["thermal_v0"]))
+    if hasattr(mc, "estimate_mc"):  # checkouts before the one pass lack it
+        seconds[f"estimate_mc {N_PATHS}x{grid.n}"] = best_of(
+            lambda: mc.estimate_mc(noise, cfg.potential, cfg.q0, cfg.v0,
+                                   cfg.settings["f0_kick"],
+                                   cfg.settings["thermal_v0"]))
     with tempfile.TemporaryDirectory() as tmp:
         peaks[f"qcle mc {PRESET}"] = peak_mb(lambda: cli_main(
             ["mc", "--config", str(config), "--out", str(Path(tmp) / "mc")]))
