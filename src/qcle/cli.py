@@ -41,7 +41,8 @@ from .params import BathParams, PotentialParams
 from .response import ResponseProblem, StepInstabilityError, _substeps_per_step, \
     integrate_duffing, ode_residual, solve_response_windowed
 from .susceptibility import (EdgeToleranceError, SusceptibilityProblem,
-                             response_from_susceptibility, solve_susceptibility)
+                             response_from_susceptibility, solve_susceptibility,
+                             unsplit_residual)
 
 
 # largest node count of a grid, a quadrature or the Duffing substeps
@@ -451,6 +452,7 @@ def cmd_susceptibility(cfg: RunConfig, out: Path, m: dict) -> int:
     if not sol.converged:
         raise ConvergenceError("susceptibility recursion did not converge",
                                sol.term_norms)
+    m["diagnostics"]["unsplit_residual"] = unsplit_residual(chi, prob)
     full = chi.full()
     write_csv(out / "susceptibility.csv", ["omega", "re", "im"],
               [fg.omegas, full.real, full.imag])

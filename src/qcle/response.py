@@ -61,15 +61,6 @@ def zero_sigma2(grid: TimeGrid) -> SampledSignal:
     return SampledSignal(grid, np.zeros(grid.n))
 
 
-def _window_b(u: np.ndarray, **operator) -> np.ndarray:
-    """moments._closure_b on a window's nodes, exactly 0 at the first one (an
-    integral over an empty interval), where the FFT convolution leaves
-    roundoff."""
-    b = _closure_b(u, **operator)
-    b[0] = 0.0
-    return b
-
-
 def solve_response_windowed(problem: ResponseProblem, window: float,
                             tol: float = 1e-8, k_max: int = 60,
                             ) -> tuple[SampledSignal, list[DjmSolution]]:
@@ -107,7 +98,7 @@ def solve_response_windowed(problem: ResponseProblem, window: float,
             force = _closure_force(out[:start + 1], sig[:start + 1], c)
             f_loc = f_loc - pot.alpha * linear_convolve(
                 cv[:stop + 1], force * trapezoid_weights(start + 1, dt))[sl]
-        apply_b = functools.partial(_window_b, cv=cv[:stop - start + 1],
+        apply_b = functools.partial(_closure_b, cv=cv[:stop - start + 1],
                                     sig=sig[sl], c=c, alpha=pot.alpha, dt=dt)
         sol = djm_solve(f_loc, apply_b, tol=tol, k_max=k_max)
         sols.append(sol)

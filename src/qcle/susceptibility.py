@@ -11,6 +11,21 @@ delta(w). Transforming the response ODE under this convention gives
                [ 3 alpha sigma2_F(w') + (alpha f0^2/2pi)
                  int dw'' chi(w'') chi(w' - w'') ].
 
+The variance plateau sigma_eq puts the Dirac 2 pi sigma_eq delta(w) into
+sigma2_F, and its part of psi is exactly the pointwise product
+-chi_tilde(w) 3 alpha sigma_eq chi(w). solve_susceptibility moves it to the
+left-hand side, which gives the same fixed point as chi = phi_eff +
+psi_eff[chi]: phi and psi of the harmonic susceptibility shifted by the
+Gaussian closure,
+
+    chi_tilde_eff(w) = 1/(eta + 3 alpha sigma_eq - w^2 - i gamma w),
+
+with the tilt weight -2 pi (eps/f0) chi_tilde_eff(0), and psi_eff keeping
+only the transient part of sigma2_F and the cubic f0^2 term. Each
+application then contracts by the transient and the cubic term alone, not
+by about 3 alpha sigma_eq/eta as well. phi_omega and psi_operator keep the
+definitions above.
+
 Every Dirac component sits at w = 0 and is carried symbolically as one
 weight (Spectrum.dirac) and convolved exactly. Every spectrum transforms a
 real function of time and is Hermitian, so a Spectrum holds its w >= 0 half
@@ -23,7 +38,7 @@ transform is twice the real part of one chirp-z sum over the half
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -110,14 +125,38 @@ def psi_operator(chi: Spectrum, problem: SusceptibilityProblem) -> Spectrum:
 
 def solve_susceptibility(problem: SusceptibilityProblem, tol: float = 1e-8,
                          k_max: int = 25) -> tuple[Spectrum, DjmSolution]:
-    """Banach recursion with f = phi_omega and B = psi_operator."""
-    f = phi_omega(problem)
+    """Banach recursion on the split chi = phi_eff + psi_eff[chi]: f =
+    phi_omega and B = psi_operator of the problem with eta + 3 alpha sigma_eq
+    in place of eta and no sigma^2 Dirac, sigma_eq = sigma2_spec.dirac/2pi.
+
+    Raises ValueError when eta + 3 alpha sigma_eq <= 0, where chi_tilde_eff
+    is singular at w = 0 or not the transform of a decaying response.
+    """
+    pot, sigma2_spec = problem.potential, problem.sigma2_spec
+    eta_eff = pot.eta + 3.0 * pot.alpha * (sigma2_spec.dirac / (2.0 * np.pi))
+    if not eta_eff > 0:
+        raise ValueError(
+            f"eta + 3 alpha sigma_eq = {eta_eff!r} must be > 0 for the "
+            "susceptibility recursion")
+    split = SusceptibilityProblem(replace(pot, eta=eta_eff), problem.bath,
+                                  replace(sigma2_spec, dirac=0.0), problem.grid)
 
     def apply_b(chi: Spectrum) -> Spectrum:
-        return psi_operator(chi, problem)
+        return psi_operator(chi, split)
 
-    sol = djm_solve(f, apply_b, tol=tol, k_max=k_max)
+    sol = djm_solve(phi_omega(split), apply_b, tol=tol, k_max=k_max)
     return sol.partial_sum, sol
+
+
+def unsplit_residual(chi: Spectrum, problem: SusceptibilityProblem) -> float:
+    """sup|chi - phi - psi[chi]| under the paper's operator, one application.
+
+    Node for node it is chi_tilde/chi_tilde_eff times the residual of the
+    split equation that solve_susceptibility iterates, a factor of
+    (eta + 3 alpha sigma_eq)/eta at w = 0, so it reads large where
+    3 alpha sigma_eq dwarfs eta.
+    """
+    return (chi - phi_omega(problem) - psi_operator(chi, problem)).sup_norm()
 
 
 def _inverse_transform(chi: Spectrum, times: np.ndarray,

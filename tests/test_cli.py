@@ -275,7 +275,8 @@ PARABOLIC = json.loads(
     (Path(__file__).resolve().parent.parent / "configs" / "parabolic.json").read_text())
 # the Matsubara sum would need more than kernels.MAX_MATSUBARA_TERMS terms
 TINY_NU = {"bath.nu": 1e-4, "tolerances.quad_rtol": 1e9}
-# on the bistable preset these make both recursions overflow
+# on the bistable preset these make the mean's recursion overflow; the
+# susceptibility's, with the plateau split off, converges
 BLOWUP = {"bath.gamma": 2.0, "bath.temp": 1.0, "potential.alpha": 0.5}
 # quantum nu at the default quad_rtol: the variance quadrature is cutoff-sensitive
 QUANTUM_NU = {"potential.alpha": 0.3, "bath.nu": 1.0, "time_grid.t_max": 2.0,
@@ -345,8 +346,8 @@ def _tree(root: Path) -> dict:
                  id="unknown_key"),
     pytest.param("moments", {"base": BISTABLE, "overrides": BLOWUP}, [], 3,
                  id="moments_overflow"),
-    pytest.param("susceptibility", {"base": BISTABLE, "overrides": BLOWUP}, [], 3,
-                 id="susceptibility_overflow"),
+    pytest.param("susceptibility", {"base": BISTABLE, "overrides": BLOWUP}, [], 0,
+                 id="susceptibility_blowup_converges"),
     pytest.param("response", {"overrides": QUANTUM_NU}, [], 3, id="quadrature"),
     pytest.param("response", {"base": PARABOLIC, "overrides": TINY_NU}, [], 3,
                  id="matsubara_truncation"),
@@ -407,6 +408,20 @@ def test_failure_contract(tmp_path, monkeypatch, capsys, sub, config, extra,
         assert err == ""
         manifest = json.loads((out / "manifest.json").read_text())
         assert "error" not in manifest["diagnostics"]
+        assert manifest["diagnostics"].get("converged", True) is True
+
+
+@pytest.mark.parametrize("overrides", [BLOWUP, {"potential.alpha": 0.6}],
+                         ids=["blowup", "alpha_0.6"])
+def test_split_susceptibility_solves_the_unsplit_equation(tmp_path, overrides):
+    # where the recursion with the plateau inside psi diverges, the split one
+    # converges, and its chi meets the paper's equation chi = phi + psi[chi]
+    cfg = _write_config(tmp_path, base=BISTABLE, overrides=overrides)
+    assert main(["susceptibility", "--config", str(cfg),
+                 "--out", str(tmp_path / "o")]) == 0
+    diag = json.loads((tmp_path / "o" / "manifest.json").read_text())["diagnostics"]
+    assert diag["converged"] is True and len(diag["term_norms"]) <= 12
+    assert diag["unsplit_residual"] <= 10 * BISTABLE["tolerances"]["djm_tol"]
 
 
 def test_numerical_error_is_all_of_stderr(tmp_path, capsys):

@@ -257,9 +257,12 @@ def test_variance_memory_stays_linear():
 
 def test_susceptibility_memory_does_not_grow_with_the_recursion():
     # the recursion keeps its running sum, not every term: 20 more operator
-    # applications on 8001 nodes would hold 20 more 128 kB spectra
+    # applications on 8001 nodes would hold 20 more 64 kB spectra. At
+    # f0 = 0.1 the split recursion reaches its fixed point exactly (a zero
+    # increment) after 11 applications; the cubic term of f0 = 1 keeps its
+    # increments at roundoff, above tol = 1e-300, for all 24
     bath = BathParams(gamma=1.0, temp=0.5, nu=1e4)
-    pot = PotentialParams(eta=1.0, alpha=0.3, epsilon=0.0, f0=0.1)
+    pot = PotentialParams(eta=1.0, alpha=0.3, epsilon=0.0, f0=1.0)
     fg = FreqGrid(400.0, 8001)
     spec = variance_spectrum(variance(TimeGrid(15.0, 1501), bath, pot), fg)
     prob = SusceptibilityProblem(pot, bath, spec, fg)

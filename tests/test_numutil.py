@@ -1,12 +1,28 @@
-"""Shared numerical primitives: the Hermitian convolution, the chirp-z
-Fourier sum and e1m."""
+"""Shared numerical primitives: the FFT length rule, the Hermitian
+convolution, the chirp-z Fourier sum, the Volterra convolution and e1m."""
 
 import mpmath
 import numpy as np
 import pytest
 
-from qcle._numutil import e1m, hermitian_convolve, phase_stepped_sum
+from qcle._numutil import (e1m, fft_length, hermitian_convolve,
+                           phase_stepped_sum, volterra_conv)
 from qcle.kernels import chi_tilde
+
+
+def test_fft_length_is_the_smallest_3_smooth_length():
+    def smooth(k):
+        for p in (2, 3):
+            while k % p == 0:
+                k //= p
+        return k == 1
+
+    expected, k = [], 1
+    for n in range(1, 5001):
+        while not smooth(k) or k < n:
+            k += 1
+        expected.append(k)
+    assert [fft_length(n) for n in range(1, 5001)] == expected
 
 
 def _hermitian_half(rng, m, kind):
@@ -19,8 +35,10 @@ def _hermitian_half(rng, m, kind):
     return re + 1j * im
 
 
+# 3m - 2 is 3-smooth at m = 1, 2, 6 and 22, so the circular period is 3m - 2
+# itself and no margin is left
 @pytest.mark.parametrize("kind", ["general", "real", "odd_imaginary"])
-@pytest.mark.parametrize("m", [1, 2, 5, 33])
+@pytest.mark.parametrize("m", [1, 2, 3, 5, 6, 22, 33])
 def test_hermitian_convolve_matches_direct_sum(m, kind):
     rng = np.random.default_rng(m)
     a, b = _hermitian_half(rng, m, kind), _hermitian_half(rng, m, "general")
@@ -52,6 +70,33 @@ def test_phase_stepped_sum_matches_direct_sum(rows, sign, n, m):
     assert got.shape == direct.shape
     bound = 1e-13 * np.sum(np.abs(coeffs), axis=-1, keepdims=True)
     assert np.all(np.abs(got - direct) <= bound)
+
+
+# the circular period fft_length(n + m - 1) is n + m - 1 itself at (1, 1),
+# (1, 9), (9, 1) and (145, 18), and no power of two at (20, 18) or (300, 130)
+@pytest.mark.parametrize("n,m", [(1, 1), (1, 9), (9, 1), (20, 18), (145, 18),
+                                 (300, 130)])
+def test_phase_stepped_sum_circular_period(n, m):
+    period = fft_length(n + m - 1)
+    assert (period == n + m - 1) == ((n, m) in {(1, 1), (1, 9), (9, 1), (145, 18)})
+    rng = np.random.default_rng(n + 7 * m)
+    coeffs = rng.normal(size=n) + 1j * rng.normal(size=n)
+    ys = np.linspace(-0.5, 3.0, m)
+    x0, dx = 0.4, 0.21
+    direct = np.exp(1j * np.outer(ys, x0 + dx * np.arange(n))) @ coeffs
+    got = phase_stepped_sum(coeffs, x0, dx, ys, 1)
+    assert np.max(np.abs(got - direct)) <= 1e-13 * np.sum(np.abs(coeffs))
+
+
+def test_volterra_conv_is_exactly_zero_at_t0():
+    rng = np.random.default_rng(3)
+    kernel, h = rng.normal(size=301), rng.normal(size=301)
+    got = volterra_conv(kernel, h, 0.05)
+    assert got[0] == 0.0
+    direct = np.array([0.05 * (np.dot(kernel[k::-1], h[:k + 1])
+                               - 0.5 * (kernel[k] * h[0] + kernel[0] * h[k]))
+                       for k in range(1, 301)])
+    assert np.max(np.abs(got[1:] - direct)) <= 1e-13 * np.max(np.abs(direct))
 
 
 def test_phase_stepped_sum_centres_at_the_largest_coefficient():

@@ -155,6 +155,39 @@ def test_solve_ho_single_term():
     assert np.max(np.abs(chi.full() - chi_tilde(grid.omegas, 1.0, 1.0))) == 0.0
 
 
+def test_split_keeps_the_harmonic_bits():
+    # at alpha = 0 the plateau shifts nothing: the split solves the problem's
+    # own phi, in one application that adds an exact zero
+    grid = FreqGrid(50.0, 2001)
+    sigma2 = Spectrum(grid, 0.2 / (1.0 + _half(grid)**2), 2.0 * np.pi * 0.4)
+    pot = PotentialParams(eta=1.0, alpha=0.0, epsilon=0.05, f0=0.1)
+    prob = SusceptibilityProblem(pot, BATH, sigma2, grid)
+    chi, sol = solve_susceptibility(prob, tol=1e-10, k_max=25)
+    phi = phi_omega(prob)
+    assert sol.converged and sol.k == 2
+    assert np.array_equal(chi.half, phi.half) and chi.dirac == phi.dirac
+
+
+@pytest.mark.parametrize("excess", [0.0, 0.5], ids=["zero", "negative"])
+def test_split_rejects_a_nonpositive_shifted_eta(monkeypatch, excess):
+    # a negative plateau weight drives eta + 3 alpha sigma_eq to 0 or below:
+    # chi_tilde_eff is then singular at w = 0 or no decaying response's
+    # transform, and the solve refuses before the recursion starts
+    grid = FreqGrid(10.0, 401)
+    alpha, dirac = 0.5, -2.0 * np.pi * 0.8
+    eta = -3.0 * alpha * (dirac / (2.0 * np.pi)) - excess
+    pot = PotentialParams(eta=eta, alpha=alpha, epsilon=0.0, f0=0.1)
+    prob = SusceptibilityProblem(
+        pot, BATH, Spectrum(grid, np.zeros(grid.zero_index + 1), dirac), grid)
+
+    def no_recursion(*args, **kwargs):
+        raise AssertionError("the recursion started")
+
+    monkeypatch.setattr("qcle.susceptibility.djm_solve", no_recursion)
+    with pytest.raises(ValueError, match="eta \\+ 3 alpha sigma_eq"):
+        solve_susceptibility(prob, tol=1e-10, k_max=25)
+
+
 @pytest.mark.parametrize("epsilon", [0.0, 0.05])
 def test_solution_is_the_hermitian_partial_sum(epsilon):
     # the partial sum itself is the solution, a fixed point of

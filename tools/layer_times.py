@@ -25,10 +25,11 @@ in this process:
   f0_kick and thermal v0), and `estimate_mc`, the one pass of `qcle mc`
   that steps the preset's moments ensemble and that kick pair as one batch.
 
-Prints one JSON line: the checkout, the versions, the seconds per layer
-and, from one more untimed call each, the `tracemalloc` peaks in MB of the
-four frequency-grid layers, of `write_csv` on the kernels table and of a
-whole `qcle mc` run on the preset.
+Prints one JSON line: the checkout, the versions, the seconds per layer,
+the operator applications of `solve_susceptibility` and, from one more
+untimed call each, the `tracemalloc` peaks in MB of the four
+frequency-grid layers, of `write_csv` on the kernels table and of a whole
+`qcle mc` run on the preset.
 Compare two checkouts by running it on each, one after the other.
 """
 
@@ -122,7 +123,7 @@ def main(argv: list[str]) -> int:
     seconds[f"mean_trajectory n={grid.n}"] = best_of(
         lambda: mean_trajectory(cfg.q0, cfg.v0, cfg.potential, cfg.bath, grid,
                                 sigma2=sig2, tol=tol, k_max=k_max))
-    solved = solve_susceptibility(susc, tol, k_max)[0]
+    solved, susc_sol = solve_susceptibility(susc, tol, k_max)
     layers = {
         f"variance_spectrum n={fg.n}":
             lambda: variance_spectrum(sig2, fg, plateau_tol=plateau_tol),
@@ -168,6 +169,7 @@ def main(argv: list[str]) -> int:
         "numpy": np.__version__,
         "best_of": REPEATS,
         "seconds": {k: round(v, 5) for k, v in seconds.items()},
+        "applications": {f"solve_susceptibility n={fg.n}": susc_sol.k - 1},
         "tracemalloc_peak_mb": peaks,
     }))
     return 0
