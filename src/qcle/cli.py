@@ -398,7 +398,7 @@ def cmd_moments(cfg: RunConfig, out: Path, m: dict) -> int:
     sig2 = variance(cfg.time_grid, cfg.bath, cfg.potential, quad=cfg.quad)
     try:
         mean, sol = mean_trajectory(cfg.q0, cfg.v0, cfg.potential, cfg.bath,
-                                    cfg.time_grid, sigma2=sig2,
+                                    sig2, s["response_window"],
                                     tol=s["djm_tol"], k_max=s["djm_k_max"])
     except ConvergenceError as e:
         m["diagnostics"]["mean_term_norms"] = e.term_norms

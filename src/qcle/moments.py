@@ -34,14 +34,13 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from . import kernels
-from ._numutil import (cumtrapz, e1m, phase_stepped_sum, square,
-                       trapezoid_weights, volterra_conv)
-from .djm import ConvergenceError, DjmSolution, djm_solve
+from ._numutil import (cumtrapz, e1m, linear_convolve, phase_stepped_sum,
+                       square, trapezoid_weights, volterra_conv)
+from .djm import ConvergenceError, DjmSolution, default_norm, djm_solve
 from .grids import FreqGrid, SampledSignal, Spectrum, TimeGrid
 from .params import BathParams, PotentialParams
 
@@ -346,40 +345,73 @@ def _closure_b(u: np.ndarray, cv: np.ndarray, sig: np.ndarray, c: float,
     return -alpha * volterra_conv(cv, _closure_force(u, sig, c), dt)
 
 
+def _solve_closure(f: np.ndarray, cv: np.ndarray, sig: np.ndarray, c: float,
+                   alpha: float, grid: TimeGrid, window: float, tol: float,
+                   k_max: int) -> tuple[np.ndarray, list[DjmSolution]]:
+    """Solve u = f + B(u), B = _closure_b, marching the horizon in windows
+    of length `window` (one window when it is at least t_max), each solved
+    by its own recursion.
+
+    The earlier windows enter a window's equation as one fixed history
+    vector: the trapezoid sum of chi_v(t-y) (c u^3 + 3 u sigma^2)(y) over
+    y <= T1, the window's start, with half weights at 0 and T1. The window's
+    own operator adds the sum over [T1, t] with half weights at T1 and t, so
+    the converged result satisfies the global trapezoid identity
+    u = f + B(u), node for node. The march stops at the first window that
+    does not converge; that window holds its last partial sum and later
+    windows hold zeros.
+    """
+    dt = grid.dt
+    # a window of at least t_max is one window
+    n_win = max(2, int(round(min(window, grid.t_max) / dt)))
+    out = np.zeros(grid.n)
+    sols: list[DjmSolution] = []
+    start = 0
+    while start < grid.n - 1:
+        stop = min(start + n_win, grid.n - 1)
+        sl = slice(start, stop + 1)
+        f_loc = f[sl]
+        if start:
+            force = _closure_force(out[:start + 1], sig[:start + 1], c)
+            f_loc = f_loc - alpha * linear_convolve(
+                cv[:stop + 1], force * trapezoid_weights(start + 1, dt))[sl]
+        apply_b = functools.partial(_closure_b, cv=cv[:stop - start + 1],
+                                    sig=sig[sl], c=c, alpha=alpha, dt=dt)
+        sol = djm_solve(f_loc, apply_b, tol=tol, k_max=k_max)
+        sols.append(sol)
+        out[sl] = sol.partial_sum
+        if not sol.converged:
+            break
+        start = stop
+    return out, sols
+
+
 def mean_trajectory(q0: float, v0: float, potential: PotentialParams,
-                    bath: BathParams, grid: TimeGrid,
-                    sigma2: Optional[SampledSignal] = None,
+                    bath: BathParams, sigma2: SampledSignal, window: float,
                     tol: float = 1e-10, k_max: int = 80,
                     ) -> tuple[SampledSignal, DjmSolution]:
-    """Self-consistent mean G(t) with Gaussian closure <q^3> = G^3 + 3 G sigma^2.
+    """Self-consistent mean G(t) on the grid of sigma2, with the Gaussian
+    closure <q^3> = G^3 + 3 G sigma^2:
 
-    G = chi_q q0 + chi_v v0 - int_0^t [eps chi_v(y) + alpha chi_v(t-y) H(y)] dy
-    solved by the Banach recursion on its Volterra form. Raises
-    ConvergenceError when the recursion does not reach tol.
+    G = chi_q q0 + chi_v v0 - int_0^t [eps chi_v(y) + alpha chi_v(t-y) H(y)] dy,
+    marched in windows of length `window` as the response is (_solve_closure
+    at c = 1). The record holds the norm of f, then the increment norm of
+    every operator application, window after window. Raises ConvergenceError
+    when a window's recursion does not reach tol.
     """
+    grid = sigma2.grid
     t = grid.times
     gamma, eta = bath.gamma, potential.eta
     cv = kernels.chi_v(t, gamma, eta)
     f = kernels.chi_q(t, gamma, eta) * q0 + cv * v0
     if potential.epsilon != 0.0:
         f = f - potential.epsilon * cumtrapz(cv, grid.dt)
-
-    if potential.alpha == 0.0:
-        sol = DjmSolution(partial_sum=f, term_norms=[float(np.max(np.abs(f)))],
-                          converged=True)
-        return SampledSignal(grid, f), sol
-
-    if sigma2 is None:
-        sigma2 = variance(grid, bath, potential)
-    if sigma2.grid != grid:
-        raise ValueError("sigma2 grid does not match the requested grid")
-    apply_b = functools.partial(_closure_b, cv=cv, sig=sigma2.values, c=1.0,
-                                alpha=potential.alpha, dt=grid.dt)
-    sol = djm_solve(f, apply_b, tol=tol, k_max=k_max)
-    if not sol.converged:
+    values, sols = _solve_closure(f, cv, sigma2.values, 1.0, potential.alpha,
+                                  grid, window, tol, k_max)
+    norms = [default_norm(f)]
+    norms += [x for s in sols for x in s.term_norms[1:]]
+    if not sols[-1].converged:
         raise ConvergenceError(
-            f"mean-trajectory recursion not converged after {sol.k - 1} "
-            f"operator applications (last term norm {sol.term_norms[-1]:.3e})",
-            sol.term_norms,
-        )
-    return SampledSignal(grid, sol.partial_sum), sol
+            f"mean-trajectory recursion not converged after {len(norms) - 1} "
+            f"operator applications (last term norm {norms[-1]:.3e})", norms)
+    return SampledSignal(grid, values), DjmSolution(values, norms, True)

@@ -15,13 +15,12 @@ fixed-point form R = f + B(R) with
     B(R)(t) = -int_0^t chi_v(t-y) N(R(y)) dy.
 
 It is the mean trajectory's equation (moments.mean_trajectory) for
-(q0, v0) = (0, f0), divided by f0; both apply the one operator
-moments._closure_b, by the trapezoid rule on the grid.
+(q0, v0) = (0, f0), divided by f0; both are solved by one march,
+moments._solve_closure, window by window.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -29,10 +28,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from ._numutil import cumtrapz, linear_convolve, square, trapezoid_weights
-from .djm import DjmSolution, djm_solve
+from ._numutil import cumtrapz, square
+# djm_solve is unused here, but perfbench/tracing.py rebinds this name
+from .djm import DjmSolution, djm_solve  # noqa: F401
 from .grids import SampledSignal, TimeGrid
-from .moments import _closure_b, _closure_force
+from .moments import _solve_closure
 from .params import BathParams, PotentialParams
 
 
@@ -64,48 +64,15 @@ def zero_sigma2(grid: TimeGrid) -> SampledSignal:
 def solve_response_windowed(problem: ResponseProblem, window: float,
                             tol: float = 1e-8, k_max: int = 60,
                             ) -> tuple[SampledSignal, list[DjmSolution]]:
-    """Banach recursion with horizon continuation.
-
-    The horizon is cut into windows of length `window` (one window when it
-    is at least t_max), each solved by its own recursion. The earlier
-    windows enter a window's equation as one fixed history vector: the
-    trapezoid sum of chi_v(t-y) N(R(y)) over y <= T1, the window's start,
-    with half weights at 0 and T1. The window's own operator adds the sum
-    over [T1, t] with half weights at T1 and t, so the converged result
-    satisfies the global trapezoid identity R = f + B(R), node for node.
-
-    The recursion stops at the first window that does not converge; that
-    window holds its last partial sum and later windows hold zeros.
-    """
+    """Banach recursion with horizon continuation: moments._solve_closure at
+    c = f0^2, one recursion per window of length `window`, up to the first
+    window that does not converge."""
     grid = problem.grid
-    dt = grid.dt
-    pot, bath = problem.potential, problem.bath
-    sig = problem.sigma2.values
-    c = square(pot.f0)
-    # a window of at least t_max is one window
-    n_win = max(2, int(round(min(window, grid.t_max) / dt)))
-    cv = kernels.chi_v(grid.times, bath.gamma, pot.eta)
-    f = cv - (pot.epsilon / pot.f0) * cumtrapz(cv, dt)
-
-    out = np.zeros(grid.n)
-    sols: list[DjmSolution] = []
-    start = 0
-    while start < grid.n - 1:
-        stop = min(start + n_win, grid.n - 1)
-        sl = slice(start, stop + 1)
-        f_loc = f[sl]
-        if start:
-            force = _closure_force(out[:start + 1], sig[:start + 1], c)
-            f_loc = f_loc - pot.alpha * linear_convolve(
-                cv[:stop + 1], force * trapezoid_weights(start + 1, dt))[sl]
-        apply_b = functools.partial(_closure_b, cv=cv[:stop - start + 1],
-                                    sig=sig[sl], c=c, alpha=pot.alpha, dt=dt)
-        sol = djm_solve(f_loc, apply_b, tol=tol, k_max=k_max)
-        sols.append(sol)
-        out[sl] = sol.partial_sum
-        if not sol.converged:
-            break
-        start = stop
+    pot = problem.potential
+    cv = kernels.chi_v(grid.times, problem.bath.gamma, pot.eta)
+    f = cv - (pot.epsilon / pot.f0) * cumtrapz(cv, grid.dt)
+    out, sols = _solve_closure(f, cv, problem.sigma2.values, square(pot.f0),
+                               pot.alpha, grid, window, tol, k_max)
     return SampledSignal(grid, out), sols
 
 

@@ -1,5 +1,7 @@
 """Conditional mean, variance and their spectra."""
 
+import dataclasses
+import functools
 import math
 import tracemalloc
 
@@ -9,12 +11,12 @@ import pytest
 
 from qcle import (BathParams, FreqGrid, PotentialParams, QuadratureError,
                   SampledSignal, SpectralQuadrature, SusceptibilityProblem,
-                  TimeGrid, chi_q, chi_v, chi_v_dot, mean_trajectory,
-                  solve_susceptibility, variance, variance_spectrum)
+                  TimeGrid, chi_q, chi_v, chi_v_dot, djm_solve, mean_trajectory,
+                  solve_susceptibility, variance, variance_spectrum, zero_sigma2)
 from qcle._numutil import cumtrapz, e1m, trapezoid_weights
 from qcle.kernels import effective_roots, noise_psd, xi_q0_coefficients
-from qcle.moments import (PlateauError, _growing_tail, _preparation_cross_term,
-                          estimate_plateau)
+from qcle.moments import (PlateauError, _closure_b, _growing_tail,
+                          _preparation_cross_term, estimate_plateau)
 from qcle.params import parabolic
 
 CLASSICAL = BathParams(gamma=1.0, temp=1.0, nu=1e4)
@@ -382,15 +384,15 @@ def test_preparation_term_memory():
 
 def test_mean_alpha_zero_reduction():
     grid = TimeGrid(8.0, 801)
-    g, _ = mean_trajectory(0.7, -0.4, parabolic(), CLASSICAL, grid)
+    g, _ = mean_trajectory(0.7, -0.4, parabolic(), CLASSICAL, zero_sigma2(grid), 2.5)
     exact = 0.7 * chi_q(grid.times, 1.0, 1.0) - 0.4 * chi_v(grid.times, 1.0, 1.0)
     assert np.array_equal(g.values, exact)  # recursion ends after the linear term
 
 
 def test_mean_linearity_in_initial_conditions():
     grid = TimeGrid(8.0, 401)
-    a, _ = mean_trajectory(0.3, 0.2, parabolic(), CLASSICAL, grid)
-    b, _ = mean_trajectory(0.6, 0.4, parabolic(), CLASSICAL, grid)
+    a, _ = mean_trajectory(0.3, 0.2, parabolic(), CLASSICAL, zero_sigma2(grid), 2.5)
+    b, _ = mean_trajectory(0.6, 0.4, parabolic(), CLASSICAL, zero_sigma2(grid), 2.5)
     assert np.max(np.abs(b.values - 2.0 * a.values)) < 1e-9
 
 
@@ -398,8 +400,35 @@ def test_mean_tilt_plateau():
     # alpha = 0, eps != 0, q0 = v0 = 0: G(inf) = -eps/eta
     grid = TimeGrid(25.0, 1001)
     pot = PotentialParams(eta=1.0, alpha=0.0, epsilon=0.5, f0=0.1)
-    g, _ = mean_trajectory(0.0, 0.0, pot, CLASSICAL, grid)
+    g, _ = mean_trajectory(0.0, 0.0, pot, CLASSICAL, zero_sigma2(grid), 2.5)
     assert g.values[-1] == pytest.approx(-0.5, abs=1e-4)
+
+
+def _mean_rk4(grid, q0, v0, pot, gamma, sig2, sub=10):
+    """Classic RK4 of G'' + gamma G' + (eta + 3 alpha sigma^2) G + alpha G^3
+    + eps = 0, G(0) = q0, G'(0) = v0, at sub steps per grid step, with
+    sigma^2 interpolated linearly between grid nodes; G on the grid."""
+    h = grid.dt / sub
+    half_steps = np.arange(2 * (grid.n - 1) * sub + 1) * (h / 2)
+    lin = (pot.eta + 3.0 * pot.alpha * np.interp(half_steps, grid.times, sig2)
+           ).tolist()
+
+    def acc(q, v, c):
+        return -gamma * v - c * q - pot.alpha * q**3 - pot.epsilon
+
+    q, v = q0, v0
+    out = [q]
+    for j in range((grid.n - 1) * sub):
+        ca, cm, cb = lin[2 * j:2 * j + 3]
+        k1q, k1v = v, acc(q, v, ca)
+        k2q, k2v = v + h / 2 * k1v, acc(q + h / 2 * k1q, v + h / 2 * k1v, cm)
+        k3q, k3v = v + h / 2 * k2v, acc(q + h / 2 * k2q, v + h / 2 * k2v, cm)
+        k4q, k4v = v + h * k3v, acc(q + h * k3q, v + h * k3v, cb)
+        q += h / 6 * (k1q + 2 * k2q + 2 * k3q + k4q)
+        v += h / 6 * (k1v + 2 * k2v + 2 * k3v + k4v)
+        if (j + 1) % sub == 0:
+            out.append(q)
+    return np.array(out)
 
 
 def test_mean_deterministic_duffing_oracle():
@@ -407,32 +436,81 @@ def test_mean_deterministic_duffing_oracle():
     grid = TimeGrid(15.0, 1501)
     pot = PotentialParams(eta=1.0, alpha=0.2, epsilon=0.0, f0=0.1)
     bath = BathParams(gamma=1.0, temp=1e-18, nu=1e4)
-    zero = SampledSignal(grid, np.zeros(grid.n))
-    g, sol = mean_trajectory(1.0, 0.0, pot, bath, grid, sigma2=zero,
+    g, sol = mean_trajectory(1.0, 0.0, pot, bath, zero_sigma2(grid), 2.5,
                              tol=1e-11, k_max=100)
     assert sol.converged
-    h = 1e-3
-    q, v = 1.0, 0.0
-    oracle = np.empty(grid.n)
-    oracle[0] = q
-    for i in range(1, grid.n):
-        for _ in range(10):
-            def f(qq, vv):
-                return vv, -vv - qq - 0.2 * qq**3
-            k1 = f(q, v)
-            k2 = f(q + h / 2 * k1[0], v + h / 2 * k1[1])
-            k3 = f(q + h / 2 * k2[0], v + h / 2 * k2[1])
-            k4 = f(q + h * k3[0], v + h * k3[1])
-            q += h / 6 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
-            v += h / 6 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
-        oracle[i] = q
+    oracle = _mean_rk4(grid, 1.0, 0.0, pot, 1.0, np.zeros(grid.n))
     assert np.max(np.abs(g.values - oracle)) < 1e-3
+
+
+# configs/bistable.json: its grid, potential, bath and (q0, v0)
+BISTABLE_GRID = TimeGrid(15.0, 1501)
+BISTABLE_POT = PotentialParams(eta=1.0, alpha=0.3, epsilon=0.0, f0=0.1)
+BISTABLE_BATH = BathParams(gamma=1.0, temp=0.5, nu=1e4)
+
+
+@pytest.mark.parametrize("q0,alpha,gamma,temp", [
+    (3.0, 0.3, 1.0, 0.5), (1.0, 1.0, 1.0, 0.5), (1.0, 0.3, 1.0, 2.0),
+    (1.0, 0.5, 2.0, 1.0)], ids=["q0_3", "alpha_1", "temp_2", "blowup"])
+def test_windowed_mean_converges_where_one_window_overflowed(q0, alpha, gamma,
+                                                            temp):
+    # on the bistable preset, one unwindowed recursion raised
+    # NonFiniteTermError on these; in windows of the preset's 2.5 the mean
+    # converges and agrees with the mean's ODE integrated by RK4
+    grid = BISTABLE_GRID
+    pot = dataclasses.replace(BISTABLE_POT, alpha=alpha)
+    bath = dataclasses.replace(BISTABLE_BATH, gamma=gamma, temp=temp)
+    sig2 = variance(grid, bath, pot)
+    g, sol = mean_trajectory(q0, 0.0, pot, bath, sig2, 2.5, tol=1e-9, k_max=60)
+    assert sol.converged is True
+    oracle = _mean_rk4(grid, q0, 0.0, pot, gamma, sig2.values)
+    assert np.max(np.abs(g.values - oracle)) < 1e-4
+
+
+def test_mean_in_one_window_is_one_recursion():
+    # a window of at least t_max gives bit for bit the one djm_solve on
+    # _closure_b that the mean ran before it was windowed
+    grid = BISTABLE_GRID
+    pot, bath = BISTABLE_POT, BISTABLE_BATH
+    sig2 = variance(grid, bath, pot)
+    t = grid.times
+    cv = chi_v(t, 1.0, 1.0)
+    f = chi_q(t, 1.0, 1.0)
+    apply_b = functools.partial(_closure_b, cv=cv, sig=sig2.values, c=1.0,
+                                alpha=pot.alpha, dt=grid.dt)
+    ref = djm_solve(f, apply_b, tol=1e-9, k_max=60)
+    for window in (grid.t_max, 1e308):
+        g, sol = mean_trajectory(1.0, 0.0, pot, bath, sig2, window, tol=1e-9,
+                                 k_max=60)
+        assert np.array_equal(g.values, ref.partial_sum)
+        assert sol.term_norms == ref.term_norms
+
+
+def test_mean_term_norms_count_every_window(monkeypatch):
+    # the one record holds the norm of f, then every window's increments
+    grid = BISTABLE_GRID
+    sig2 = variance(grid, BISTABLE_BATH, BISTABLE_POT)
+    windows = []
+
+    def recording(*args, **kwargs):
+        windows.append(djm_solve(*args, **kwargs))
+        return windows[-1]
+
+    monkeypatch.setattr("qcle.moments.djm_solve", recording)
+    g, sol = mean_trajectory(1.0, 0.0, BISTABLE_POT, BISTABLE_BATH, sig2, 2.5,
+                             tol=1e-9, k_max=60)
+    assert len(windows) == 6 and all(w.converged for w in windows)
+    assert len(sol.term_norms) - 1 == sum(w.k - 1 for w in windows)
+    assert sol.term_norms == [float(np.max(np.abs(chi_q(grid.times, 1.0, 1.0))))] \
+        + [x for w in windows for x in w.term_norms[1:]]
+    assert np.array_equal(sol.partial_sum, g.values)
 
 
 def test_mean_eq18_literal_via_zero_v0():
     # dropping the v0 term is just v0 = 0
     grid = TimeGrid(5.0, 301)
-    full, _ = mean_trajectory(0.8, 0.0, parabolic(), CLASSICAL, grid)
+    full, _ = mean_trajectory(0.8, 0.0, parabolic(), CLASSICAL, zero_sigma2(grid),
+                              2.5)
     assert np.array_equal(full.values, 0.8 * chi_q(grid.times, 1.0, 1.0))
 
 

@@ -310,8 +310,8 @@ def test_response_is_the_kicked_mean():
     tol = 1e-10
     r, _ = solve_response_windowed(prob, window=1.0, tol=tol, k_max=60)
     pot = prob.potential
-    g, _ = mean_trajectory(0.0, pot.f0, pot, prob.bath, prob.grid,
-                           sigma2=prob.sigma2, tol=tol * pot.f0, k_max=80)
+    g, _ = mean_trajectory(0.0, pot.f0, pot, prob.bath, prob.sigma2, 1.0,
+                           tol=tol * pot.f0, k_max=80)
     assert np.max(np.abs(g.values / pot.f0 - r.values)) <= tol
 
 

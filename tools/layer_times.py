@@ -10,7 +10,8 @@ in this process:
   preset's) and 5e-4 (the quantum-response workload's);
 - `solve_response_windowed` and `mean_trajectory` on the preset's time
   grid and variance, at its response_window, djm_tol and djm_k_max (and
-  its q0, v0 for the mean);
+  its q0, v0 for the mean; a checkout whose mean takes no window solves it
+  in one recursion);
 - `variance_spectrum` of the preset's variance, `psi_operator` and
   `solve_susceptibility` (at the preset's djm_tol and djm_k_max) on that
   preset's 32001-node frequency grid, and `response_from_susceptibility`
@@ -26,10 +27,10 @@ in this process:
   that steps the preset's moments ensemble and that kick pair as one batch.
 
 Prints one JSON line: the checkout, the versions, the seconds per layer,
-the operator applications of `solve_susceptibility` and, from one more
-untimed call each, the `tracemalloc` peaks in MB of the four
-frequency-grid layers, of `write_csv` on the kernels table and of a whole
-`qcle mc` run on the preset.
+the operator applications of `mean_trajectory` and `solve_susceptibility`
+and, from one more untimed call each, the `tracemalloc` peaks in MB of the
+four frequency-grid layers, of `write_csv` on the kernels table and of a
+whole `qcle mc` run on the preset.
 Compare two checkouts by running it on each, one after the other.
 """
 
@@ -40,6 +41,7 @@ import os
 for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
+import inspect  # noqa: E402
 import json  # noqa: E402
 import platform  # noqa: E402
 import sys  # noqa: E402
@@ -120,9 +122,15 @@ def main(argv: list[str]) -> int:
     seconds[f"solve_response_windowed n={grid.n}"] = best_of(
         lambda: solve_response_windowed(response, cfg.settings["response_window"],
                                         tol, k_max))
-    seconds[f"mean_trajectory n={grid.n}"] = best_of(
-        lambda: mean_trajectory(cfg.q0, cfg.v0, cfg.potential, cfg.bath, grid,
-                                sigma2=sig2, tol=tol, k_max=k_max))
+    if "window" in inspect.signature(mean_trajectory).parameters:
+        def mean():
+            return mean_trajectory(cfg.q0, cfg.v0, cfg.potential, cfg.bath, sig2,
+                                   cfg.settings["response_window"], tol, k_max)
+    else:  # checkouts before the windowed mean take the grid and no window
+        def mean():
+            return mean_trajectory(cfg.q0, cfg.v0, cfg.potential, cfg.bath, grid,
+                                   sigma2=sig2, tol=tol, k_max=k_max)
+    seconds[f"mean_trajectory n={grid.n}"] = best_of(mean)
     solved, susc_sol = solve_susceptibility(susc, tol, k_max)
     layers = {
         f"variance_spectrum n={fg.n}":
@@ -169,7 +177,8 @@ def main(argv: list[str]) -> int:
         "numpy": np.__version__,
         "best_of": REPEATS,
         "seconds": {k: round(v, 5) for k, v in seconds.items()},
-        "applications": {f"solve_susceptibility n={fg.n}": susc_sol.k - 1},
+        "applications": {f"mean_trajectory n={grid.n}": mean()[1].k - 1,
+                         f"solve_susceptibility n={fg.n}": susc_sol.k - 1},
         "tracemalloc_peak_mb": peaks,
     }))
     return 0
