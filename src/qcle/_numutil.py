@@ -51,8 +51,8 @@ def fft_length(n: int) -> int:
 
 
 def linear_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Full linear convolution along the last axis with zero padding, via FFT
-    of length fft_length(len_a + len_b - 1).
+    """Full linear convolution of real arrays along the last axis with zero
+    padding, via real FFTs of length fft_length(len_a + len_b - 1).
 
     Numerically equivalent (to roundoff) to the direct summation
     sum_j a[..., j] b[..., k-j] with zeros outside the arrays; leading axes
@@ -62,10 +62,6 @@ def linear_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     b = np.asarray(b)
     n = a.shape[-1] + b.shape[-1] - 1
     nfft = fft_length(n)
-    if np.iscomplexobj(a) or np.iscomplexobj(b):
-        fa = np.fft.fft(a, nfft)
-        fa *= np.fft.fft(b, nfft)
-        return np.fft.ifft(fa)[..., :n]
     fa = np.fft.rfft(a, nfft)
     fa *= np.fft.rfft(b, nfft)
     return np.fft.irfft(fa, nfft)[..., :n]

@@ -60,11 +60,11 @@ def _case3_parts() -> dict:
     bath = BathParams(gamma=1.0, temp=0.5, nu=1e4)
     grid = TimeGrid(15.0, 1501)
     sig2 = variance(grid, bath, pot)
-    prob = ResponseProblem(pot, bath, sig2, grid)
+    prob = ResponseProblem(pot, bath, sig2)
     r_t, windows = solve_response_windowed(prob, window=2.5, tol=1e-9, k_max=60)
     fgrid = FreqGrid(1000.0, 40001)
     s2spec = variance_spectrum(sig2, fgrid)
-    sprob = SusceptibilityProblem(pot, bath, s2spec, fgrid)
+    sprob = SusceptibilityProblem(pot, bath, s2spec)
     chi, chi_sol = solve_susceptibility(sprob, tol=1e-9, k_max=40)
     return {"pot": pot, "bath": bath, "grid": grid, "sigma2": sig2,
             "problem": prob, "r_time": r_t, "windows": windows,
@@ -80,7 +80,7 @@ def _ho_susceptibilities() -> list:
     out = []
     for gamma in (0.5, 1.0, 2.0):
         bath = BathParams(gamma=gamma, temp=1.0, nu=1e4)
-        prob = SusceptibilityProblem(parabolic(), bath, s2, grid)
+        prob = SusceptibilityProblem(parabolic(), bath, s2)
         out.append((gamma, *solve_susceptibility(prob, tol=1e-10, k_max=25)))
     return out
 
@@ -107,7 +107,7 @@ def criterion_2() -> CriterionResult:
     grid = TimeGrid(10.0, 10001)
     pot = parabolic()
     bath = BathParams(gamma=1.0, temp=1.0, nu=1e4)
-    prob = ResponseProblem(pot, bath, zero_sigma2(grid), grid)
+    prob = ResponseProblem(pot, bath, zero_sigma2(grid))
     exact = kernels.chi_v(grid.times, bath.gamma, pot.eta)
     r_djm, (sol,) = solve_response_windowed(prob, window=grid.t_max, tol=1e-7,
                                             k_max=80)
@@ -145,7 +145,7 @@ def criterion_4() -> CriterionResult:
     grid = TimeGrid(10.0, 10001)
     pot = parabolic()
     bath = BathParams(gamma=1.0, temp=1.0, nu=1e4)
-    prob = ResponseProblem(pot, bath, zero_sigma2(grid), grid)
+    prob = ResponseProblem(pot, bath, zero_sigma2(grid))
     r_djm, (sol,) = solve_response_windowed(prob, window=grid.t_max, tol=1e-7,
                                             k_max=80)
     if sol.converged:
@@ -160,7 +160,7 @@ def criterion_4() -> CriterionResult:
     bath3 = BathParams(gamma=1.0, temp=0.5, nu=1e4)
     grid3 = TimeGrid(12.0, 12001)
     sig2 = variance(grid3, bath3, pot3)
-    prob3 = ResponseProblem(pot3, bath3, sig2, grid3)
+    prob3 = ResponseProblem(pot3, bath3, sig2)
     r3, wins = solve_response_windowed(prob3, window=2.5, tol=1e-9, k_max=60)
     if all(s.converged for s in wins):
         res3 = ode_residual(r3, prob3)
@@ -261,7 +261,7 @@ def criterion_8() -> CriterionResult:
     bath = BathParams(gamma=1.0, temp=0.02, nu=1e4)
     grid = TimeGrid(12.0, 2401)
     sig2 = variance(grid, bath, pot)
-    prob = ResponseProblem(pot, bath, sig2, grid)
+    prob = ResponseProblem(pot, bath, sig2)
     r_t, wins = solve_response_windowed(prob, window=2.0, tol=1e-10, k_max=60)
     if not all(s.converged for s in wins):
         return _result(8, "nonlinear MC cross-check", False,

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import __version__, kernels
 from .acceptance import CRITERIA, KNOWN_UNATTAINABLE, run_acceptance
-from .djm import ConvergenceError, NonFiniteTermError
+from .djm import ConvergenceError, DjmSolution, NonFiniteTermError
 from .grids import FreqGrid, Spectrum, TimeGrid
 # estimate_moments, estimate_response and integrate_qcle stay bound here:
 # perfbench/tracing.py wraps the MC layers under these names
@@ -373,6 +373,14 @@ def _dirac_row(spec: Spectrum) -> list:
     return [[0.0, spec.dirac, 0.0]] if spec.dirac else []
 
 
+def _require_converged(name: str, *sols: DjmSolution):
+    """Raise ConvergenceError unless the last recursion record converged."""
+    if not sols[-1].converged:
+        raise ConvergenceError(
+            f"{name} recursion not converged after {sum(s.k - 1 for s in sols)} "
+            f"operator applications (last term norm {sols[-1].term_norms[-1]:.3e})")
+
+
 # Each subcommand writes its CSVs into `out` and records its diagnostics in
 # the manifest `m`; main writes the manifest. A numerical failure is raised.
 
@@ -396,19 +404,12 @@ def cmd_kernels(cfg: RunConfig, out: Path, m: dict) -> int:
 def cmd_moments(cfg: RunConfig, out: Path, m: dict) -> int:
     s = cfg.settings
     sig2 = variance(cfg.time_grid, cfg.bath, cfg.potential, quad=cfg.quad)
-    try:
-        mean, sol = mean_trajectory(cfg.q0, cfg.v0, cfg.potential, cfg.bath,
-                                    sig2, s["response_window"],
-                                    tol=s["djm_tol"], k_max=s["djm_k_max"])
-    except ConvergenceError as e:
-        m["diagnostics"]["mean_term_norms"] = e.term_norms
-        raise
+    mean, sol = mean_trajectory(cfg.q0, cfg.v0, cfg.potential, cfg.bath, sig2,
+                                s["response_window"], s["djm_tol"], s["djm_k_max"])
+    m["diagnostics"].update(mean_term_norms=sol.term_norms, mean_converged=sol.converged)
+    _require_converged("mean-trajectory", sol)
     write_csv(out / "moments.csv", ["t", "mean", "variance"],
               [cfg.time_grid.times, mean.values, sig2.values])
-    m["diagnostics"].update({
-        "mean_term_norms": sol.term_norms,
-        "mean_converged": sol.converged,
-    })
     fg = cfg.freq_grid
     spec = variance_spectrum(sig2, fg, plateau_tol=s["plateau_tol"])
     full = spec.full()
@@ -422,14 +423,12 @@ def cmd_moments(cfg: RunConfig, out: Path, m: dict) -> int:
 def cmd_response(cfg: RunConfig, out: Path, m: dict) -> int:
     s = cfg.settings
     sig2 = variance(cfg.time_grid, cfg.bath, cfg.potential, quad=cfg.quad)
-    prob = ResponseProblem(cfg.potential, cfg.bath, sig2, cfg.time_grid)
+    prob = ResponseProblem(cfg.potential, cfg.bath, sig2)
     r_djm, sols = solve_response_windowed(prob, window=s["response_window"],
                                           tol=s["djm_tol"], k_max=s["djm_k_max"])
     m["diagnostics"]["window_term_norms"] = [sol.term_norms for sol in sols]
     m["diagnostics"]["windows_converged"] = [sol.converged for sol in sols]
-    if not sols[-1].converged:
-        raise ConvergenceError("response recursion did not converge",
-                               sols[-1].term_norms)
+    _require_converged("response", *sols)
     r_ode = integrate_duffing(prob, dt_sub=s["dt_sub"])
     write_csv(out / "response.csv", ["t", "r_recursion", "r_integrator"],
               [cfg.time_grid.times, r_djm.values, r_ode.values])
@@ -445,13 +444,10 @@ def cmd_susceptibility(cfg: RunConfig, out: Path, m: dict) -> int:
     fg, s = cfg.freq_grid, cfg.settings
     sig2 = variance(cfg.time_grid, cfg.bath, cfg.potential, quad=cfg.quad)
     spec2 = variance_spectrum(sig2, fg, plateau_tol=s["plateau_tol"])
-    prob = SusceptibilityProblem(cfg.potential, cfg.bath, spec2, fg)
+    prob = SusceptibilityProblem(cfg.potential, cfg.bath, spec2)
     chi, sol = solve_susceptibility(prob, tol=s["djm_tol"], k_max=s["djm_k_max"])
-    m["diagnostics"]["term_norms"] = sol.term_norms
-    m["diagnostics"]["converged"] = sol.converged
-    if not sol.converged:
-        raise ConvergenceError("susceptibility recursion did not converge",
-                               sol.term_norms)
+    m["diagnostics"].update(term_norms=sol.term_norms, converged=sol.converged)
+    _require_converged("susceptibility", sol)
     m["diagnostics"]["unsplit_residual"] = unsplit_residual(chi, prob)
     full = chi.full()
     write_csv(out / "susceptibility.csv", ["omega", "re", "im"],

@@ -19,17 +19,13 @@ import numpy as np
 class NonFiniteTermError(RuntimeError):
     """The operator produced non-finite values; carries the term index."""
 
-    def __init__(self, term_index: int):
-        super().__init__(f"non-finite values in recursion term {term_index}")
+    def __init__(self, term_index: int, where: str = ""):
+        super().__init__(f"non-finite values in recursion term {term_index}{where}")
         self.term_index = term_index
 
 
 class ConvergenceError(RuntimeError):
-    """Raised by callers that require convergence; carries the term-norm history."""
-
-    def __init__(self, message: str, term_norms: list[float]):
-        super().__init__(message)
-        self.term_norms = term_norms
+    """Raised by the CLI for a recursion record that did not converge."""
 
 
 def default_norm(x) -> float:

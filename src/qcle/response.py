@@ -46,14 +46,15 @@ class StepInstabilityError(RuntimeError):
 
 @dataclass(frozen=True)
 class ResponseProblem:
+    """The response equation, on the time grid of its variance sigma2."""
+
     potential: PotentialParams
     bath: BathParams
     sigma2: SampledSignal
-    grid: TimeGrid
 
-    def __post_init__(self):
-        if self.sigma2.grid != self.grid:
-            raise ValueError("sigma2 must be sampled on the response grid")
+    @property
+    def grid(self) -> TimeGrid:
+        return self.sigma2.grid
 
 
 def zero_sigma2(grid: TimeGrid) -> SampledSignal:

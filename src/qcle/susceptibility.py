@@ -57,14 +57,15 @@ class EdgeToleranceError(ValueError):
 
 @dataclass(frozen=True)
 class SusceptibilityProblem:
+    """The susceptibility equation, on the frequency grid of sigma2_spec."""
+
     potential: PotentialParams
     bath: BathParams
     sigma2_spec: Spectrum
-    grid: FreqGrid
 
-    def __post_init__(self):
-        if self.sigma2_spec.grid != self.grid:
-            raise ValueError("sigma2 spectrum must live on the problem grid")
+    @property
+    def grid(self) -> FreqGrid:
+        return self.sigma2_spec.grid
 
     @functools.cached_property
     def chi_tilde_half(self) -> np.ndarray:
@@ -91,10 +92,8 @@ def _convolve_spectra(a: Spectrum, b: Spectrum) -> Spectrum:
     regular*regular by grid summation (zero padding outside); a Dirac at
     w = 0 adds its weight times the other regular part, and two Diracs give
     one at w = 0 with the product weight, taken in numpy so that an overflow
-    raises under the caller's errstate.
+    raises under the caller's errstate. psi_operator checks the grids.
     """
-    if a.grid != b.grid:
-        raise ValueError("spectra live on different grids")
     reg = hermitian_convolve(a.half, b.half) * a.grid.d_omega
     # adding a zero weight would still turn a -0.0 of reg into +0.0
     if a.dirac:
@@ -139,7 +138,7 @@ def solve_susceptibility(problem: SusceptibilityProblem, tol: float = 1e-8,
             f"eta + 3 alpha sigma_eq = {eta_eff!r} must be > 0 for the "
             "susceptibility recursion")
     split = SusceptibilityProblem(replace(pot, eta=eta_eff), problem.bath,
-                                  replace(sigma2_spec, dirac=0.0), problem.grid)
+                                  replace(sigma2_spec, dirac=0.0))
 
     def apply_b(chi: Spectrum) -> Spectrum:
         return psi_operator(chi, split)

@@ -231,18 +231,25 @@ def test_unknown_sections_and_keys_exit_2(tmp_path, capsys):
         assert message in err
 
 
-def test_nonconvergence_exits_3_with_manifest(tmp_path):
-    cfg = _write_config(tmp_path, overrides={
-        "potential.alpha": 0.3,
-        "tolerances.djm_k_max": 2,
-        "tolerances.djm_tol": 1e-12,
-        "tolerances.response_window": 10.0,
-    })
+@pytest.mark.parametrize("sub,norms,converged", [
+    ("moments", "mean_term_norms", "mean_converged"),
+    ("response", "window_term_norms", "windows_converged"),
+    ("susceptibility", "term_norms", "converged"),
+], ids=["moments", "response", "susceptibility"])
+def test_nonconvergence_exits_3_with_manifest(tmp_path, capsys, sub, norms,
+                                              converged):
+    # every recursion returns its record; the CLI turns an unconverged one
+    # into exit 3, with the norms and the false flag in the manifest
+    cfg = _write_config(tmp_path, base=BISTABLE,
+                        overrides={"tolerances.djm_k_max": 3})
     out = tmp_path / "o"
-    assert main(["response", "--config", str(cfg), "--out", str(out)]) == 3
-    m = json.loads((out / "manifest.json").read_text())
-    assert m["diagnostics"]["windows_converged"][0] is False
-    assert m["diagnostics"]["window_term_norms"]
+    assert main([sub, "--config", str(cfg), "--out", str(out)]) == 3
+    diag = json.loads((out / "manifest.json").read_text())["diagnostics"]
+    assert diag[norms]
+    flag = diag[converged]
+    assert (flag[-1] if sub == "response" else flag) is False
+    assert "recursion not converged after" in diag["error"]
+    assert capsys.readouterr().err == f"numerical error: {diag['error']}\n"
 
 
 def test_validate_subset(tmp_path, capsys):
@@ -349,6 +356,9 @@ def _tree(root: Path) -> dict:
     # q0^3 overflows in the first application, at every window length
     pytest.param("moments", {"base": BISTABLE, "overrides": {"initial.q0": 1e200}},
                  [], 3, id="moments_overflow"),
+    # at alpha = 0 no cubic force is formed, so the mean does not overflow
+    pytest.param("moments", {"base": PARABOLIC, "overrides": {"initial.q0": 1e200}},
+                 [], 0, id="moments_alpha_zero_huge_q0"),
     pytest.param("susceptibility", {"base": BISTABLE, "overrides": BLOWUP}, [], 0,
                  id="susceptibility_blowup_converges"),
     pytest.param("response", {"overrides": QUANTUM_NU}, [], 3, id="quadrature"),

@@ -9,10 +9,11 @@ import mpmath
 import numpy as np
 import pytest
 
-from qcle import (BathParams, FreqGrid, PotentialParams, QuadratureError,
-                  SampledSignal, SpectralQuadrature, SusceptibilityProblem,
-                  TimeGrid, chi_q, chi_v, chi_v_dot, djm_solve, mean_trajectory,
-                  solve_susceptibility, variance, variance_spectrum, zero_sigma2)
+from qcle import (BathParams, FreqGrid, NonFiniteTermError, PotentialParams,
+                  QuadratureError, SampledSignal, SpectralQuadrature,
+                  SusceptibilityProblem, TimeGrid, chi_q, chi_v, chi_v_dot,
+                  djm_solve, mean_trajectory, solve_susceptibility, variance,
+                  variance_spectrum, zero_sigma2)
 from qcle._numutil import cumtrapz, e1m, trapezoid_weights
 from qcle.kernels import effective_roots, noise_psd, xi_q0_coefficients
 from qcle.moments import (PlateauError, _closure_b, _growing_tail,
@@ -267,7 +268,7 @@ def test_susceptibility_memory_does_not_grow_with_the_recursion():
     pot = PotentialParams(eta=1.0, alpha=0.3, epsilon=0.0, f0=1.0)
     fg = FreqGrid(400.0, 8001)
     spec = variance_spectrum(variance(TimeGrid(15.0, 1501), bath, pot), fg)
-    prob = SusceptibilityProblem(pot, bath, spec, fg)
+    prob = SusceptibilityProblem(pot, bath, spec)
     peaks = []
     for k_max in (4, 24):
         tracemalloc.start()
@@ -504,6 +505,31 @@ def test_mean_term_norms_count_every_window(monkeypatch):
     assert sol.term_norms == [float(np.max(np.abs(chi_q(grid.times, 1.0, 1.0))))] \
         + [x for w in windows for x in w.term_norms[1:]]
     assert np.array_equal(sol.partial_sum, g.values)
+
+
+def test_mean_reports_k_max_exhaustion():
+    # like the response and the susceptibility, the mean returns its record
+    # when a window runs out of applications; it does not raise
+    sig2 = variance(BISTABLE_GRID, BISTABLE_BATH, BISTABLE_POT)
+    g, sol = mean_trajectory(1.0, 0.0, BISTABLE_POT, BISTABLE_BATH, sig2, 2.5,
+                             tol=1e-9, k_max=2)
+    assert sol.converged is False
+    assert len(sol.term_norms) == 3  # the norm of f, then window 1's two
+    assert np.array_equal(sol.partial_sum, g.values)
+
+
+def test_non_finite_term_names_its_window():
+    # sigma^2 = 1e308 from t = 6 on overflows the force first in the window
+    # that holds t = 6, the third window of 2.5; the error names it and its
+    # span, and its term_index counts inside that window
+    grid = BISTABLE_GRID
+    sig2 = variance(grid, BISTABLE_BATH, BISTABLE_POT).values.copy()
+    sig2[grid.times >= 6.0] = 1e308
+    with pytest.raises(NonFiniteTermError,
+                       match=r"term 1 of window 3 \(t in \[5, 7\.5\]\)$") as e:
+        mean_trajectory(1.0, 0.0, BISTABLE_POT, BISTABLE_BATH,
+                        SampledSignal(grid, sig2), 2.5, tol=1e-9, k_max=60)
+    assert e.value.term_index == 1
 
 
 def test_mean_eq18_literal_via_zero_v0():

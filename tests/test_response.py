@@ -18,7 +18,7 @@ BATH = BathParams(gamma=1.0, temp=1.0, nu=1e4)
 
 def _ho_problem(t_max=10.0, n=2001):
     grid = TimeGrid(t_max, n)
-    return ResponseProblem(parabolic(), BATH, zero_sigma2(grid), grid)
+    return ResponseProblem(parabolic(), BATH, zero_sigma2(grid))
 
 
 def _one_window(problem, tol, k_max):
@@ -41,7 +41,7 @@ def test_tilt_superposition():
     # with int_0^t chi_v = (1 - chi_q)/eta, so R(inf) = -eps/(f0 eta)
     grid = TimeGrid(10.0, 2001)
     pot = PotentialParams(eta=1.0, alpha=0.0, epsilon=0.05, f0=0.5)
-    prob = ResponseProblem(pot, BATH, zero_sigma2(grid), grid)
+    prob = ResponseProblem(pot, BATH, zero_sigma2(grid))
     r, (sol,) = _one_window(prob, tol=1e-8, k_max=80)
     assert sol.converged
     t = grid.times
@@ -49,7 +49,7 @@ def test_tilt_superposition():
     assert np.max(np.abs(r.values - exact)) < 1e-4
     # the plateau, on a long horizon in windows
     grid2 = TimeGrid(25.0, 2501)
-    prob2 = ResponseProblem(pot, BATH, zero_sigma2(grid2), grid2)
+    prob2 = ResponseProblem(pot, BATH, zero_sigma2(grid2))
     r2, sols = solve_response_windowed(prob2, window=2.5, tol=1e-9, k_max=60)
     assert all(s.converged for s in sols)
     assert r2.values[-1] == pytest.approx(-0.1, abs=1e-4)
@@ -61,7 +61,7 @@ def test_initial_conditions(gamma, eta, alpha):
     grid = TimeGrid(6.0, 6001)
     pot = PotentialParams(eta=eta, alpha=alpha, epsilon=0.0, f0=0.1)
     bath = BathParams(gamma=gamma, temp=1.0, nu=1e4)
-    prob = ResponseProblem(pot, bath, zero_sigma2(grid), grid)
+    prob = ResponseProblem(pot, bath, zero_sigma2(grid))
     r, sol = solve_response_windowed(prob, window=2.0, tol=1e-9, k_max=70)
     assert all(s.converged for s in sol)
     assert r.values[0] == 0.0
@@ -72,7 +72,7 @@ def test_initial_conditions(gamma, eta, alpha):
 def test_integrate_duffing_order_four():
     grid = TimeGrid(5.0, 501)
     pot = PotentialParams(eta=1.0, alpha=0.3, epsilon=0.0, f0=0.1)
-    prob = ResponseProblem(pot, BATH, zero_sigma2(grid), grid)
+    prob = ResponseProblem(pot, BATH, zero_sigma2(grid))
     coarse = integrate_duffing(prob, dt_sub=2e-3).values
     fine = integrate_duffing(prob, dt_sub=1e-3).values
     finest = integrate_duffing(prob, dt_sub=5e-4).values
@@ -88,7 +88,7 @@ def test_integrate_duffing_guards():
     # inverted potential with negligible quartic and a tiny guard blows up
     grid = TimeGrid(30.0, 301)
     pot = PotentialParams(eta=-1.0, alpha=1e-12, epsilon=0.0, f0=0.1)
-    prob2 = ResponseProblem(pot, BATH, zero_sigma2(grid), grid)
+    prob2 = ResponseProblem(pot, BATH, zero_sigma2(grid))
     with pytest.raises(StepInstabilityError):
         integrate_duffing(prob2, dt_sub=0.1, blowup_guard=100.0)
 
@@ -166,7 +166,7 @@ TILTED_WELL = PotentialParams(eta=-1.0, alpha=1.0, epsilon=0.1, f0=0.5)
 def test_integrate_duffing_matches_numpy_scalar_loop(pot, quantum, dt_sub):
     # the plain-float loop makes the same IEEE operations: the same bits
     sig = _quantum_sigma2(DUFFING_GRID, pot) if quantum else RAMP
-    prob = ResponseProblem(pot, BATH, sig, DUFFING_GRID)
+    prob = ResponseProblem(pot, BATH, sig)
     ours = integrate_duffing(prob, dt_sub=dt_sub).values
     assert np.array_equal(ours, _numpy_scalar_duffing(prob, dt_sub).values)
 
@@ -180,7 +180,7 @@ def test_integrate_duffing_matches_numpy_scalar_loop(pot, quantum, dt_sub):
                  0.05, 1e8, id="cube_overflow"),
 ])
 def test_integrate_duffing_blowup_node_matches(grid, pot, dt_sub, guard):
-    prob = ResponseProblem(pot, BATH, zero_sigma2(grid), grid)
+    prob = ResponseProblem(pot, BATH, zero_sigma2(grid))
     with pytest.raises(StepInstabilityError) as ours:
         integrate_duffing(prob, dt_sub=dt_sub, blowup_guard=guard)
     with np.errstate(over="ignore", invalid="ignore"), \
@@ -198,7 +198,7 @@ def test_ode_residual_cases():
     exact = SampledSignal(prob.grid, chi_v(prob.grid.times, 1.0, 1.0))
     assert ode_residual(exact, prob) < 1e-4  # discretization error only
     pot = PotentialParams(eta=1.0, alpha=0.0, epsilon=0.3, f0=0.1)
-    prob2 = ResponseProblem(pot, BATH, zero_sigma2(prob.grid), prob.grid)
+    prob2 = ResponseProblem(pot, BATH, zero_sigma2(prob.grid))
     zero = zero_sigma2(prob.grid)
     assert ode_residual(zero, prob2) == pytest.approx(3.0)  # |eps/f0|
 
@@ -206,10 +206,10 @@ def test_ode_residual_cases():
 def test_linear_regime_independence():
     # alpha = 0: solution independent of f0 and sigma2
     grid = TimeGrid(8.0, 801)
-    base = ResponseProblem(parabolic(f0=0.1), BATH, zero_sigma2(grid), grid)
+    base = ResponseProblem(parabolic(f0=0.1), BATH, zero_sigma2(grid))
     r1, _ = _one_window(base, tol=1e-9, k_max=80)
     sig = SampledSignal(grid, np.linspace(0.0, 2.0, grid.n))
-    alt = ResponseProblem(parabolic(f0=7.0), BATH, sig, grid)
+    alt = ResponseProblem(parabolic(f0=7.0), BATH, sig)
     r2, _ = _one_window(alt, tol=1e-9, k_max=80)
     assert np.array_equal(r1.values, r2.values)
 
@@ -220,10 +220,10 @@ def test_scaling_law_alpha_f0():
     p1 = PotentialParams(eta=1.0, alpha=0.4, epsilon=0.0, f0=0.1)
     p2 = PotentialParams(eta=1.0, alpha=0.1, epsilon=0.0, f0=0.2)
     r1, _ = solve_response_windowed(
-        ResponseProblem(p1, BATH, zero_sigma2(grid), grid), window=2.0,
+        ResponseProblem(p1, BATH, zero_sigma2(grid)), window=2.0,
         tol=1e-10, k_max=60)
     r2, _ = solve_response_windowed(
-        ResponseProblem(p2, BATH, zero_sigma2(grid), grid), window=2.0,
+        ResponseProblem(p2, BATH, zero_sigma2(grid)), window=2.0,
         tol=1e-10, k_max=60)
     assert np.max(np.abs(r1.values - r2.values)) < 1e-12
 
@@ -235,7 +235,7 @@ def test_windowed_matches_plain_and_integrator():
     bath = BathParams(gamma=1.0, temp=0.5, nu=1e4)
     grid = TimeGrid(12.0, 1201)
     sig2 = variance(grid, bath, pot)
-    prob = ResponseProblem(pot, bath, sig2, grid)
+    prob = ResponseProblem(pot, bath, sig2)
     r_win, sols = solve_response_windowed(prob, window=2.5, tol=1e-9, k_max=60)
     assert all(s.converged for s in sols)
     r_ode = integrate_duffing(prob, dt_sub=2e-3)
@@ -243,7 +243,7 @@ def test_windowed_matches_plain_and_integrator():
 
     short = TimeGrid(3.0, 301)
     sig_s = SampledSignal(short, sig2.values[:301])
-    prob_s = ResponseProblem(pot, bath, sig_s, short)
+    prob_s = ResponseProblem(pot, bath, sig_s)
     r_plain, (sol,) = _one_window(prob_s, tol=1e-10, k_max=60)
     assert sol.converged
     r_win_s, _ = solve_response_windowed(prob_s, window=1.0, tol=1e-10, k_max=60)
@@ -254,7 +254,7 @@ def _nonlinear_short_problem():
     grid = TimeGrid(3.0, 301)
     pot = PotentialParams(eta=1.0, alpha=0.3, epsilon=0.05, f0=0.1)
     sig = SampledSignal(grid, np.linspace(0.0, 0.4, grid.n))
-    return ResponseProblem(pot, BATH, sig, grid)
+    return ResponseProblem(pot, BATH, sig)
 
 
 def _trapezoid_identity(problem, r):
@@ -276,7 +276,7 @@ def test_windowed_meets_the_global_identity():
     grid = TimeGrid(15.0, 1501)
     pot = PotentialParams(eta=1.0, alpha=0.3, epsilon=0.05, f0=0.1)
     sig = SampledSignal(grid, np.linspace(0.0, 0.4, grid.n))
-    prob = ResponseProblem(pot, BATH, sig, grid)
+    prob = ResponseProblem(pot, BATH, sig)
     tol = 1e-10
     r, sols = solve_response_windowed(prob, window=2.5, tol=tol, k_max=60)
     assert len(sols) == 6 and all(s.converged for s in sols)
@@ -297,7 +297,7 @@ def test_linear_response_is_the_tilted_harmonic_kernel():
     grid = TimeGrid(15.0, 1501)
     pot = PotentialParams(eta=1.0, alpha=0.0, epsilon=0.05, f0=0.1)
     sig = SampledSignal(grid, np.linspace(0.0, 0.4, grid.n))
-    r, sols = solve_response_windowed(ResponseProblem(pot, BATH, sig, grid),
+    r, sols = solve_response_windowed(ResponseProblem(pot, BATH, sig),
                                       window=1.0, tol=1e-10, k_max=60)
     assert all(s.converged for s in sols)
     cv = chi_v(grid.times, 1.0, 1.0)
@@ -322,7 +322,7 @@ def test_quartic_well_converges_in_windows():
     grid = TimeGrid(15.0, 1501)
     pot = PotentialParams(eta=0.0, alpha=1.0, epsilon=0.0, f0=1.0)
     bath = BathParams(gamma=1.0, temp=0.2, nu=1e4)
-    prob = ResponseProblem(pot, bath, variance(grid, bath, pot), grid)
+    prob = ResponseProblem(pot, bath, variance(grid, bath, pot))
     r, sols = solve_response_windowed(prob, window=2.5, tol=1e-10, k_max=60)
     assert len(sols) == 6 and all(s.converged for s in sols)
     r_ode = integrate_duffing(prob, dt_sub=2e-3)
@@ -336,10 +336,3 @@ def test_k_max_exhaustion_keeps_partial_sum():
     assert len(sols) == 1 and not sols[0].converged
     assert np.array_equal(r.values, sols[0].partial_sum)
     assert np.any(r.values != 0.0)
-
-
-def test_problem_grid_validation():
-    grid = TimeGrid(5.0, 101)
-    other = TimeGrid(5.0, 201)
-    with pytest.raises(ValueError):
-        ResponseProblem(parabolic(), BATH, zero_sigma2(other), grid)

@@ -1,17 +1,15 @@
 """Wall time of each Python-bound layer at fixed sizes, for one checkout.
 
-    python3 tools/layer_times.py [CHECKOUT]
+    python3 tools/layer_times.py
 
-Imports qcle from CHECKOUT's `src/` (default: the checkout holding this
-script), on one thread, and times each layer below as the best of 5 calls
-in this process:
+Imports qcle from the `src/` of the checkout holding this script, on one
+thread, and times each layer below as the best of 5 calls in this process:
 
 - `integrate_duffing` on `configs/bistable.json` at dt_sub 2e-3 (the
   preset's) and 5e-4 (the quantum-response workload's);
 - `solve_response_windowed` and `mean_trajectory` on the preset's time
   grid and variance, at its response_window, djm_tol and djm_k_max (and
-  its q0, v0 for the mean; a checkout whose mean takes no window solves it
-  in one recursion);
+  its q0, v0 for the mean);
 - `variance_spectrum` of the preset's variance, `psi_operator` and
   `solve_susceptibility` (at the preset's djm_tol and djm_k_max) on that
   preset's 32001-node frequency grid, and `response_from_susceptibility`
@@ -31,7 +29,11 @@ the operator applications of `mean_trajectory` and `solve_susceptibility`
 and, from one more untimed call each, the `tracemalloc` peaks in MB of the
 four frequency-grid layers, of `write_csv` on the kernels table and of a
 whole `qcle mc` run on the preset.
-Compare two checkouts by running it on each, one after the other.
+Each checkout is timed with its own copy of the tool, which calls that
+checkout's API; compare two by running each copy, one after the other:
+
+    python3 /path/to/parent/tools/layer_times.py
+    python3 tools/layer_times.py
 """
 
 from __future__ import annotations
@@ -41,7 +43,6 @@ import os
 for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
-import inspect  # noqa: E402
 import json  # noqa: E402
 import platform  # noqa: E402
 import sys  # noqa: E402
@@ -75,8 +76,8 @@ def peak_mb(fn) -> float:
         tracemalloc.stop()
 
 
-def main(argv: list[str]) -> int:
-    root = Path(argv[0] if argv else Path(__file__).resolve().parent.parent)
+def main() -> int:
+    root = Path(__file__).resolve().parent.parent
     config = root / "configs" / f"{PRESET}.json"
     if not (root / "src" / "qcle" / "__init__.py").is_file() or not config.is_file():
         print(f"no src/qcle or configs/{PRESET}.json under {root}", file=sys.stderr)
@@ -85,10 +86,10 @@ def main(argv: list[str]) -> int:
 
     import numpy as np
 
-    from qcle import kernels, mc
+    from qcle import kernels
     from qcle.cli import main as cli_main
     from qcle.cli import parse_config, write_csv
-    from qcle.mc import estimate_response, integrate_qcle, sample_noise
+    from qcle.mc import estimate_mc, estimate_response, integrate_qcle, sample_noise
     from qcle.moments import (SpectralQuadrature, mean_trajectory, variance,
                               variance_spectrum)
     from qcle.response import (ResponseProblem, integrate_duffing,
@@ -100,10 +101,10 @@ def main(argv: list[str]) -> int:
     cfg = parse_config(config)
     grid, fg = cfg.time_grid, cfg.freq_grid
     sig2 = variance(grid, cfg.bath, cfg.potential, quad=cfg.quad)
-    response = ResponseProblem(cfg.potential, cfg.bath, sig2, grid)
+    response = ResponseProblem(cfg.potential, cfg.bath, sig2)
     plateau_tol, edge_tol = cfg.settings["plateau_tol"], cfg.settings["edge_tol"]
     spec2 = variance_spectrum(sig2, fg, plateau_tol=plateau_tol)
-    susc = SusceptibilityProblem(cfg.potential, cfg.bath, spec2, fg)
+    susc = SusceptibilityProblem(cfg.potential, cfg.bath, spec2)
     chi = phi_omega(susc)
     chit = kernels.chi_tilde(fg.omegas, cfg.bath.gamma, cfg.potential.eta)
     table = [fg.omegas, chit.real, chit.imag,
@@ -122,14 +123,9 @@ def main(argv: list[str]) -> int:
     seconds[f"solve_response_windowed n={grid.n}"] = best_of(
         lambda: solve_response_windowed(response, cfg.settings["response_window"],
                                         tol, k_max))
-    if "window" in inspect.signature(mean_trajectory).parameters:
-        def mean():
-            return mean_trajectory(cfg.q0, cfg.v0, cfg.potential, cfg.bath, sig2,
-                                   cfg.settings["response_window"], tol, k_max)
-    else:  # checkouts before the windowed mean take the grid and no window
-        def mean():
-            return mean_trajectory(cfg.q0, cfg.v0, cfg.potential, cfg.bath, grid,
-                                   sigma2=sig2, tol=tol, k_max=k_max)
+    def mean():
+        return mean_trajectory(cfg.q0, cfg.v0, cfg.potential, cfg.bath, sig2,
+                               cfg.settings["response_window"], tol, k_max)
     seconds[f"mean_trajectory n={grid.n}"] = best_of(mean)
     solved, susc_sol = solve_susceptibility(susc, tol, k_max)
     layers = {
@@ -162,11 +158,9 @@ def main(argv: list[str]) -> int:
     seconds[f"estimate_response {N_PATHS}x{grid.n}"] = best_of(
         lambda: estimate_response(cfg.potential, noise, cfg.settings["f0_kick"],
                                   cfg.settings["thermal_v0"]))
-    if hasattr(mc, "estimate_mc"):  # checkouts before the one pass lack it
-        seconds[f"estimate_mc {N_PATHS}x{grid.n}"] = best_of(
-            lambda: mc.estimate_mc(noise, cfg.potential, cfg.q0, cfg.v0,
-                                   cfg.settings["f0_kick"],
-                                   cfg.settings["thermal_v0"]))
+    seconds[f"estimate_mc {N_PATHS}x{grid.n}"] = best_of(
+        lambda: estimate_mc(noise, cfg.potential, cfg.q0, cfg.v0,
+                            cfg.settings["f0_kick"], cfg.settings["thermal_v0"]))
     with tempfile.TemporaryDirectory() as tmp:
         peaks[f"qcle mc {PRESET}"] = peak_mb(lambda: cli_main(
             ["mc", "--config", str(config), "--out", str(Path(tmp) / "mc")]))
@@ -185,4 +179,4 @@ def main(argv: list[str]) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())

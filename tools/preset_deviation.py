@@ -4,8 +4,8 @@ two checkouts.
     python3 tools/preset_deviation.py PARENT [CHANGE]
 
 Runs the same CLI calls as `tools/preset_digests.py` (each preset ×
-`kernels|moments|response|susceptibility|mc`, the quantum-nu `response`
-run, then `validate --criteria 1,5,6,9`) on both checkouts (CHANGE
+`kernels|moments|response|susceptibility|mc`, the override runs of its
+OVERRIDE_RUNS, then `validate --criteria 1,5,6,9`) on both checkouts (CHANGE
 defaults to the checkout holding this script). Prints one line per preset
 run: its label, both exit codes, and the worst column deviation
 max|change - parent| / max|parent column| over every numeric CSV column,

@@ -4,13 +4,15 @@
 
 Runs `qcle kernels|moments|response|susceptibility|mc` on each
 `configs/*.json` of CHECKOUT (default: the checkout holding this script),
-then `qcle response` on the parabolic preset at quantum nu (QUANTUM_RUN:
-every preset has nu = 1e4, where the Matsubara sum keeps one term), then
-`qcle validate --criteria 1,5,6,9` (the Hermitian, causality and Dirac
-checks; about 3 s), with that checkout's `src/` on PYTHONPATH, each run in
-its own temporary directory. Prints one line per run: its label, exit code
-and the sha256 of every CSV and `manifest.json` the run left. Two checkouts
-give the same bytes exactly when their outputs diff clean:
+then the OVERRIDE_RUNS on presets with some keys overridden: `qcle response`
+at quantum nu (every preset has nu = 1e4, where the Matsubara sum keeps one
+term), and the three recursions at djm_k_max 3, where each exits 3 and
+writes only its manifest. Then it runs `qcle validate --criteria 1,5,6,9`
+(the Hermitian, causality and Dirac checks; about 3 s), with that
+checkout's `src/` on PYTHONPATH, each run in its own temporary directory.
+Prints one line per run: its label, exit code and the sha256 of every CSV
+and `manifest.json` the run left. Two checkouts give the same bytes
+exactly when their outputs diff clean:
 
     python3 tools/preset_digests.py /path/to/parent > parent.txt
     python3 tools/preset_digests.py > change.txt
@@ -31,30 +33,36 @@ SUBCOMMANDS = ("kernels", "moments", "response", "susceptibility", "mc")
 VALIDATE_CRITERIA = "1,5,6,9"
 
 
-# (preset, overrides, subcommand): the quantum-response recipe of the
-# benchmark (perfbench/workloads.py) on a preset; alpha != 0 makes the
-# response depend on the variance
-QUANTUM_RUN = ("parabolic", {"potential": {"alpha": 0.2}, "bath": {"nu": 2.0},
-                             "tolerances": {"quad_omega_max": 300.0,
-                                            "quad_rtol": 0.1}}, "response")
+# (label, preset, overrides, subcommands). The quantum-response recipe of
+# the benchmark (perfbench/workloads.py) on a preset, where alpha != 0 makes
+# the response depend on the variance; then the failure path of each
+# recursion: too few applications to converge, so the manifest carries the
+# norms, the false converged flag and the error
+OVERRIDE_RUNS = [
+    ("parabolic nu=2", "parabolic",
+     {"potential": {"alpha": 0.2}, "bath": {"nu": 2.0},
+      "tolerances": {"quad_omega_max": 300.0, "quad_rtol": 0.1}}, ("response",)),
+    ("bistable djm_k_max=3", "bistable", {"tolerances": {"djm_k_max": 3}},
+     ("moments", "response", "susceptibility")),
+]
 
 
 def runs(root: Path, tmp: Path) -> list[tuple[str, list[str]]]:
     """(label, CLI arguments) of every preset run of the checkout root, then
-    of the quantum-nu run, whose config is written into tmp, then of the
+    of the OVERRIDE_RUNS, whose configs are written into tmp, then of the
     validate run."""
-    preset, overrides, sub = QUANTUM_RUN
-    config = json.loads((root / "configs" / f"{preset}.json").read_text())
-    for section, values in overrides.items():
-        config.setdefault(section, {}).update(values)
-    quantum = tmp / f"{preset}-quantum.json"
-    quantum.write_text(json.dumps(config))
-    return [(f"{config.stem} {sub}", [sub, "--config", str(config)])
-            for config in sorted((root / "configs").glob("*.json"))
-            for sub in SUBCOMMANDS] + [
-        (f"{preset} nu={overrides['bath']['nu']:g} {sub}",
-         [sub, "--config", str(quantum)]),
-        (f"validate {VALIDATE_CRITERIA}", ["validate", "--criteria", VALIDATE_CRITERIA])]
+    out = [(f"{config.stem} {sub}", [sub, "--config", str(config)])
+           for config in sorted((root / "configs").glob("*.json"))
+           for sub in SUBCOMMANDS]
+    for i, (label, preset, overrides, subs) in enumerate(OVERRIDE_RUNS):
+        config = json.loads((root / "configs" / f"{preset}.json").read_text())
+        for section, values in overrides.items():
+            config.setdefault(section, {}).update(values)
+        path = tmp / f"override-{i}.json"
+        path.write_text(json.dumps(config))
+        out += [(f"{label} {sub}", [sub, "--config", str(path)]) for sub in subs]
+    return out + [(f"validate {VALIDATE_CRITERIA}",
+                   ["validate", "--criteria", VALIDATE_CRITERIA])]
 
 
 def run_cli(root: Path, args: list[str], out: Path) -> int:
