@@ -374,7 +374,9 @@ def _dirac_row(spec: Spectrum) -> list:
 
 
 def _require_converged(name: str, *sols: DjmSolution):
-    """Raise ConvergenceError unless the last recursion record converged."""
+    """Raise the failure of the last recursion record unless it converged."""
+    if sols[-1].non_finite:
+        raise NonFiniteTermError(sols[-1].non_finite)
     if not sols[-1].converged:
         raise ConvergenceError(
             f"{name} recursion not converged after {sum(s.k - 1 for s in sols)} "
@@ -609,7 +611,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     m = _base_manifest(cfg, sub)
     try:
         # a numerical failure is reported once, as the error below: no numpy
-        # warnings before it (djm_solve's own errstate still raises)
+        # warnings before it (djm_solve's own errstate still traps overflow)
         with np.errstate(all="ignore"):
             code = cmd(cfg, out, m, **kwargs)
     except NUMERICAL_ERRORS as e:

@@ -33,14 +33,14 @@ bias and no (n_t, N) temporaries.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import kernels
 from ._numutil import (cumtrapz, e1m, linear_convolve, phase_stepped_sum,
                        square, trapezoid_weights, volterra_conv)
-from .djm import DjmSolution, NonFiniteTermError, default_norm, djm_solve
+from .djm import DjmSolution, default_norm, djm_solve
 from .grids import FreqGrid, SampledSignal, Spectrum, TimeGrid
 from .params import BathParams, PotentialParams
 
@@ -341,9 +341,7 @@ def _closure_b(u: np.ndarray, cv: np.ndarray, sig: np.ndarray, c: float,
               alpha: float, dt: float) -> np.ndarray:
     """The nonlinear Volterra operator of the mean and of the response,
     B(u) = -alpha int_0^t chi_v(t-y) (c u^3 + 3 u sigma^2)(y) dy, by the
-    trapezoid rule on the nodes of u; at alpha = 0 zeros, with no force."""
-    if not alpha:
-        return np.zeros_like(u)
+    trapezoid rule on the nodes of u."""
     return -alpha * volterra_conv(cv, _closure_force(u, sig, c), dt)
 
 
@@ -360,12 +358,13 @@ def _solve_closure(f: np.ndarray, cv: np.ndarray, sig: np.ndarray, c: float,
     own operator adds the sum over [T1, t] with half weights at T1 and t, so
     the converged result satisfies the global trapezoid identity
     u = f + B(u), node for node. The march stops at the first window that
-    does not converge; that window holds its last partial sum and later
-    windows hold zeros. A NonFiniteTermError names the window (from 1).
+    does not converge: it holds its last partial sum, or zeros when a term
+    was not finite (its non_finite then names the window, from 1, and its
+    span), and later windows hold zeros. At alpha = 0, u = f in one window.
     """
     dt = grid.dt
-    # a window of at least t_max is one window
-    n_win = max(2, int(round(min(window, grid.t_max) / dt)))
+    # a window of at least t_max is one window, and so is B = 0
+    n_win = max(2, int(round(min(window if alpha else grid.t_max, grid.t_max) / dt)))
     out = np.zeros(grid.n)
     sols: list[DjmSolution] = []
     start = 0
@@ -373,19 +372,18 @@ def _solve_closure(f: np.ndarray, cv: np.ndarray, sig: np.ndarray, c: float,
         stop = min(start + n_win, grid.n - 1)
         sl = slice(start, stop + 1)
         f_loc = f[sl]
-        if start and alpha:
+        if start:
             force = _closure_force(out[:start + 1], sig[:start + 1], c)
             f_loc = f_loc - alpha * linear_convolve(
                 cv[:stop + 1], force * trapezoid_weights(start + 1, dt))[sl]
-        apply_b = functools.partial(_closure_b, cv=cv[:stop - start + 1],
-                                    sig=sig[sl], c=c, alpha=alpha, dt=dt)
-        try:
-            sol = djm_solve(f_loc, apply_b, tol=tol, k_max=k_max)
-        except NonFiniteTermError as e:  # its term_index counts in the window
-            span = f"[{grid.times[start]:g}, {grid.times[stop]:g}]"
-            raise NonFiniteTermError(
-                e.term_index, f" of window {len(sols) + 1} (t in {span})") from None
+        apply_b = None if not alpha else functools.partial(
+            _closure_b, cv=cv[:stop - start + 1], sig=sig[sl], c=c, alpha=alpha, dt=dt)
+        sol = djm_solve(f_loc, apply_b, tol=tol, k_max=k_max)
         sols.append(sol)
+        if sol.non_finite:  # its term index counts in the window
+            sol.non_finite += (f" of window {len(sols)} (t in "
+                               f"[{grid.times[start]:g}, {grid.times[stop]:g}])")
+            break
         out[sl] = sol.partial_sum
         if not sol.converged:
             break
@@ -402,9 +400,9 @@ def mean_trajectory(q0: float, v0: float, potential: PotentialParams,
 
     G = chi_q q0 + chi_v v0 - int_0^t [eps chi_v(y) + alpha chi_v(t-y) H(y)] dy,
     marched in windows of length `window` as the response is (_solve_closure
-    at c = 1). Returns one flat record, and never raises on k_max: the norm
-    of f, then the increment norm of every application, window after
-    window, and the converged flag of the last window marched.
+    at c = 1). Returns one flat record, never raising on its terms: the norm
+    of f if finite, the increment norm of every application, window after
+    window, and the converged flag and non_finite of the last window marched.
     """
     grid = sigma2.grid
     t = grid.times
@@ -415,5 +413,8 @@ def mean_trajectory(q0: float, v0: float, potential: PotentialParams,
         f = f - potential.epsilon * cumtrapz(cv, grid.dt)
     values, sols = _solve_closure(f, cv, sigma2.values, 1.0, potential.alpha,
                                   grid, window, tol, k_max)
-    norms = [default_norm(f)] + [x for s in sols for x in s.term_norms[1:]]
-    return SampledSignal(grid, values), DjmSolution(values, norms, sols[-1].converged)
+    n0 = default_norm(f)  # a non-finite f is no term of the record
+    norms = [n0] if np.isfinite(n0) else []
+    norms += [x for s in sols for x in s.term_norms[1:]]
+    return SampledSignal(grid, values), replace(sols[-1], partial_sum=values,
+                                                term_norms=norms)

@@ -294,6 +294,19 @@ LONG_HORIZON = {"time_grid.t_max": 100.0, "time_grid.n": 2001}
 ESCAPED = {"initial.q0": 1000.0, "mc.n_paths": 50}
 # the pure quartic well: chi_tilde is singular at the omega = 0 node
 QUARTIC = {"potential.eta": 0.0, "potential.alpha": 0.3}
+# on the parabolic preset the mean's f = chi_q q0 + chi_v v0 overflows
+HUGE_F = {"initial.q0": 1.5e308, "initial.v0": 1.5e308}
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def _strict_manifest(out: Path) -> dict:
+    """The run's manifest.json, refusing the NaN and Infinity tokens that
+    json.dumps writes for non-finite floats."""
+    return json.loads((out / "manifest.json").read_text(),
+                      parse_constant=_reject_constant)
 
 
 def _tree(root: Path) -> dict:
@@ -359,6 +372,9 @@ def _tree(root: Path) -> dict:
     # at alpha = 0 no cubic force is formed, so the mean does not overflow
     pytest.param("moments", {"base": PARABOLIC, "overrides": {"initial.q0": 1e200}},
                  [], 0, id="moments_alpha_zero_huge_q0"),
+    # but chi_q q0 + chi_v v0 itself does, so f is no finite term
+    pytest.param("moments", {"base": PARABOLIC, "overrides": HUGE_F}, [], 3,
+                 id="moments_alpha_zero_non_finite_f"),
     pytest.param("susceptibility", {"base": BISTABLE, "overrides": BLOWUP}, [], 0,
                  id="susceptibility_blowup_converges"),
     pytest.param("response", {"overrides": QUANTUM_NU}, [], 3, id="quadrature"),
@@ -373,7 +389,9 @@ def _tree(root: Path) -> dict:
     # every chi row overflows to NaN; no CSV of them is written
     pytest.param("kernels", {"base": PARABOLIC, "overrides": {"bath.gamma": 1e200}},
                  [], 3, id="kernels_non_finite"),
-    # f0^2 is inf past 1.3e154, so the first recursion term is not finite
+    # f0^2 is inf past 1.3e154: at alpha = 0 the response's recursion makes
+    # no application, so the integrator's RK4 guard stops `response`, and
+    # the first psi application of `susceptibility` is not finite
     pytest.param("response", {"base": PARABOLIC, "overrides": {"potential.f0": 1e200}},
                  [], 3, id="f0_square_response"),
     pytest.param("susceptibility",
@@ -416,13 +434,42 @@ def test_failure_contract(tmp_path, monkeypatch, capsys, sub, config, extra,
         assert _tree(tmp_path) == before
     elif code == 3:
         assert err.startswith("numerical error:")
-        assert json.loads((out / "manifest.json").read_text())["diagnostics"]["error"]
+        assert _strict_manifest(out)["diagnostics"]["error"]
     else:
         assert err == ""
-        manifest = json.loads((out / "manifest.json").read_text())
+        manifest = _strict_manifest(out)
         assert "error" not in manifest["diagnostics"]
         for key in ("converged", "mean_converged"):
             assert manifest["diagnostics"].get(key, True) is True
+
+
+@pytest.mark.parametrize("sub,config,error,norms,count,flag", [
+    ("moments", {"base": BISTABLE, "overrides": {"potential.alpha": 3}},
+     "term 10 of window 1 (t in [0, 2.5])", "mean_term_norms", 10, False),
+    ("response", {"base": PARABOLIC,
+                  "overrides": {"potential.eta": -1, "potential.alpha": 0.3}},
+     "term 8 of window 2 (t in [2.5, 5])", "window_term_norms", [11, 8],
+     [True, False]),
+    ("susceptibility", {"base": PARABOLIC, "overrides": {"potential.epsilon": 1e200}},
+     "term 1", "term_norms", 1, False),
+    ("moments", {"base": PARABOLIC, "overrides": HUGE_F},
+     "term 0 of window 1 (t in [0, 15])", "mean_term_norms", 0, False),
+], ids=["moments", "response", "susceptibility", "moments_term_0"])
+def test_non_finite_stop_exits_3_with_its_norms(tmp_path, capsys, sub, config,
+                                                error, norms, count, flag):
+    # a non-finite term stops a recursion as k_max does: the manifest keeps
+    # the norms of the finite terms before it (every window's, for the
+    # response) and the false flag, next to the one-line error
+    out = tmp_path / "o"
+    argv = [sub, "--config", str(_write_config(tmp_path, **config)), "--out", str(out)]
+    assert main(argv) == 3
+    diag = _strict_manifest(out)["diagnostics"]
+    assert diag["error"] == f"non-finite values in recursion {error}"
+    assert capsys.readouterr().err == f"numerical error: {diag['error']}\n"
+    kept = diag[norms]
+    assert (list(map(len, kept)) if sub == "response" else len(kept)) == count
+    assert diag[{"moments": "mean_converged", "response": "windows_converged",
+                 "susceptibility": "converged"}[sub]] == flag
 
 
 @pytest.mark.parametrize("overrides", [BLOWUP, {"potential.alpha": 0.6}],

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from qcle import NonFiniteTermError, TimeGrid, djm_solve
+from qcle import TimeGrid, djm_solve
 from qcle._numutil import cumtrapz
 
 
@@ -15,6 +15,9 @@ def test_zero_operator_returns_f():
     assert sol.converged
     assert sol.partial_sum == 3.5
     assert sol.term_norms[1] == 0.0
+    # apply_b None is B = 0: f, converged, with no application
+    none = djm_solve(3.5, None, tol=1e-12)
+    assert none.converged and none.partial_sum == 3.5 and none.term_norms == [3.5]
 
 
 def test_scalar_affine_contraction():
@@ -96,7 +99,8 @@ def test_determinism_bit_identical():
 def test_solution_keeps_no_terms():
     _, f, apply_b = _volterra_exp_problem()
     sol = djm_solve(f, apply_b, tol=1e-9, k_max=25)
-    assert set(vars(sol)) == {"partial_sum", "term_norms", "converged"}
+    assert set(vars(sol)) == {"partial_sum", "term_norms", "converged", "non_finite"}
+    assert sol.non_finite == ""
 
 
 def test_k_max_reached_is_flag_not_exception():
@@ -105,25 +109,39 @@ def test_k_max_reached_is_flag_not_exception():
     assert sol.k == 4  # u0 plus three operator applications
 
 
-def test_non_finite_raises_with_index():
+def test_non_finite_term_stops_with_its_index():
+    # a term past the float range ends the recursion as k_max does: a record
+    # whose k is the index of that term, holding the finite terms before it
     def explode(x):
         return x * 1e200
 
-    with pytest.raises(NonFiniteTermError) as exc:
-        djm_solve(1.0, explode, tol=1e-12, k_max=10)
-    assert exc.value.term_index >= 1
+    sol = djm_solve(1.0, explode, tol=1e-12, k_max=10)
+    assert sol.converged is False
+    assert sol.term_norms == [1.0, 1e200]
+    assert sol.partial_sum == 1.0 + 1e200
+    assert sol.non_finite == "non-finite values in recursion term 2"
 
 
-def test_array_overflow_raises_with_index():
+def test_array_overflow_stops_at_its_index():
     # the overflowing application itself is reported, with no RuntimeWarning
     def explode(x):
         return x * 1e200
 
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(NonFiniteTermError) as exc:
-            djm_solve(np.ones(3), explode, tol=1e-12, k_max=10)
-    assert exc.value.term_index == 2
+        sol = djm_solve(np.ones(3), explode, tol=1e-12, k_max=10)
+    assert sol.k == 2 and not sol.converged
+    assert sol.non_finite == "non-finite values in recursion term 2"
+    assert np.all(np.isfinite(sol.partial_sum))
+
+
+@pytest.mark.parametrize("f", [math.inf, np.array([0.0, np.nan])], ids=["inf", "nan"])
+def test_non_finite_f_is_term_0(f):
+    # no term is finite: the record keeps no norm, and f as its partial sum
+    sol = djm_solve(f, lambda x: 0.5 * x, tol=1e-12, k_max=10)
+    assert sol.term_norms == [] and sol.converged is False
+    assert sol.non_finite == "non-finite values in recursion term 0"
+    assert sol.partial_sum is f
 
 
 def test_bad_arguments():

@@ -9,7 +9,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from qcle import (BathParams, FreqGrid, NonFiniteTermError, PotentialParams,
+from qcle import (BathParams, FreqGrid, PotentialParams,
                   QuadratureError, SampledSignal, SpectralQuadrature,
                   SusceptibilityProblem, TimeGrid, chi_q, chi_v, chi_v_dot,
                   djm_solve, mean_trajectory, solve_susceptibility, variance,
@@ -384,10 +384,13 @@ def test_preparation_term_memory():
 
 
 def test_mean_alpha_zero_reduction():
+    # B = 0: the mean is f, one record with no application
     grid = TimeGrid(8.0, 801)
-    g, _ = mean_trajectory(0.7, -0.4, parabolic(), CLASSICAL, zero_sigma2(grid), 2.5)
+    g, sol = mean_trajectory(0.7, -0.4, parabolic(), CLASSICAL, zero_sigma2(grid),
+                             2.5)
     exact = 0.7 * chi_q(grid.times, 1.0, 1.0) - 0.4 * chi_v(grid.times, 1.0, 1.0)
-    assert np.array_equal(g.values, exact)  # recursion ends after the linear term
+    assert np.array_equal(g.values, exact)
+    assert sol.converged and sol.term_norms == [float(np.max(np.abs(exact)))]
 
 
 def test_mean_linearity_in_initial_conditions():
@@ -454,18 +457,24 @@ BISTABLE_BATH = BathParams(gamma=1.0, temp=0.5, nu=1e4)
     (3.0, 0.3, 1.0, 0.5), (1.0, 1.0, 1.0, 0.5), (1.0, 0.3, 1.0, 2.0),
     (1.0, 0.5, 2.0, 1.0)], ids=["q0_3", "alpha_1", "temp_2", "blowup"])
 def test_windowed_mean_converges_where_one_window_overflowed(q0, alpha, gamma,
-                                                            temp):
-    # on the bistable preset, one unwindowed recursion raised
-    # NonFiniteTermError on these; in windows of the preset's 2.5 the mean
-    # converges and agrees with the mean's ODE integrated by RK4
+                                                            temp, forward_closure):
+    # on the bistable preset, one unwindowed recursion overflowed on these;
+    # in windows of the preset's 2.5 the mean converges, agrees with the
+    # mean's ODE integrated by RK4, and lies within tol/10 of the exact
+    # fixed point of its discrete equation
     grid = BISTABLE_GRID
     pot = dataclasses.replace(BISTABLE_POT, alpha=alpha)
     bath = dataclasses.replace(BISTABLE_BATH, gamma=gamma, temp=temp)
     sig2 = variance(grid, bath, pot)
-    g, sol = mean_trajectory(q0, 0.0, pot, bath, sig2, 2.5, tol=1e-9, k_max=60)
+    tol = 1e-9
+    g, sol = mean_trajectory(q0, 0.0, pot, bath, sig2, 2.5, tol=tol, k_max=60)
     assert sol.converged is True
     oracle = _mean_rk4(grid, q0, 0.0, pot, gamma, sig2.values)
     assert np.max(np.abs(g.values - oracle)) < 1e-4
+    exact = forward_closure(q0 * chi_q(grid.times, gamma, 1.0),
+                            chi_v(grid.times, gamma, 1.0), sig2.values, 1.0,
+                            alpha, grid.dt)
+    assert np.max(np.abs(g.values - exact)) <= 0.1 * tol
 
 
 def test_mean_in_one_window_is_one_recursion():
@@ -520,16 +529,28 @@ def test_mean_reports_k_max_exhaustion():
 
 def test_non_finite_term_names_its_window():
     # sigma^2 = 1e308 from t = 6 on overflows the force first in the window
-    # that holds t = 6, the third window of 2.5; the error names it and its
-    # span, and its term_index counts inside that window
+    # that holds t = 6, the third window of 2.5; the record names it and its
+    # span, counts the term inside that window, keeps the norms of every
+    # finite term and holds zeros from that window on
     grid = BISTABLE_GRID
-    sig2 = variance(grid, BISTABLE_BATH, BISTABLE_POT).values.copy()
-    sig2[grid.times >= 6.0] = 1e308
-    with pytest.raises(NonFiniteTermError,
-                       match=r"term 1 of window 3 \(t in \[5, 7\.5\]\)$") as e:
-        mean_trajectory(1.0, 0.0, BISTABLE_POT, BISTABLE_BATH,
-                        SampledSignal(grid, sig2), 2.5, tol=1e-9, k_max=60)
-    assert e.value.term_index == 1
+    sig2 = variance(grid, BISTABLE_BATH, BISTABLE_POT)
+    big = sig2.values.copy()
+    big[grid.times >= 6.0] = 1e308
+    g, sol = mean_trajectory(1.0, 0.0, BISTABLE_POT, BISTABLE_BATH,
+                             SampledSignal(grid, big), 2.5, tol=1e-9, k_max=60)
+    assert sol.converged is False
+    assert sol.non_finite == ("non-finite values in recursion term 1 of window 3 "
+                              "(t in [5, 7.5])")
+    # windows 1 and 2 see no 1e308, so they are those of the finite run
+    ref, ref_sol = mean_trajectory(1.0, 0.0, BISTABLE_POT, BISTABLE_BATH, sig2,
+                                   2.5, tol=1e-9, k_max=60)
+    n5 = 501  # nodes up to t = 5, the last one window 3's first
+    assert np.array_equal(g.values[:n5 - 1], ref.values[:n5 - 1])
+    assert g.values[n5 - 1] == pytest.approx(ref.values[n5 - 1], abs=1e-12)
+    assert np.all(g.values[n5:] == 0.0)
+    assert np.array_equal(sol.partial_sum, g.values)
+    assert sol.term_norms == ref_sol.term_norms[:len(sol.term_norms)]
+    assert np.all(np.isfinite(sol.term_norms))
 
 
 def test_mean_eq18_literal_via_zero_v0():

@@ -293,13 +293,14 @@ def test_window_length_does_not_change_the_solution():
 
 
 def test_linear_response_is_the_tilted_harmonic_kernel():
-    # alpha = 0: R = chi_v - (eps/f0) int chi_v on the grid, in every window
+    # alpha = 0: R = f = chi_v - (eps/f0) int chi_v on the grid, one window
+    # solved with no application
     grid = TimeGrid(15.0, 1501)
     pot = PotentialParams(eta=1.0, alpha=0.0, epsilon=0.05, f0=0.1)
     sig = SampledSignal(grid, np.linspace(0.0, 0.4, grid.n))
     r, sols = solve_response_windowed(ResponseProblem(pot, BATH, sig),
                                       window=1.0, tol=1e-10, k_max=60)
-    assert all(s.converged for s in sols)
+    assert len(sols) == 1 and sols[0].converged and sols[0].k == 1
     cv = chi_v(grid.times, 1.0, 1.0)
     assert np.max(np.abs(r.values - (cv - 0.5 * cumtrapz(cv, grid.dt)))) <= 1e-13
 
@@ -313,6 +314,28 @@ def test_response_is_the_kicked_mean():
     g, _ = mean_trajectory(0.0, pot.f0, pot, prob.bath, prob.sigma2, 1.0,
                            tol=tol * pot.f0, k_max=80)
     assert np.max(np.abs(g.values / pot.f0 - r.values)) <= tol
+
+
+@pytest.mark.parametrize("alpha,gamma,temp", [
+    (0.3, 1.0, 0.5), (1.0, 1.0, 0.5), (0.3, 1.0, 2.0), (0.5, 2.0, 1.0)],
+    ids=["bistable", "alpha_1", "temp_2", "blowup"])
+def test_windowed_response_is_the_forward_solve(alpha, gamma, temp,
+                                                forward_closure):
+    # the bistable preset and the overrides on which one unwindowed
+    # recursion of the mean overflowed (q0 does not enter the response): in
+    # windows of 2.5 the response lies within tol/10 of the exact fixed point
+    # of its discrete equation
+    grid = TimeGrid(15.0, 1501)
+    pot = PotentialParams(eta=1.0, alpha=alpha, epsilon=0.0, f0=0.1)
+    bath = BathParams(gamma=gamma, temp=temp, nu=1e4)
+    sig2 = variance(grid, bath, pot)
+    tol = 1e-9
+    r, sols = solve_response_windowed(ResponseProblem(pot, bath, sig2), window=2.5,
+                                      tol=tol, k_max=60)
+    assert len(sols) == 6 and all(s.converged for s in sols)
+    cv = chi_v(grid.times, gamma, 1.0)
+    exact = forward_closure(cv, cv, sig2.values, pot.f0**2, alpha, grid.dt)
+    assert np.max(np.abs(r.values - exact)) <= 0.1 * tol
 
 
 def test_quartic_well_converges_in_windows():

@@ -6,8 +6,12 @@ Runs `qcle kernels|moments|response|susceptibility|mc` on each
 `configs/*.json` of CHECKOUT (default: the checkout holding this script),
 then the OVERRIDE_RUNS on presets with some keys overridden: `qcle response`
 at quantum nu (every preset has nu = 1e4, where the Matsubara sum keeps one
-term), and the three recursions at djm_k_max 3, where each exits 3 and
-writes only its manifest. Then it runs `qcle validate --criteria 1,5,6,9`
+term), the three recursions at djm_k_max 3, and one run of each recursion
+that stops on a non-finite term (bistable `moments` at alpha = 3, parabolic
+`response` at eta = -1 and alpha = 0.3, parabolic `susceptibility` at
+epsilon = 1e200); each of these six exits 3 and writes only its manifest,
+with the norms of the finite terms, the false flag and the error. Then it
+runs `qcle validate --criteria 1,5,6,9`
 (the Hermitian, causality and Dirac checks; about 3 s), with that
 checkout's `src/` on PYTHONPATH, each run in its own temporary directory.
 Prints one line per run: its label, exit code and the sha256 of every CSV
@@ -35,15 +39,21 @@ VALIDATE_CRITERIA = "1,5,6,9"
 
 # (label, preset, overrides, subcommands). The quantum-response recipe of
 # the benchmark (perfbench/workloads.py) on a preset, where alpha != 0 makes
-# the response depend on the variance; then the failure path of each
-# recursion: too few applications to converge, so the manifest carries the
-# norms, the false converged flag and the error
+# the response depend on the variance; then the two failure paths of each
+# recursion, too few applications to converge and a term past the float
+# range, where the manifest carries the norms, the false converged flag and
+# the error
 OVERRIDE_RUNS = [
     ("parabolic nu=2", "parabolic",
      {"potential": {"alpha": 0.2}, "bath": {"nu": 2.0},
       "tolerances": {"quad_omega_max": 300.0, "quad_rtol": 0.1}}, ("response",)),
     ("bistable djm_k_max=3", "bistable", {"tolerances": {"djm_k_max": 3}},
      ("moments", "response", "susceptibility")),
+    ("bistable alpha=3", "bistable", {"potential": {"alpha": 3.0}}, ("moments",)),
+    ("parabolic eta=-1 alpha=0.3", "parabolic",
+     {"potential": {"eta": -1.0, "alpha": 0.3}}, ("response",)),
+    ("parabolic epsilon=1e200", "parabolic", {"potential": {"epsilon": 1e200}},
+     ("susceptibility",)),
 ]
 
 
