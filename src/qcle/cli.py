@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
@@ -230,6 +231,19 @@ def write_csv(path: Path, header: list[str], columns: list[np.ndarray]):
     Everything else goes through % and is spliced in: subnormals, |x|
     outside that range, a decade log10 missed, near-ties, and a rounding
     up to 10^17.
+
+    A frequency table is mirrored when its row count n is odd and, in every
+    column, |x| of row n-1-k equals |x| of row k bit for bit (a Hermitian
+    spectrum on a FreqGrid). This is tested on the values, never assumed.
+    The digits above depend on |x| alone, so a mirrored table formats its
+    central band of rows z .. z+B once, z = n // 2 the omega = 0 row, and
+    writes each row z-i of z-B .. z-1 from the bytes of row z+i. Its sign
+    byte is taken from np.signbit of its own value. Its % fields are
+    spliced again from its own values, because "%-24.16e" left-aligns a
+    positive value, whose first digit then sits in the sign byte. B is
+    capped at CSV_BAND // ncols rows, which bounds the cached bytes; rows
+    outside the band take the plain path. A 32001-row table fits in one
+    band. The bytes are those of the plain path.
     """
     text = any(len(col) and isinstance(col[0], str) for col in columns)
     if not text:
@@ -251,28 +265,105 @@ def write_csv(path: Path, header: list[str], columns: list[np.ndarray]):
 
 # values per block of write_csv
 CSV_BLOCK = 8192
+# values in the central band of a mirrored table that write_csv formats once
+# for two rows
+CSV_BAND = 1 << 16
+
+
+def _mirrored(columns: list[np.ndarray]) -> bool:
+    """Whether row n-1-k of the table is row k up to signs: an odd row count
+    and, in every column, magnitudes equal bit for bit under reversal."""
+    n = len(columns[0])
+    half = n // 2
+    return n % 2 == 1 and all(
+        np.array_equal(a[:half].view(np.uint64), a[:half:-1].view(np.uint64))
+        for a in map(np.abs, columns))
 
 
 def _csv_blocks(columns: list[np.ndarray]) -> Iterator[str]:
     """The rows of finite float64 columns as the text of "%.16e" joined by
     "," and ended by CRLF, CSV_BLOCK values at a time; write_csv says why
-    the digits are exact. A field is 24 bytes plus its separator, padded
-    with zero bytes, which are dropped before the block is returned."""
-    ncols = len(columns)
+    the digits are exact and how a mirrored table reuses them."""
+    ncols, n = len(columns), len(columns[0])
+    powers: dict[int, tuple[float, float]] = {}
+
+    def blocks(start: int, stop: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        return _format_blocks(columns, start, stop, powers)
+
+    z = n // 2
+    band = min(z, CSV_BAND // ncols) if _mirrored(columns) else 0
+    for buf, _ in blocks(0, z - band if band else n):
+        yield _text(buf)
+    if not band:
+        return
+    # rows z .. z + band, and which of their fields are slow
+    cache = np.empty((band + 1, 25 * ncols + 1), np.uint8)
+    slow = np.empty((band + 1, ncols), bool)
+    i = 0
+    for buf, mask in blocks(z, z + band + 1):
+        cache[i:i + len(buf)], slow[i:i + len(buf)] = buf, mask
+        i += len(buf)
+    # row k < z mirrors row 2z - k, which is cache row z - k
     n_rows = max(1, CSV_BLOCK // ncols)
-    # ASCII of 0000 .. 9999, one uint32 per 4-digit group
+    for s in range(z - band, z, n_rows):
+        e = min(s + n_rows, z)
+        x = np.column_stack([col[s:e] for col in columns])
+        mirror = slice(z - e + 1, z - s + 1)
+        buf = cache[mirror][::-1].copy()
+        field = buf[:, :-1].reshape(e - s, ncols, 25)
+        field[..., 0] = np.signbit(x) * np.uint8(ord("-"))
+        _splice(field, x, slow[mirror][::-1])
+        yield _text(buf)
+    for s in range(0, band + 1, n_rows):
+        yield _text(cache[s:s + n_rows])
+    for buf, _ in blocks(z + band + 1, n):
+        yield _text(buf)
+
+
+def _text(buf: np.ndarray) -> str:
+    """The rows of a zero-padded field buffer, the zero bytes dropped."""
+    return buf.tobytes().replace(b"\0", b"").decode("ascii")
+
+
+@functools.cache
+def _ascii_tables() -> tuple[np.ndarray, np.ndarray]:
+    """The ASCII of 0000 .. 9999, one uint32 per 4-digit group, and of the
+    exponent field of %.16e at e + 999 for e = -999 .. 999: one uint32 of
+    its sign and three digits, the hundreds a zero byte below 100. Built on
+    the first write, not at import, and read-only."""
     g = np.arange(10000)
     quads = (np.stack([g // 1000, g // 100 % 10, g // 10 % 10, g % 10], axis=-1)
              .astype(np.uint8) + ord("0")).view(np.uint32).ravel()
-    powers: dict[int, tuple[float, float]] = {}
-    for start in range(0, len(columns[0]), n_rows):
-        x = np.column_stack([col[start:start + n_rows] for col in columns])
+    e = np.arange(-999, 1000)
+    exponents = quads[np.abs(e)].view(np.uint8).reshape(-1, 4).copy()
+    exponents[:, 0] = np.where(e < 0, ord("-"), ord("+"))
+    exponents[:, 1] *= np.abs(e) >= 100
+    exponents = exponents.view(np.uint32).ravel()
+    quads.flags.writeable = exponents.flags.writeable = False
+    return quads, exponents
+
+
+def _format_blocks(columns: list[np.ndarray], start: int, stop: int, powers: dict
+                   ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Rows start .. stop-1 of the columns, CSV_BLOCK values at a time: each
+    block's fields as a zero-padded uint8 buffer, one line per row, and the
+    mask of the fields that % wrote. A field is 24 bytes plus its separator.
+    powers caches 10^k as a double-double pair. A generator, so one block's
+    temporaries live until the next block rebinds them: the heap is reused,
+    not trimmed and faulted in again for every block."""
+    ncols = len(columns)
+    n_rows = max(1, CSV_BLOCK // ncols)
+    quads, exponents = _ascii_tables()
+    # the bytes every line shares: ".", "e", the separators and CRLF
+    line = np.zeros(25 * ncols + 1, np.uint8)
+    shared = line[:-1].reshape(ncols, 25)
+    shared[:, 2], shared[:, 19], shared[:, 24] = ord("."), ord("e"), ord(",")
+    line[-2:] = ord("\r"), ord("\n")
+    for first in range(start, stop, n_rows):
+        x = np.column_stack([col[first:min(first + n_rows, stop)] for col in columns])
         rows = x.shape[0]
-        buf = np.zeros((rows, 25 * ncols + 1), np.uint8)
-        buf[:, -1] = ord("\n")
+        buf = np.tile(line, (rows, 1))
         field = buf[:, :-1].reshape(rows, ncols, 25)
-        field[..., 24] = ord(",")
-        field[:, -1, 24] = ord("\r")
 
         a = np.abs(x)
         fast = (a > 1e-280) & (a < 1e280)
@@ -327,23 +418,22 @@ def _csv_blocks(columns: list[np.ndarray]) -> Iterator[str]:
         groups[..., 3] = lower - groups[..., 2] * 10000
         field[..., 0] = np.signbit(x) * np.uint8(ord("-"))
         field[..., 1] = lead + ord("0")
-        field[..., 2] = ord(".")
         field[..., 3:19] = quads[groups].view(np.uint8)
-        field[..., 19] = ord("e")
-        field[..., 20] = np.where(e < 0, np.uint8(ord("-")), np.uint8(ord("+")))
-        # the last three digits of the exponent's group; 2 digits below 100
-        exponent = np.abs(e)
-        field[..., 21:24] = quads[exponent, None].view(np.uint8)[..., 1:]
-        field[..., 21] *= exponent >= 100
+        field[..., 20:24].view(np.uint32)[..., 0] = exponents[e + 999]
+        slow = ~ok
+        _splice(field, x, slow)
+        yield buf, slow
 
-        slow = np.flatnonzero(~ok)
-        if slow.size:
-            values = x.ravel()[slow].tolist()
-            formatted = ("%-24.16e" * len(values) % tuple(values)).encode("ascii")
-            padded = np.frombuffer(formatted, np.uint8).reshape(-1, 24)
-            field[slow // ncols, slow % ncols, :24] = np.where(
-                padded == ord(" "), 0, padded)
-        yield buf.tobytes().replace(b"\0", b"").decode("ascii")
+
+def _splice(field: np.ndarray, x: np.ndarray, slow: np.ndarray):
+    """Write the fields of x that the mask slow marks through "%-24.16e",
+    left-aligned and zero-padded: a positive value starts in the sign byte."""
+    i, j = np.nonzero(slow)
+    if i.size:
+        values = x[i, j].tolist()
+        formatted = ("%-24.16e" * len(values) % tuple(values)).encode("ascii")
+        padded = np.frombuffer(formatted, np.uint8).reshape(-1, 24)
+        field[i, j, :24] = np.where(padded == ord(" "), 0, padded)
 
 
 def write_manifest(path: Path, payload: dict):

@@ -120,7 +120,8 @@ class Spectrum:
         return np.concatenate([np.conj(self.half[:0:-1]), self.half])
 
     def sup_norm(self) -> float:
-        return max(float(np.max(np.abs(self.half))), abs(self.dirac))
+        # np.maximum propagates a NaN weight, which Python's max would drop
+        return float(np.maximum(np.max(np.abs(self.half)), abs(self.dirac)))
 
     def _check_same_grid(self, other: "Spectrum"):
         if self.grid != other.grid:

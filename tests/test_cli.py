@@ -11,7 +11,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qcle.cli import CSV_BLOCK, NonFiniteOutputError, main, write_csv
+from qcle.cli import (CSV_BAND, CSV_BLOCK, NonFiniteOutputError, _mirrored, main,
+                      write_csv)
 
 CONFIG = {
     "potential": {"eta": 1.0, "alpha": 0.0, "epsilon": 0.0, "f0": 0.1},
@@ -128,17 +129,79 @@ def test_write_csv_matches_per_value_writer(tmp_path):
             == hashlib.sha256(ref.read_bytes()).hexdigest()
 
 
+def _mirror(half: np.ndarray, odd: bool) -> np.ndarray:
+    """A mirrored column of 2z + 1 rows, z = len(half) - 1: row z + k holds
+    half[k], and row z - k holds half[k], negated when odd."""
+    return np.concatenate([-half[:0:-1] if odd else half[:0:-1], half])
+
+
+def _mirrored_stress_table(z: int) -> list[np.ndarray]:
+    """Three mirrored columns of 2z + 1 rows, an even one, an odd one and an
+    even one, whose omega >= 0 halves sample _stress_values() and hold +-0.0
+    at their first rows."""
+    v = np.random.default_rng(7).permutation(_stress_values())
+    halves = v[:3 * (z + 1)].reshape(3, z + 1)
+    halves[:, 1:5] = [0.0, -0.0, -0.0, 0.0]
+    return [_mirror(h, odd) for h, odd in zip(halves, (False, True, False))]
+
+
+def test_write_csv_mirror_matches_per_value_writer(tmp_path):
+    # a mirrored table formats its band once and reuses it for the mirror
+    # rows: the bytes stay those of the per-value writer
+    n_rows, band = CSV_BLOCK // 3, CSV_BAND // 3
+    z = band + 8155
+    # the band starts and ends inside a block of the unbanded table
+    assert (z - band) % n_rows and (band + 1) % n_rows
+    big = _mirrored_stress_table(z)
+    odd_half = big[1][z:]
+    # positive slow fields on the omega > 0 side, negative in their mirrors:
+    # subnormals, |x| >= 1e280 and near-ties (17 digits and about a half)
+    near_tie = np.array([f"{x:.24e}"[18:22] in ("5000", "4999") for x in odd_half])
+    for slow in (odd_half < 2.2250738585072014e-308, odd_half >= 1e280, near_tie):
+        assert np.count_nonzero(slow & (odd_half > 0))
+    omega = (np.arange(2001) - 1000) * 0.37
+    small = [omega, *(c[z - 1000:z + 1001] for c in big), np.exp(-omega * omega)]
+    off_by_one_ulp = [c.copy() for c in big]
+    off_by_one_ulp[2][5] = np.nextafter(off_by_one_ulp[2][5], np.inf)
+    tables = [
+        (["a", "b", "c"], big, True),
+        (list("abcde"), small, True),
+        (["w", "a"], [[-1e300, 0.0, 1e300], [5e-324, -0.0, -5e-324]], True),
+        (["w"], [[-0.0]], True),
+        (["a", "b", "c"], off_by_one_ulp, False),
+    ]
+    for i, (header, columns, mirrored) in enumerate(tables):
+        arrays = [np.asarray(c, dtype=float) for c in columns]
+        assert _mirrored(arrays) is mirrored
+        ours, ref = tmp_path / f"ours{i}.csv", tmp_path / f"ref{i}.csv"
+        write_csv(ours, header, columns)
+        _per_value_csv(ref, header, columns)
+        assert ours.read_bytes() == ref.read_bytes()
+
+
+def _write_csv_peak(path: Path, columns) -> int:
+    tracemalloc.start()
+    try:
+        write_csv(path, ["t", "a", "b", "c"], columns)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_write_csv_memory_is_bounded(tmp_path):
     # formatted block by block: the writer holds no table-sized text
     t = np.linspace(0.0, 1.0, 200_001)
     columns = [t, np.sin(t), np.cos(t) * 1e-30, np.zeros_like(t)]
-    tracemalloc.start()
-    try:
-        write_csv(tmp_path / "big.csv", ["t", "a", "b", "c"], columns)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 8e6
+    assert _write_csv_peak(tmp_path / "big.csv", columns) < 8e6
+
+
+def test_write_csv_memory_is_bounded_on_a_mirrored_table(tmp_path):
+    # a mirrored table keeps at most CSV_BAND formatted values for its
+    # mirror rows, not its whole omega >= 0 half
+    t = (np.arange(200_001) - 100_000) * 1e-5
+    columns = [t, t * t * t, np.exp(-t * t) * 1e-30, np.zeros_like(t)]
+    assert _mirrored(columns)
+    assert _write_csv_peak(tmp_path / "big.csv", columns) < 8e6
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from qcle import TimeGrid, djm_solve
+from qcle import FreqGrid, Spectrum, TimeGrid, djm_solve
 from qcle._numutil import cumtrapz
 
 
@@ -135,7 +135,10 @@ def test_array_overflow_stops_at_its_index():
     assert np.all(np.isfinite(sol.partial_sum))
 
 
-@pytest.mark.parametrize("f", [math.inf, np.array([0.0, np.nan])], ids=["inf", "nan"])
+@pytest.mark.parametrize("f", [
+    math.inf, np.array([0.0, np.nan]),
+    Spectrum(FreqGrid(10.0, 21), np.ones(11), math.nan),
+], ids=["inf", "nan", "spectrum_nan_dirac"])
 def test_non_finite_f_is_term_0(f):
     # no term is finite: the record keeps no norm, and f as its partial sum
     sol = djm_solve(f, lambda x: 0.5 * x, tol=1e-12, k_max=10)

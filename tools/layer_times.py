@@ -15,8 +15,10 @@ thread, and times each layer below as the best of 5 calls in this process:
   preset's 32001-node frequency grid, and `response_from_susceptibility`
   of the solved chi on its time grid;
 - `write_csv` of a 32001 x 4 table of the preset's frequency kernels
-  (omega, chi_tilde, noise_psd), and of a 32001 x 4 table of subnormals,
-  which all take the `%` fallback;
+  (omega, chi_tilde, noise_psd), which is mirrored, so it formats its
+  omega >= 0 half once; of the same columns with omega shifted by one node,
+  which is not, so every row takes the plain path; and of a 32001 x 4 table
+  of subnormals, which all take the `%` fallback;
 - `variance` on the preset's time grid, classical and at nu = 1 (with the
   quantum-response workload's quadrature: omega_max 300, rtol 0.1);
 - `sample_noise` and `integrate_qcle` at 2000 paths x 1501 nodes,
@@ -27,8 +29,8 @@ thread, and times each layer below as the best of 5 calls in this process:
 Prints one JSON line: the checkout, the versions, the seconds per layer,
 the operator applications of `mean_trajectory` and `solve_susceptibility`
 and, from one more untimed call each, the `tracemalloc` peaks in MB of the
-four frequency-grid layers, of `write_csv` on the kernels table and of a
-whole `qcle mc` run on the preset.
+four frequency-grid layers, of `write_csv` on the kernels table and on its
+shifted twin, and of a whole `qcle mc` run on the preset.
 Each checkout is timed with its own copy of the tool, which calls that
 checkout's API; compare two by running each copy, one after the other:
 
@@ -109,6 +111,7 @@ def main() -> int:
     chit = kernels.chi_tilde(fg.omegas, cfg.bath.gamma, cfg.potential.eta)
     table = [fg.omegas, chit.real, chit.imag,
              kernels.noise_psd(fg.omegas, cfg.bath.gamma, cfg.bath.temp, cfg.bath.nu)]
+    shifted = [fg.omegas + fg.d_omega, *table[1:]]
     subnormal = np.finfo(float).tiny * np.arange(1, fg.n + 1) / (fg.n + 1)
     subnormals = [subnormal, -subnormal, subnormal, -subnormal]
     quantum = replace(cfg.bath, nu=1.0)
@@ -144,9 +147,11 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "table.csv"
         name = f"write_csv {fg.n}x{len(table)}"
-        for key, cols in ((name, table), (f"{name} subnormal", subnormals)):
+        for key, cols in ((name, table), (f"{name} shifted", shifted),
+                          (f"{name} subnormal", subnormals)):
             seconds[key] = best_of(lambda: write_csv(path, ["a", "b", "c", "d"], cols))
-        peaks[name] = peak_mb(lambda: write_csv(path, ["a", "b", "c", "d"], table))
+        for key, cols in ((name, table), (f"{name} shifted", shifted)):
+            peaks[key] = peak_mb(lambda: write_csv(path, ["a", "b", "c", "d"], cols))
     seconds[f"variance n={grid.n} classical"] = best_of(
         lambda: variance(grid, cfg.bath, cfg.potential, quad=cfg.quad))
     seconds[f"variance n={grid.n} nu=1"] = best_of(

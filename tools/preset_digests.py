@@ -10,8 +10,11 @@ term), the three recursions at djm_k_max 3, and one run of each recursion
 that stops on a non-finite term (bistable `moments` at alpha = 3, parabolic
 `response` at eta = -1 and alpha = 0.3, parabolic `susceptibility` at
 epsilon = 1e200); each of these six exits 3 and writes only its manifest,
-with the norms of the finite terms, the false flag and the error. Then it
-runs `qcle validate --criteria 1,5,6,9`
+with the norms of the finite terms, the false flag and the error. The last
+override run is parabolic `kernels` at freq_grid.omega_max = 1e300: it exits
+0, and its mirrored `kernels_freq.csv` has every nonzero omega past 1e280 and
+chi_tilde columns of signed zeros, so the mirror rows of `write_csv` take
+their omega fields from `%`. Then it runs `qcle validate --criteria 1,5,6,9`
 (the Hermitian, causality and Dirac checks; about 3 s), with that
 checkout's `src/` on PYTHONPATH, each run in its own temporary directory.
 Prints one line per run: its label, exit code and the sha256 of every CSV
@@ -42,7 +45,8 @@ VALIDATE_CRITERIA = "1,5,6,9"
 # the response depend on the variance; then the two failure paths of each
 # recursion, too few applications to converge and a term past the float
 # range, where the manifest carries the norms, the false converged flag and
-# the error
+# the error; then a mirrored kernels_freq.csv whose nonzero omega fields
+# write_csv formats through %, in its mirror rows as in its omega > 0 rows
 OVERRIDE_RUNS = [
     ("parabolic nu=2", "parabolic",
      {"potential": {"alpha": 0.2}, "bath": {"nu": 2.0},
@@ -54,6 +58,8 @@ OVERRIDE_RUNS = [
      {"potential": {"eta": -1.0, "alpha": 0.3}}, ("response",)),
     ("parabolic epsilon=1e200", "parabolic", {"potential": {"epsilon": 1e200}},
      ("susceptibility",)),
+    ("parabolic omega_max=1e300", "parabolic", {"freq_grid": {"omega_max": 1e300}},
+     ("kernels",)),
 ]
 
 
