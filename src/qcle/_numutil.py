@@ -33,19 +33,16 @@ def square(x: float) -> float:
     return float(np.float64(x) ** 2)
 
 
-def _next_pow2(n: int) -> int:
-    return 1 << (int(n - 1).bit_length())
-
-
 def fft_length(n: int) -> int:
     """The smallest 2^a 3^b >= n (n >= 1): from n = 1000 on at most 12.5 %
     past n, where a power of two can be 100 % past it. Lengths with factors
     of 5 as well pad less, but measured no faster on the frequency grids
     here."""
-    best = _next_pow2(n)
-    p3 = 1
-    while p3 < best:
-        best = min(best, p3 * _next_pow2(-(-n // p3)))
+    n = int(n)
+    best = 1 << (n - 1).bit_length()  # the smallest power of two >= n
+    p3 = 3
+    while p3 < best:  # p3 times the smallest power of two >= n / p3
+        best = min(best, p3 << (-(-n // p3) - 1).bit_length())
         p3 *= 3
     return best
 

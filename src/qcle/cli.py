@@ -322,7 +322,7 @@ def _csv_blocks(columns: list[np.ndarray]) -> Iterator[str]:
 
 def _text(buf: np.ndarray) -> str:
     """The rows of a zero-padded field buffer, the zero bytes dropped."""
-    return buf.tobytes().replace(b"\0", b"").decode("ascii")
+    return buf.tobytes().translate(None, b"\0").decode("ascii")
 
 
 @functools.cache

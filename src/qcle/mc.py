@@ -4,10 +4,13 @@ The noise is synthesized in the frequency domain (independent complex
 Gaussian amplitudes on the half spectrum, one generator per run, variance
 proportional to the spectral density, one real-output FFT per block of
 paths), giving a stationary band-limited real process whose lag covariance
-matches the closed form away from coincidence. It is stored time-major, one
-row of every path per node. Paths are propagated with an exponential
-(variation-of-constants) Heun step: the linear (gamma, eta) flow is exact,
-nonlinearity and noise enter through a trapezoidal force rule.
+matches the closed form away from coincidence. The synthesis length is the
+smallest even 2^a 3^b that holds the grid and its correlation pad. The
+noise is stored time-major, one row of every path per node, filled
+BLOCK_ROWS paths at a time through a path-major staging array. Paths are
+propagated with an exponential (variation-of-constants) Heun step: the
+linear (gamma, eta) flow is exact, nonlinearity and noise enter through a
+trapezoidal force rule.
 
 One step loop serves two consumers. integrate_qcle keeps every row as an
 Ensemble. estimate_mc steps the moments ensemble and the kick pair as one
@@ -28,7 +31,7 @@ from typing import Iterator, Optional
 import numpy as np
 
 from . import kernels
-from ._numutil import _next_pow2, e1m
+from ._numutil import e1m, fft_length
 from .grids import SampledSignal, TimeGrid
 from .params import BathParams, PotentialParams
 
@@ -142,17 +145,21 @@ class MCEstimate:
 
 
 def _synthesis_length(grid: TimeGrid, nu: float) -> int:
-    """FFT length of the noise synthesis: the grid plus a pad of 14/(nu dt)
-    steps, so that the periodic wrap-around of the covariance (decay rate
-    nu) is negligible at every in-grid lag. Raises SynthesisLengthError past
-    MAX_SYNTHESIS_LENGTH, before anything is allocated."""
+    """FFT length of the noise synthesis: the smallest even 2^a 3^b at least
+    the grid plus a pad of 14/(nu dt) steps, so that the periodic
+    wrap-around of the covariance (decay rate nu) is negligible at every
+    in-grid lag. Even, because the half spectrum ends at a real Nyquist bin;
+    fft_length alone could give an odd power of 3. Raises
+    SynthesisLengthError past MAX_SYNTHESIS_LENGTH, before anything is
+    allocated."""
     pad = 14.0 / (nu * grid.dt)
     if not grid.n + pad <= MAX_SYNTHESIS_LENGTH:
         raise SynthesisLengthError(
             f"noise synthesis needs an FFT of {grid.n + pad:.3g} points for "
             f"nu = {nu!r} at dt = {grid.dt!r}, past the cap of "
             f"{MAX_SYNTHESIS_LENGTH}; increase nu or the time step")
-    return max(8, _next_pow2(grid.n + int(np.ceil(pad))))
+    m = grid.n + int(np.ceil(pad))
+    return max(8, 2 * fft_length(-(-m // 2)))
 
 
 def _check_path_samples(grid: TimeGrid, nfft: int, n_paths: int):
@@ -173,9 +180,11 @@ def sample_noise(grid: TimeGrid, bath: BathParams, n_paths: int,
     One generator seeded by `seed` draws, path after path, the real and
     imaginary normals of each path's half spectrum, so the first paths of a
     larger ensemble equal a smaller ensemble of the same seed. Each block of
-    paths is transformed at once and written into the columns of a
-    time-major (n, n_paths) buffer. Raises SynthesisLengthError or
-    PathSamplesError before drawing or allocating.
+    paths is drawn into one preallocated block, scaled in place and
+    transformed at once into a path-major staging array of BLOCK_ROWS paths,
+    which is written into the columns of a time-major (n, n_paths) buffer
+    once it fills: one transposed write per BLOCK_ROWS paths. Raises
+    SynthesisLengthError or PathSamplesError before drawing or allocating.
     """
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
@@ -187,12 +196,20 @@ def sample_noise(grid: TimeGrid, bath: BathParams, n_paths: int,
                   / (nfft * grid.dt))
     amp[1:half] /= np.sqrt(2.0)  # hfft drops the imaginary parts at 0 and half
     rng = np.random.default_rng(seed)
-    rows = max(1, NOISE_BLOCK_SAMPLES // nfft)
+    rows = min(BLOCK_ROWS, max(1, NOISE_BLOCK_SAMPLES // nfft))
+    x = np.empty((rows, 2, half + 1))  # the normals of a synthesis block
+    z = np.empty((rows, half + 1), dtype=complex)  # its amplitudes
+    stage = np.empty((min(BLOCK_ROWS, n_paths), grid.n))
     out = np.empty((grid.n, n_paths))
-    for p in range(0, n_paths, rows):
-        x = rng.standard_normal((min(rows, n_paths - p), 2, half + 1))
-        out[:, p:p + len(x)] = np.fft.hfft(amp * (x[:, 0] + 1j * x[:, 1]),
-                                           nfft)[:, :grid.n].T
+    for s in range(0, n_paths, BLOCK_ROWS):
+        m = min(BLOCK_ROWS, n_paths - s)
+        for p in range(0, m, rows):
+            k = min(rows, m - p)
+            rng.standard_normal(out=x[:k])
+            np.multiply(amp, x[:k, 0], out=z.real[:k])
+            np.multiply(amp, x[:k, 1], out=z.imag[:k])
+            stage[p:p + k] = np.fft.hfft(z[:k], nfft)[:, :grid.n]
+        out[:, s:s + m] = stage[:m].T
     return NoiseEnsemble(grid, bath, out.T, seed)
 
 
@@ -243,8 +260,10 @@ def _step_rows(noise: NoiseEnsemble, potential: PotentialParams, q0, v0,
     paths are reset to q = v = 0.
 
     Row j holds every path at t_j, so each step reads and writes contiguous
-    rows in place; xi - eps goes into a two-row scratch, the noise is not
-    copied.
+    rows in place; xi - eps goes into a two-row scratch (xi itself when eps
+    is 0, as x - 0.0 is x), the noise is not copied. (q, v) is one
+    (2, *shape) array updated by coefficient columns, so q and v take each
+    operation in one call; the new q is then copied into buf.
     """
     n = noise.grid.n
     h = noise.grid.dt
@@ -253,14 +272,20 @@ def _step_rows(noise: NoiseEnsemble, potential: PotentialParams, q0, v0,
     pqq, pqv, pvq, pvv, a_q, b_q, a_v, b_v = _propagator_constants(gamma, eta, h)
     ab_q = a_q + b_q
     cubic = alpha != 0
+    tilted = eps != 0 or np.signbit(eps)  # x - (-0.0) is +0.0 at x = -0.0
 
     shape = alive.shape
+    # the (q, v) coefficients of q, v, F_j and F_{j+1}, as (2, 1, ...) columns
+    pq, pv, fa, fb = (np.reshape(c, (2,) + (1,) * len(shape))
+                      for c in ((pqq, pvq), (pqv, pvv), (a_q, a_v), (b_q, b_v)))
     xi = noise.values.T  # (n, n_paths)
-    xe = np.empty((2, shape[-1]))  # xi - eps at the two nodes of a step
-    np.subtract(xi[0], eps, out=xe[0])  # the constant force, folded in
+    if tilted:
+        xe = np.empty((2, shape[-1]))  # xi - eps at the two nodes of a step
+        np.subtract(xi[0], eps, out=xe[0])  # the constant force, folded in
     buf[0] = q0
-    v = np.broadcast_to(np.asarray(v0, dtype=float), shape).copy()
-    v_new, lin, tmp = np.empty((3, *shape))
+    qv, qv_new, tmp2 = np.empty((3, 2, *shape))
+    qv[0], qv[1] = buf[0], v0
+    tmp = tmp2[0]
     if cubic:
         f_j, f_n, q_pred = np.empty((3, *shape))
     j0 = 0
@@ -270,45 +295,43 @@ def _step_rows(noise: NoiseEnsemble, potential: PotentialParams, q0, v0,
             yield j0, buf[:i]
             buf[0] = buf[i]
             j0, i = j, 0
-        q, q_new = buf[i], buf[i + 1]
-        x_j, x_n = xe[j % 2], xe[(j + 1) % 2]
-        np.subtract(xi[j + 1], eps, out=x_n)
-        np.multiply(pqq, q, out=lin)
-        np.multiply(pqv, v, out=tmp)
-        lin += tmp  # pqq q + pqv v
+        q, v = qv
+        if tilted:
+            x_j, x_n = xe[j % 2], xe[(j + 1) % 2]
+            np.subtract(xi[j + 1], eps, out=x_n)
+        else:
+            x_j, x_n = xi[j], xi[j + 1]
+        np.multiply(pq, q, out=qv_new)
+        np.multiply(pv, v, out=tmp2)
+        qv_new += tmp2  # (pqq q + pqv v, pvq q + pvv v)
         if cubic:  # f = -alpha q^3 - eps + xi, at q and at the predictor
             np.multiply(q, q, out=f_j)
             f_j *= q
             f_j *= -alpha
             f_j += x_j
             np.multiply(ab_q, f_j, out=q_pred)
-            q_pred += lin
+            q_pred += qv_new[0]
             np.multiply(q_pred, q_pred, out=f_n)
             f_n *= q_pred
             f_n *= -alpha
             f_n += x_n
         else:
             f_j, f_n = x_j, x_n
-        np.multiply(a_q, f_j, out=tmp)
-        np.add(lin, tmp, out=q_new)
-        np.multiply(b_q, f_n, out=tmp)
-        q_new += tmp
-        np.multiply(pvq, q, out=v_new)
-        np.multiply(pvv, v, out=tmp)
-        v_new += tmp
-        np.multiply(a_v, f_j, out=tmp)
-        v_new += tmp
-        np.multiply(b_v, f_n, out=tmp)
-        v_new += tmp
-        v, v_new = v_new, v
+        np.multiply(fa, f_j, out=tmp2)
+        qv_new += tmp2
+        np.multiply(fb, f_n, out=tmp2)
+        qv_new += tmp2
+        qv, qv_new = qv_new, qv
+        q_new = qv[0]
         # one reduction per step: a NaN or inf fails it, and only then is
         # the failing set worked out
-        worst = np.max(np.abs(q_new, out=tmp))
+        worst = np.abs(q_new, out=tmp).max()
         if not (worst <= blowup_guard and np.isfinite(worst)):
             ok = np.isfinite(q_new) & (np.abs(q_new) <= blowup_guard)
             alive &= ok
             reset = ~alive & ~ok.all(axis=-1, keepdims=True)  # failing ensembles
-            q_new[reset] = v[reset] = 0.0
+            qv[:, reset] = 0.0
+        buf[i + 1] = q_new
     yield j0, buf[:n - j0]
 
 

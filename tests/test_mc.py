@@ -42,7 +42,10 @@ def test_seed_determinism():
     assert np.array_equal(e.values, f.values[:rows - 3])
 
 
-@pytest.mark.parametrize("bath", [CLASSICAL, QUANTUM], ids=["classical", "quantum"])
+# nu = 4 pads the 10/501 grid to 676 points: fft_length alone would give
+# 729, an odd length; the synthesis takes the even 768
+@pytest.mark.parametrize("bath", [CLASSICAL, QUANTUM, BathParams(1.0, 0.5, 4.0)],
+                         ids=["classical", "quantum", "quantum_nu_4"])
 def test_noise_matches_full_spectrum_synthesis(bath, monkeypatch):
     # reference: the same normals per path, (xr, xi) = rows [p, 0] and [p, 1],
     # mirrored into a Hermitian full spectrum and transformed by a complex
@@ -268,11 +271,32 @@ def test_synthesis_length_covers_correlation_decay():
     assert (slow - grid.n) * grid.dt >= 14.0 / 0.5
 
 
+def _is_3_smooth(k):
+    for p in (2, 3):
+        while k % p == 0:
+            k //= p
+    return k == 1
+
+
+@pytest.mark.parametrize("grid", [TimeGrid(10.0, 501), TimeGrid(3.0, 601),
+                                  TimeGrid(15.0, 1501), TimeGrid(15.0, 3001)],
+                         ids=lambda g: f"{g.t_max:g}/{g.n}")
+def test_synthesis_length_is_the_smallest_even_3_smooth_length(grid):
+    for nu in np.geomspace(2.0, 20.0, 41):
+        nfft = _synthesis_length(grid, nu)
+        need = grid.n + 14.0 / (nu * grid.dt)
+        assert nfft % 2 == 0 and _is_3_smooth(nfft) and nfft >= need
+        lo = int(np.ceil(need))  # no shorter even length would do
+        assert not any(_is_3_smooth(k) for k in range(lo + lo % 2, nfft, 2))
+
+
 def test_synthesis_length_capped_before_allocating():
     grid = TimeGrid(15.0, 1501)
     # the quantum-nu MC configs (nu >= 2) stay far inside the cap
     assert _synthesis_length(grid, 2.0) <= 4096 < MAX_SYNTHESIS_LENGTH
-    assert _synthesis_length(grid, 2e-3) == MAX_SYNTHESIS_LENGTH
+    # a padded length in (2^12 3^5, 2^20] has no even 2^a 3^b below the cap
+    assert 995_328 < grid.n + 14.0 / (1.4e-3 * grid.dt) <= MAX_SYNTHESIS_LENGTH
+    assert _synthesis_length(grid, 1.4e-3) == MAX_SYNTHESIS_LENGTH
     for nu in (1e-4, 1e-6, 1e-310):  # 2^24 and 2^31 points, and an infinite pad
         tracemalloc.start()
         try:

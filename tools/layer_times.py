@@ -24,7 +24,10 @@ thread, and times each layer below as the best of 5 calls in this process:
 - `sample_noise` and `integrate_qcle` at 2000 paths x 1501 nodes,
   `estimate_response` of the same noise (the preset's quartic potential,
   f0_kick and thermal v0), and `estimate_mc`, the one pass of `qcle mc`
-  that steps the preset's moments ensemble and that kick pair as one batch.
+  that steps the preset's moments ensemble and that kick pair as one batch;
+- `sample_noise` and `estimate_mc` at 2000 paths x 601 nodes (dt 0.005,
+  the preset's bath) in the tilted double well (eta = -1, alpha = 1,
+  epsilon = 0.2), the grid of the benchmark's tilted MC configs.
 
 Prints one JSON line: the checkout, the versions, the seconds per layer,
 the operator applications of `mean_trajectory` and `solve_susceptibility`
@@ -58,6 +61,8 @@ REPEATS = 5
 PRESET = "bistable"
 N_PATHS = 2000
 MC_SEED = 12345
+TILTED_GRID = (3.0, 601)  # t_max, n
+TILTED = {"eta": -1.0, "alpha": 1.0, "epsilon": 0.2}
 
 
 def best_of(fn, repeats: int = REPEATS) -> float:
@@ -88,7 +93,7 @@ def main() -> int:
 
     import numpy as np
 
-    from qcle import kernels
+    from qcle import TimeGrid, kernels
     from qcle.cli import main as cli_main
     from qcle.cli import parse_config, write_csv
     from qcle.mc import estimate_mc, estimate_response, integrate_qcle, sample_noise
@@ -165,6 +170,14 @@ def main() -> int:
                                   cfg.settings["thermal_v0"]))
     seconds[f"estimate_mc {N_PATHS}x{grid.n}"] = best_of(
         lambda: estimate_mc(noise, cfg.potential, cfg.q0, cfg.v0,
+                            cfg.settings["f0_kick"], cfg.settings["thermal_v0"]))
+    tilted_grid = TimeGrid(*TILTED_GRID)
+    tilted = replace(cfg.potential, **TILTED)
+    tilted_noise = sample_noise(tilted_grid, cfg.bath, N_PATHS, MC_SEED)
+    seconds[f"sample_noise {N_PATHS}x{tilted_grid.n} tilted"] = best_of(
+        lambda: sample_noise(tilted_grid, cfg.bath, N_PATHS, MC_SEED))
+    seconds[f"estimate_mc {N_PATHS}x{tilted_grid.n} tilted"] = best_of(
+        lambda: estimate_mc(tilted_noise, tilted, cfg.q0, cfg.v0,
                             cfg.settings["f0_kick"], cfg.settings["thermal_v0"]))
     with tempfile.TemporaryDirectory() as tmp:
         peaks[f"qcle mc {PRESET}"] = peak_mb(lambda: cli_main(
