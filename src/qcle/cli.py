@@ -27,7 +27,6 @@ from typing import Iterator, Optional
 import numpy as np
 
 from . import __version__, kernels
-from .acceptance import CRITERIA, KNOWN_UNATTAINABLE, run_acceptance
 from .djm import ConvergenceError, DjmSolution, NonFiniteTermError
 from .grids import FreqGrid, Spectrum, TimeGrid
 # estimate_moments, estimate_response and integrate_qcle stay bound here:
@@ -580,6 +579,8 @@ def cmd_mc(cfg: RunConfig, out: Path, m: dict) -> int:
 
 def cmd_validate(cfg: Optional[RunConfig], out: Path, m: dict,
                  criteria: Optional[list[int]]) -> int:
+    # imported here, so that no other subcommand pays for importing it
+    from .acceptance import KNOWN_UNATTAINABLE, run_acceptance
     results = run_acceptance(criteria)
     # no timings in the report so reruns stay byte-identical
     write_csv(out / "acceptance_report.csv",
@@ -687,6 +688,7 @@ def main(argv: Optional[list[str]] = None) -> int:
             criteria = [int(x) for x in args.criteria.split(",") if x.strip()]
         except ValueError:
             return _config_error([f"bad --criteria {args.criteria!r}"])
+        from .acceptance import CRITERIA
         unknown = sorted(set(criteria) - set(CRITERIA))
         if unknown:
             return _config_error([f"unknown criterion {c} in --criteria"

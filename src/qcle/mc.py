@@ -180,11 +180,14 @@ def sample_noise(grid: TimeGrid, bath: BathParams, n_paths: int,
     One generator seeded by `seed` draws, path after path, the real and
     imaginary normals of each path's half spectrum, so the first paths of a
     larger ensemble equal a smaller ensemble of the same seed. Each block of
-    paths is drawn into one preallocated block, scaled in place and
-    transformed at once into a path-major staging array of BLOCK_ROWS paths,
-    which is written into the columns of a time-major (n, n_paths) buffer
-    once it fills: one transposed write per BLOCK_ROWS paths. Raises
-    SynthesisLengthError or PathSamplesError before drawing or allocating.
+    paths is drawn into one preallocated block, scaled in place into its
+    conjugated amplitudes and transformed at once by an unscaled irfft into
+    another (numpy's hfft, without the conjugated copy and the output array
+    it allocates). The grid columns go to a path-major staging array of
+    BLOCK_ROWS paths, which is written into the columns of a time-major
+    (n, n_paths) buffer once it fills: one transposed write per BLOCK_ROWS
+    paths. Raises SynthesisLengthError or PathSamplesError before drawing or
+    allocating.
     """
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
@@ -194,11 +197,13 @@ def sample_noise(grid: TimeGrid, bath: BathParams, n_paths: int,
     wk = 2.0 * np.pi * np.fft.rfftfreq(nfft, d=grid.dt)
     amp = np.sqrt(kernels.noise_psd(wk, bath.gamma, bath.temp, bath.nu)
                   / (nfft * grid.dt))
-    amp[1:half] /= np.sqrt(2.0)  # hfft drops the imaginary parts at 0 and half
+    amp[1:half] /= np.sqrt(2.0)  # irfft drops the imaginary parts at 0 and half
+    neg_amp = -amp  # the imaginary parts are conjugated, an exact sign flip
     rng = np.random.default_rng(seed)
     rows = min(BLOCK_ROWS, max(1, NOISE_BLOCK_SAMPLES // nfft))
     x = np.empty((rows, 2, half + 1))  # the normals of a synthesis block
-    z = np.empty((rows, half + 1), dtype=complex)  # its amplitudes
+    z = np.empty((rows, half + 1), dtype=complex)  # its conjugated amplitudes
+    block = np.empty((rows, nfft))  # its synthesized paths
     stage = np.empty((min(BLOCK_ROWS, n_paths), grid.n))
     out = np.empty((grid.n, n_paths))
     for s in range(0, n_paths, BLOCK_ROWS):
@@ -207,8 +212,9 @@ def sample_noise(grid: TimeGrid, bath: BathParams, n_paths: int,
             k = min(rows, m - p)
             rng.standard_normal(out=x[:k])
             np.multiply(amp, x[:k, 0], out=z.real[:k])
-            np.multiply(amp, x[:k, 1], out=z.imag[:k])
-            stage[p:p + k] = np.fft.hfft(z[:k], nfft)[:, :grid.n]
+            np.multiply(neg_amp, x[:k, 1], out=z.imag[:k])
+            np.fft.irfft(z[:k], nfft, norm="forward", out=block[:k])
+            stage[p:p + k] = block[:k, :grid.n]
         out[:, s:s + m] = stage[:m].T
     return NoiseEnsemble(grid, bath, out.T, seed)
 

@@ -333,8 +333,9 @@ def variance_spectrum(sigma2: SampledSignal, grid: FreqGrid,
 def _closure_force(u: np.ndarray, sig: np.ndarray, c: float) -> np.ndarray:
     """c u^3 + 3 u sigma^2: the cubic force <q^3> = G^3 + 3 G sigma^2 of the
     Gaussian closure for the mean G (c = 1), and for the response R = G/f0
-    of the kick v0 = f0 (c = f0^2)."""
-    return c * u**3 + 3.0 * u * sig
+    of the kick v0 = f0 (c = f0^2). The cube is the product u u u, as in the
+    MC step, not a pow call."""
+    return c * (u * u * u) + 3.0 * u * sig
 
 
 def _closure_b(u: np.ndarray, cv: np.ndarray, sig: np.ndarray, c: float,

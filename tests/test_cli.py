@@ -3,6 +3,8 @@
 import csv
 import hashlib
 import json
+import subprocess
+import sys
 import time
 import tracemalloc
 import warnings
@@ -11,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import qcle
 from qcle.cli import (CSV_BAND, CSV_BLOCK, NonFiniteOutputError, _mirrored, main,
                       write_csv)
 
@@ -337,6 +340,17 @@ def test_validate_reports_known_defect(tmp_path, capsys):
 def test_validate_bad_criteria_exit_2(tmp_path):
     assert main(["validate", "--criteria", "1,zap",
                  "--out", str(tmp_path / "o")]) == 2
+
+
+def test_cli_import_leaves_the_acceptance_suite_out():
+    # only validate imports qcle.acceptance, so the other subcommands start
+    # without importing it; a fresh interpreter sees what the import pulls in
+    src = str(Path(qcle.__file__).resolve().parent.parent)
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import qcle.cli; "
+            "print('qcle.acceptance' in sys.modules)")
+    res = subprocess.run([sys.executable, "-c", code, src], capture_output=True,
+                         text=True, check=True)
+    assert res.stdout == "False\n"
 
 
 BISTABLE = json.loads(

@@ -14,10 +14,11 @@ from qcle import (BathParams, FreqGrid, PotentialParams,
                   SusceptibilityProblem, TimeGrid, chi_q, chi_v, chi_v_dot,
                   djm_solve, mean_trajectory, solve_susceptibility, variance,
                   variance_spectrum, zero_sigma2)
-from qcle._numutil import cumtrapz, e1m, trapezoid_weights
+from qcle._numutil import cumtrapz, e1m, square, trapezoid_weights
 from qcle.kernels import effective_roots, noise_psd, xi_q0_coefficients
-from qcle.moments import (PlateauError, _closure_b, _growing_tail,
-                          _preparation_cross_term, estimate_plateau)
+from qcle.moments import (PlateauError, _closure_b, _closure_force,
+                          _growing_tail, _preparation_cross_term,
+                          estimate_plateau)
 from qcle.params import parabolic
 
 CLASSICAL = BathParams(gamma=1.0, temp=1.0, nu=1e4)
@@ -494,6 +495,20 @@ def test_mean_in_one_window_is_one_recursion():
                                  k_max=60)
         assert np.array_equal(g.values, ref.partial_sum)
         assert sol.term_norms == ref.term_norms
+
+
+@pytest.mark.parametrize("c", [1.0, square(0.3)], ids=["mean", "response"])
+def test_closure_force_forms_the_cube_by_products(c):
+    # the one cube rule of the closure: c (u u u) + 3 u sigma^2, bit for bit
+    # what plain Python floats give, past 1e103 too, where the cube is inf
+    rng = np.random.default_rng(5)
+    u = np.concatenate([rng.normal(0.0, 3.0, 64), [0.0, -0.0, 1e103, -2e103]])
+    sig = rng.uniform(0.0, 2.0, u.size)
+    ref = [c * (x * x * x) + 3.0 * x * s for x, s in zip(u.tolist(), sig.tolist())]
+    with np.errstate(over="ignore"):
+        ours = _closure_force(u, sig, c)
+    assert np.array_equal(ours, ref)
+    assert np.array_equal(np.isinf(ours), np.abs(u) >= 1e103)
 
 
 def test_mean_term_norms_count_every_window(monkeypatch):

@@ -10,6 +10,9 @@ thread, and times each layer below as the best of 5 calls in this process:
 - `solve_response_windowed` and `mean_trajectory` on the preset's time
   grid and variance, at its response_window, djm_tol and djm_k_max (and
   its q0, v0 for the mean);
+- `integrate_duffing` at dt_sub 5e-4 and `solve_response_windowed` on the
+  quantum-response workload's time grid (t_max 15, 3001 nodes), with the
+  preset's potential and the nu = 1 bath and quadrature of `variance`;
 - `variance_spectrum` of the preset's variance, `psi_operator` and
   `solve_susceptibility` (at the preset's djm_tol and djm_k_max) on that
   preset's 32001-node frequency grid, and `response_from_susceptibility`
@@ -61,7 +64,8 @@ REPEATS = 5
 PRESET = "bistable"
 N_PATHS = 2000
 MC_SEED = 12345
-TILTED_GRID = (3.0, 601)  # t_max, n
+QUANTUM_GRID = (15.0, 3001)  # t_max, n
+TILTED_GRID = (3.0, 601)
 TILTED = {"eta": -1.0, "alpha": 1.0, "epsilon": 0.2}
 
 
@@ -135,6 +139,16 @@ def main() -> int:
         return mean_trajectory(cfg.q0, cfg.v0, cfg.potential, cfg.bath, sig2,
                                cfg.settings["response_window"], tol, k_max)
     seconds[f"mean_trajectory n={grid.n}"] = best_of(mean)
+    quantum_grid = TimeGrid(*QUANTUM_GRID)
+    quantum_response = ResponseProblem(
+        cfg.potential, quantum,
+        variance(quantum_grid, quantum, cfg.potential, quad=quantum_quad))
+    name = f"n={quantum_grid.n} nu=1"
+    seconds[f"integrate_duffing dt_sub=0.0005 {name}"] = best_of(
+        lambda: integrate_duffing(quantum_response, dt_sub=5e-4))
+    seconds[f"solve_response_windowed {name}"] = best_of(
+        lambda: solve_response_windowed(quantum_response,
+                                        cfg.settings["response_window"], tol, k_max))
     solved, susc_sol = solve_susceptibility(susc, tol, k_max)
     layers = {
         f"variance_spectrum n={fg.n}":
