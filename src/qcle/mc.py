@@ -6,11 +6,11 @@ proportional to the spectral density, one real-output FFT per block of
 paths), giving a stationary band-limited real process whose lag covariance
 matches the closed form away from coincidence. The synthesis length is the
 smallest even 2^a 3^b that holds the grid and its correlation pad. The
-noise is stored time-major, one row of every path per node, filled
-BLOCK_ROWS paths at a time through a path-major staging array. Paths are
-propagated with an exponential (variation-of-constants) Heun step: the
-linear (gamma, eta) flow is exact, nonlinearity and noise enter through a
-trapezoidal force rule.
+noise is stored time-major, one row of every path per node, one transposed
+copy per synthesis block of up to BLOCK_ROWS paths. Paths are propagated
+with an exponential (variation-of-constants) Heun step: the linear (gamma,
+eta) flow is exact, nonlinearity and noise enter through a trapezoidal
+force rule; each step is two small matrix products over the batch.
 
 One step loop serves two consumers. integrate_qcle keeps every row as an
 Ensemble. estimate_mc steps the moments ensemble and the kick pair as one
@@ -41,8 +41,9 @@ MAX_SYNTHESIS_LENGTH = 1 << 20
 # it bounds the (n_paths, grid.n) output (1 GiB of float64 at the cap), the
 # normals drawn and the FFT work
 MAX_PATH_SAMPLES = 1 << 27
-# samples per noise synthesis block (NOISE_BLOCK_SAMPLES // nfft paths): 128 kB
-NOISE_BLOCK_SAMPLES = 1 << 14
+# most samples in a noise synthesis block of min(BLOCK_ROWS, this // nfft)
+# paths: its two arrays (normals, then paths; amplitudes) stay near this size
+NOISE_BLOCK_SAMPLES = MAX_SYNTHESIS_LENGTH
 # time rows per block that estimate_mc and estimate_moments reduce at once
 BLOCK_ROWS = 64
 # default |q| past which a path is excluded
@@ -180,13 +181,13 @@ def sample_noise(grid: TimeGrid, bath: BathParams, n_paths: int,
     One generator seeded by `seed` draws, path after path, the real and
     imaginary normals of each path's half spectrum, so the first paths of a
     larger ensemble equal a smaller ensemble of the same seed. Each block of
-    paths is drawn into one preallocated block, scaled in place into its
-    conjugated amplitudes and transformed at once by an unscaled irfft into
-    another (numpy's hfft, without the conjugated copy and the output array
-    it allocates). The grid columns go to a path-major staging array of
-    BLOCK_ROWS paths, which is written into the columns of a time-major
-    (n, n_paths) buffer once it fills: one transposed write per BLOCK_ROWS
-    paths. Raises SynthesisLengthError or PathSamplesError before drawing or
+    up to BLOCK_ROWS paths, and of at most NOISE_BLOCK_SAMPLES synthesis
+    samples, is drawn into one preallocated array, scaled into its conjugated
+    amplitudes and transformed at once by an unscaled irfft (numpy's hfft,
+    without the conjugated copy and the output array it allocates) back into
+    the array of its normals. Its grid columns are written straight into the
+    columns of a time-major (n, n_paths) buffer: one transposed write per
+    block. Raises SynthesisLengthError or PathSamplesError before drawing or
     allocating.
     """
     if n_paths < 1:
@@ -200,22 +201,18 @@ def sample_noise(grid: TimeGrid, bath: BathParams, n_paths: int,
     amp[1:half] /= np.sqrt(2.0)  # irfft drops the imaginary parts at 0 and half
     neg_amp = -amp  # the imaginary parts are conjugated, an exact sign flip
     rng = np.random.default_rng(seed)
-    rows = min(BLOCK_ROWS, max(1, NOISE_BLOCK_SAMPLES // nfft))
+    rows = min(BLOCK_ROWS, n_paths, max(1, NOISE_BLOCK_SAMPLES // nfft))
     x = np.empty((rows, 2, half + 1))  # the normals of a synthesis block
     z = np.empty((rows, half + 1), dtype=complex)  # its conjugated amplitudes
-    block = np.empty((rows, nfft))  # its synthesized paths
-    stage = np.empty((min(BLOCK_ROWS, n_paths), grid.n))
+    block = x.reshape(rows, -1)[:, :nfft]  # its paths, over its spent normals
     out = np.empty((grid.n, n_paths))
-    for s in range(0, n_paths, BLOCK_ROWS):
-        m = min(BLOCK_ROWS, n_paths - s)
-        for p in range(0, m, rows):
-            k = min(rows, m - p)
-            rng.standard_normal(out=x[:k])
-            np.multiply(amp, x[:k, 0], out=z.real[:k])
-            np.multiply(neg_amp, x[:k, 1], out=z.imag[:k])
-            np.fft.irfft(z[:k], nfft, norm="forward", out=block[:k])
-            stage[p:p + k] = block[:k, :grid.n]
-        out[:, s:s + m] = stage[:m].T
+    for s in range(0, n_paths, rows):
+        k = min(rows, n_paths - s)
+        rng.standard_normal(out=x[:k])
+        np.multiply(amp, x[:k, 0], out=z.real[:k])
+        np.multiply(neg_amp, x[:k, 1], out=z.imag[:k])
+        np.fft.irfft(z[:k], nfft, norm="forward", out=block[:k])
+        out[:, s:s + k] = block[:k, :grid.n].T
     return NoiseEnsemble(grid, bath, out.T, seed)
 
 
@@ -266,34 +263,44 @@ def _step_rows(noise: NoiseEnsemble, potential: PotentialParams, q0, v0,
     paths are reset to q = v = 0.
 
     Row j holds every path at t_j, so each step reads and writes contiguous
-    rows in place; xi - eps goes into a two-row scratch (xi itself when eps
-    is 0, as x - 0.0 is x), the noise is not copied. (q, v) is one
-    (2, *shape) array updated by coefficient columns, so q and v take each
-    operation in one call; the new q is then copied into buf.
+    rows; xi - eps goes into a two-row scratch (xi itself when eps is 0, as
+    x - 0.0 is x), the noise is not copied. A step is two small matrix
+    products on the (4, size) state (q, v, F_j, F_{j+1}): the predictor row
+    (pqq, pqv, a_q + b_q) times (q, v, F_j) gives the predicted q, and the
+    (2, 4) propagator times the state the new (q, v). At alpha = 0 a (2, 2)
+    product steps (q, v), and the (2, 2) noise weights times the step's two
+    noise rows, formed once on n_paths, are added by broadcast. BLAS forms
+    these products, so a path's last bits can depend on the batch's shape.
     """
     n = noise.grid.n
-    h = noise.grid.dt
-    gamma = noise.bath.gamma
-    eta, alpha, eps = potential.eta, potential.alpha, potential.epsilon
-    pqq, pqv, pvq, pvv, a_q, b_q, a_v, b_v = _propagator_constants(gamma, eta, h)
-    ab_q = a_q + b_q
+    alpha, eps = potential.alpha, potential.epsilon
+    pqq, pqv, pvq, pvv, a_q, b_q, a_v, b_v = _propagator_constants(
+        noise.bath.gamma, potential.eta, noise.grid.dt)
     cubic = alpha != 0
     tilted = eps != 0 or np.signbit(eps)  # x - (-0.0) is +0.0 at x = -0.0
 
     shape = alive.shape
-    # the (q, v) coefficients of q, v, F_j and F_{j+1}, as (2, 1, ...) columns
-    pq, pv, fa, fb = (np.reshape(c, (2,) + (1,) * len(shape))
-                      for c in ((pqq, pvq), (pqv, pvv), (a_q, a_v), (b_q, b_v)))
     xi = noise.values.T  # (n, n_paths)
     if tilted:
         xe = np.empty((2, shape[-1]))  # xi - eps at the two nodes of a step
-        np.subtract(xi[0], eps, out=xe[0])  # the constant force, folded in
+        np.subtract(xi[0], eps, out=xe[1])  # the constant force, folded in
     buf[0] = q0
-    qv, qv_new, tmp2 = np.empty((3, 2, *shape))
-    qv[0], qv[1] = buf[0], v0
-    tmp = tmp2[0]
+    # the states (q, v, F_j, F_{j+1}) of this step and the next, and the
+    # views a step takes of them, by the parity of j
+    flat = np.empty((2, 4, alive.size))
+    states = flat.reshape(2, 4, *shape)
+    states[0, 0], states[0, 1] = buf[0], v0
+    sides = [(flat[c], *states[c], flat[1 - c, :2], states[1 - c, :2])
+             for c in (0, 1)]
     if cubic:
-        f_j, f_n, q_pred = np.empty((3, *shape))
+        tmp = np.empty(shape)
+        pred = np.array([pqq, pqv, a_q + b_q])
+        prop = np.array([[pqq, pqv, a_q, b_q], [pvq, pvv, a_v, b_v]])
+    else:
+        prop = np.array([[pqq, pqv], [pvq, pvv]])
+        weights = np.array([[a_q, b_q], [a_v, b_v]])
+        kick = np.empty((2, shape[-1]))  # the noise term of a step
+        kick_rows = kick.reshape(2, *(1,) * (len(shape) - 1), -1)
     j0 = 0
     for j in range(n - 1):
         i = j - j0
@@ -301,43 +308,35 @@ def _step_rows(noise: NoiseEnsemble, potential: PotentialParams, q0, v0,
             yield j0, buf[:i]
             buf[0] = buf[i]
             j0, i = j, 0
-        q, v = qv
         if tilted:
-            x_j, x_n = xe[j % 2], xe[(j + 1) % 2]
-            np.subtract(xi[j + 1], eps, out=x_n)
-        else:
-            x_j, x_n = xi[j], xi[j + 1]
-        np.multiply(pq, q, out=qv_new)
-        np.multiply(pv, v, out=tmp2)
-        qv_new += tmp2  # (pqq q + pqv v, pvq q + pvv v)
+            xe[0] = xe[1]
+            np.subtract(xi[j + 1], eps, out=xe[1])
+        x2 = xe if tilted else xi[j:j + 2]
+        state, q, _, f_j, f_n, qv_flat, qv = sides[j % 2]
         if cubic:  # f = -alpha q^3 - eps + xi, at q and at the predictor
-            np.multiply(q, q, out=f_j)
+            np.square(q, out=f_j)
             f_j *= q
             f_j *= -alpha
-            f_j += x_j
-            np.multiply(ab_q, f_j, out=q_pred)
-            q_pred += qv_new[0]
-            np.multiply(q_pred, q_pred, out=f_n)
-            f_n *= q_pred
-            f_n *= -alpha
-            f_n += x_n
+            f_j += x2[0]
+            np.matmul(pred, state[:3], out=state[3])  # the predicted q
+            np.square(f_n, out=tmp)
+            tmp *= f_n
+            np.multiply(tmp, -alpha, out=f_n)
+            f_n += x2[1]
+            np.matmul(prop, state, out=qv_flat)
         else:
-            f_j, f_n = x_j, x_n
-        np.multiply(fa, f_j, out=tmp2)
-        qv_new += tmp2
-        np.multiply(fb, f_n, out=tmp2)
-        qv_new += tmp2
-        qv, qv_new = qv_new, qv
-        q_new = qv[0]
-        # one reduction per step: a NaN or inf fails it, and only then is
-        # the failing set worked out
-        worst = np.abs(q_new, out=tmp).max()
-        if not (worst <= blowup_guard and np.isfinite(worst)):
-            ok = np.isfinite(q_new) & (np.abs(q_new) <= blowup_guard)
+            np.matmul(weights, x2, out=kick)
+            np.matmul(prop, state[:2], out=qv_flat)
+            qv += kick_rows
+        # one dot product per step: a sum of squares strictly below guard^2
+        # bounds every |q| (a q just past the guard may square to guard^2),
+        # and a NaN or inf fails it; only then are the failed paths found
+        if not qv_flat[0] @ qv_flat[0] < blowup_guard * blowup_guard:
+            ok = np.isfinite(qv[0]) & (np.abs(qv[0]) <= blowup_guard)
             alive &= ok
             reset = ~alive & ~ok.all(axis=-1, keepdims=True)  # failing ensembles
             qv[:, reset] = 0.0
-        buf[i + 1] = q_new
+        buf[i + 1] = qv[0]
     yield j0, buf[:n - j0]
 
 
@@ -376,38 +375,40 @@ def _kept(excluded: np.ndarray) -> Optional[np.ndarray]:
 
 class _NodeMoments:
     """Per-node mean, unbiased variance and, with fourth, fourth central
-    moment of one ensemble, fed as time-major (m, n_paths) row blocks.
+    moment of one ensemble, fed as time-major (m, n_paths) row blocks whose
+    rows are contiguous.
 
-    keep selects the paths (None: all). numpy sums a node over its paths
-    pairwise where they are contiguous (the step loop's rows) and path by
-    path where they are strided (kept paths, a path-major array), the same
-    way whatever block the node comes in: each node gets the bits of the
-    whole-array reduction over the same layout.
+    keep selects the paths (None: all). Each node is reduced by dot products
+    along its row: the mean as the row times ones over count, the variance
+    and the fourth moment from the deviations and their squares, so a block
+    is read three times and written twice (once without fourth). A row's dot
+    product does not depend on the block it comes in, so each node gets the
+    bits of the whole-array reduction.
     """
 
     def __init__(self, n: int, keep: Optional[np.ndarray], fourth: bool):
-        self.keep = keep
+        self.keep = None if keep is None else np.flatnonzero(keep)
         self.count = 0
         self.mean, self.var = np.empty((2, n))
         self.m4 = np.empty(n) if fourth else None
 
     def add(self, j0: int, rows: np.ndarray):
         if self.keep is not None:
-            # path-major, so each node is summed path by path, as traj[keep] was
-            rows = np.asfortranarray(rows[:, self.keep])
+            rows = rows.take(self.keep, axis=1)  # C order, as rows[:, keep] is not
         j1 = j0 + len(rows)
         self.count = count = rows.shape[1]
-        mean = self.mean[j0:j1] = rows.mean(axis=1)
+        mean = self.mean[j0:j1] = np.vecdot(rows, np.ones(count)) / count
         dev = rows - mean[:, None]
-        dev *= dev  # squared deviations
-        self.var[j0:j1] = dev.sum(axis=1) / (count - 1)
+        self.var[j0:j1] = np.vecdot(dev, dev) / (count - 1)
         if self.m4 is not None:
-            dev *= dev  # fourth powers
-            self.m4[j0:j1] = dev.mean(axis=1)
+            dev *= dev  # squared deviations
+            self.m4[j0:j1] = np.vecdot(dev, dev) / count
 
-    def mean_and_stderr(self, grid: TimeGrid) -> tuple[SampledSignal, SampledSignal]:
-        return (SampledSignal(grid, self.mean),
-                SampledSignal(grid, np.sqrt(self.var / self.count)))
+    def mean_and_stderr(self, grid: TimeGrid,
+                        scale: float = 1.0) -> tuple[SampledSignal, SampledSignal]:
+        """The mean and its standard error, of the paths times scale."""
+        return (SampledSignal(grid, self.mean * scale),
+                SampledSignal(grid, np.sqrt(self.var * (scale * scale) / self.count)))
 
     def estimate(self, grid: TimeGrid) -> MomentEstimate:
         """The MomentEstimate of a reducer built with fourth."""
@@ -420,11 +421,12 @@ class _NodeMoments:
 
 def estimate_moments(ensemble: Ensemble) -> MomentEstimate:
     """Per-node unbiased mean/variance and their standard errors (excluded
-    paths are skipped), reduced BLOCK_ROWS nodes at a time."""
+    paths are skipped), reduced BLOCK_ROWS nodes at a time, each block made
+    time-major first when the paths are stored path-major."""
     nodes = _NodeMoments(ensemble.grid.n, _kept(ensemble.excluded), fourth=True)
     rows = ensemble.trajectories.T
     for j0 in range(0, len(rows), BLOCK_ROWS):
-        nodes.add(j0, rows[j0:j0 + BLOCK_ROWS])
+        nodes.add(j0, np.ascontiguousarray(rows[j0:j0 + BLOCK_ROWS]))
     return nodes.estimate(ensemble.grid)
 
 
@@ -467,9 +469,7 @@ def _one_pass(noise: NoiseEnsemble, potential: PotentialParams, start,
                                    alive):
             if moments is not None:
                 moments.add(j0, rows[:, 0])
-            diffs = rows[:, -1] - rows[:, -2]  # kicked - base
-            diffs /= f0_kick
-            pair.add(j0, diffs)
+            pair.add(j0, rows[:, -1] - rows[:, -2])  # kicked - base
         return alive, moments, pair
 
     alive, moments, pair = run(None, None)
@@ -485,7 +485,7 @@ def _one_pass(noise: NoiseEnsemble, potential: PotentialParams, start,
     if excluded.any():
         _, moments, pair = run(keep_moments, keep_pair)
     return (None if moments is None else moments.estimate(grid),
-            pair.mean_and_stderr(grid), excluded, pair_excluded)
+            pair.mean_and_stderr(grid, 1.0 / f0_kick), excluded, pair_excluded)
 
 
 def estimate_mc(noise: NoiseEnsemble, potential: PotentialParams, q0, v0,

@@ -3,6 +3,7 @@
 import csv
 import hashlib
 import json
+import os
 import subprocess
 import sys
 import time
@@ -265,6 +266,28 @@ def test_determinism_byte_identical(tmp_path):
     main(["mc", "--config", str(cfg), "--out", str(out2)])
     for name in ("mc_moments.csv", "mc_response.csv", "manifest.json"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+def test_mc_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # the MC step and its reducer are BLAS products: on the bistable preset
+    # (2000 paths) one OpenBLAS thread and the default count give the same
+    # CSV bytes, each run in a fresh interpreter
+    root = Path(__file__).resolve().parent.parent
+    outputs = []
+    for threads in ("1", None):
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
+                            "OMP_NUM_THREADS")}
+        env["PYTHONPATH"] = str(root / "src")
+        if threads is not None:
+            env["OPENBLAS_NUM_THREADS"] = threads
+        out = tmp_path / f"threads_{threads}"
+        subprocess.run([sys.executable, "-m", "qcle.cli", "mc", "--config",
+                        str(root / "configs" / "bistable.json"), "--out", str(out)],
+                       env=env, capture_output=True, check=True, timeout=300)
+        outputs.append([(out / name).read_bytes()
+                        for name in ("mc_moments.csv", "mc_response.csv")])
+    assert outputs[0] == outputs[1]
 
 
 def test_missing_required_field_exits_2(tmp_path, capsys):

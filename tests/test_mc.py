@@ -36,7 +36,7 @@ def test_seed_determinism():
     # ensemble coincide with the smaller one, also across a synthesis block
     d = sample_noise(grid, CLASSICAL, 9, seed=42)
     assert np.array_equal(a.values, d.values[:6])
-    rows = NOISE_BLOCK_SAMPLES // _synthesis_length(grid, CLASSICAL.nu)
+    rows = min(BLOCK_ROWS, NOISE_BLOCK_SAMPLES // _synthesis_length(grid, CLASSICAL.nu))
     e = sample_noise(grid, CLASSICAL, rows - 3, seed=42)
     f = sample_noise(grid, CLASSICAL, rows + 5, seed=42)
     assert np.array_equal(e.values, f.values[:rows - 3])
@@ -308,6 +308,25 @@ def test_synthesis_length_capped_before_allocating():
         assert peak < 1e6
 
 
+def test_synthesis_block_memory_stays_near_the_length_cap():
+    # at a synthesis length of MAX_SYNTHESIS_LENGTH a block holds one path,
+    # so a few more paths add no block memory: about MAX_SYNTHESIS_LENGTH
+    # samples each for the normals (reused for the paths) and the amplitudes
+    grid = TimeGrid(15.0, 1501)
+    bath = BathParams(1.0, 1.0, 1.4e-3)
+    assert _synthesis_length(grid, bath.nu) == MAX_SYNTHESIS_LENGTH
+    peaks = []
+    for n_paths in (1, 6):
+        tracemalloc.start()
+        try:
+            sample_noise(grid, bath, n_paths, seed=1)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 1e6
+    assert peaks[1] < 4 * 8 * MAX_SYNTHESIS_LENGTH
+
+
 def test_path_samples_capped_before_allocating():
     grid = TimeGrid(15.0, 1501)
     nfft = _synthesis_length(grid, CLASSICAL.nu)
@@ -325,8 +344,12 @@ def test_path_samples_capped_before_allocating():
 
 
 def _integrate_path_major(noise, potential, q0, v0, blowup_guard=1e8):
-    """The per-path-major step loop that integrate_qcle replaced: row p of
-    (n_paths, n) is one path, with fresh temporaries on every step."""
+    """A per-path-major step loop with fresh temporaries on every step: row p
+    of (n_paths, n) is one path. It takes the step loop's step form, the same
+    matrix products on a batch of the same shape: at alpha = 0, (q, v) by the
+    (2, 2) propagator plus the (2, 2) noise weights times the two noise
+    columns; otherwise the predictor row times (q, v, F_j), then the (2, 4)
+    propagator times (q, v, F_j, F_{j+1}), with F formed by pow."""
     xi = noise.values
     n_paths, n = xi.shape
     pqq, pqv, pvq, pvv, a_q, b_q, a_v, b_v = _propagator_constants(
@@ -338,11 +361,17 @@ def _integrate_path_major(noise, potential, q0, v0, blowup_guard=1e8):
     traj = np.empty((n_paths, n))
     traj[:, 0] = q
     for j in range(n - 1):
-        f_j = -alpha * q**3 - eps + xi[:, j]
-        q_pred = pqq * q + pqv * v + (a_q + b_q) * f_j
-        f_n = -alpha * q_pred**3 - eps + xi[:, j + 1]
-        q_new = pqq * q + pqv * v + a_q * f_j + b_q * f_n
-        v_new = pvq * q + pvv * v + a_v * f_j + b_v * f_n
+        x = np.stack([xi[:, j] - eps, xi[:, j + 1] - eps])
+        if alpha == 0:
+            qv = (np.array([[pqq, pqv], [pvq, pvv]]) @ np.stack([q, v])
+                  + np.array([[a_q, b_q], [a_v, b_v]]) @ x)
+        else:
+            f_j = -alpha * q**3 + x[0]
+            q_pred = np.array([pqq, pqv, a_q + b_q]) @ np.stack([q, v, f_j])
+            f_n = -alpha * q_pred**3 + x[1]
+            qv = (np.array([[pqq, pqv, a_q, b_q], [pvq, pvv, a_v, b_v]])
+                  @ np.stack([q, v, f_j, f_n]))
+        q_new, v_new = qv
         bad = ~np.isfinite(q_new) | (np.abs(q_new) > blowup_guard)
         if bad.any():
             alive &= ~bad
@@ -396,9 +425,8 @@ def test_non_finite_state_caught_at_infinite_guard():
     bad[2, 100] = np.inf
     inf_noise = NoiseEnsemble(grid, CLASSICAL, bad, noise.seed)
     ens = integrate_qcle(inf_noise, pot, 0.0, 0.0, blowup_guard=np.inf)
-    with np.errstate(invalid="ignore"):  # the oracle's -0.0 * inf**3
-        traj, excluded = _integrate_path_major(inf_noise, pot, 0.0, 0.0,
-                                               blowup_guard=np.inf)
+    traj, excluded = _integrate_path_major(inf_noise, pot, 0.0, 0.0,
+                                           blowup_guard=np.inf)
     assert list(np.flatnonzero(ens.excluded)) == [2]
     assert np.array_equal(ens.excluded, excluded)
     assert np.array_equal(ens.trajectories, traj)
@@ -416,6 +444,23 @@ def test_integration_leaves_the_noise_untouched():
 
 
 HARMONIC = PotentialParams(eta=1.0, alpha=0.0, epsilon=0.0, f0=0.1)
+
+
+@pytest.mark.parametrize("pot", [HARMONIC, PotentialParams(1.0, 0.3, 0.0, 0.1)],
+                         ids=["harmonic", "quartic"])
+def test_a_path_stepped_alone_stays_near_its_batch(pot):
+    # the noise of the first k paths is a bit-exact prefix of a larger
+    # ensemble's; BLAS forms the step's products, so a path's last bits can
+    # depend on the batch it is stepped in: 64 ulp of the largest |q|
+    grid = TimeGrid(15.0, 1501)
+    big = sample_noise(grid, CLASSICAL, 2000, seed=7)
+    batch = integrate_qcle(big, pot, q0=1.0, v0=0.0).trajectories
+    tol = 64 * np.finfo(float).eps
+    for k in (1, 3, BLOCK_ROWS + 1):
+        noise = sample_noise(grid, CLASSICAL, k, seed=7)
+        assert np.array_equal(noise.values, big.values[:k])
+        alone = integrate_qcle(noise, pot, q0=1.0, v0=0.0).trajectories
+        assert np.max(np.abs(alone - batch[:k])) <= tol * np.max(np.abs(batch[:k]))
 
 
 @pytest.mark.parametrize("pot,thermal,guard,n_excluded", [
@@ -460,7 +505,11 @@ def test_response_pair_matches_two_separate_passes(pot, thermal):
     assert not (base.excluded.any() or kicked.excluded.any())
     diffs = kicked.trajectories - base.trajectories
     diffs /= f0_kick
-    assert np.array_equal(r_hat.values, diffs.mean(axis=0))
+    # the separate passes step batches of another shape, and numpy's own
+    # reductions sum in another order: 16 ulp of the largest value
+    mean = diffs.mean(axis=0)
+    assert (np.max(np.abs(r_hat.values - mean))
+            <= 16 * np.finfo(float).eps * np.max(np.abs(mean)))
     se = diffs.std(axis=0, ddof=1) / np.sqrt(diffs.shape[0])
     assert np.max(np.abs(stderr.values - se)) <= 1e-15 * np.max(se)
 
@@ -474,32 +523,51 @@ def test_response_pair_without_survivors_raises():
         estimate_response(HARMONIC, noise, f0_kick=1e9)
 
 
-def _stacked_moments(traj, excluded=None):
-    """The per-node estimators over a stored (n_paths, n) trajectory array,
-    as the moments were computed before the block reducer."""
+def _stacked_moments(traj, excluded=None, scale=1.0):
+    """The per-node estimators of the paths times scale over a stored
+    (n_paths, n) trajectory array, by one whole-array reduction with the
+    block reducer's dot products over contiguous time-major rows."""
     if excluded is not None:
         traj = traj[~excluded]
-    n = traj.shape[0]
-    mean = traj.mean(axis=0)
-    prod = traj - mean
-    prod *= prod
-    var = np.sum(prod, axis=0) / (n - 1)
-    prod *= prod
-    m4 = np.mean(prod, axis=0)
+    rows = np.ascontiguousarray(traj.T)
+    n = rows.shape[1]
+    mean = np.vecdot(rows, np.ones(n)) / n
+    dev = rows - mean[:, None]
+    var = np.vecdot(dev, dev) / (n - 1)
+    dev *= dev
+    m4 = np.vecdot(dev, dev) / n
     se_var = np.sqrt(np.maximum((m4 - var**2 * (n - 3) / (n - 1)) / n, 0.0))
-    return mean, var, np.sqrt(var / n), se_var
+    return mean * scale, var, np.sqrt(var * (scale * scale) / n), se_var
 
 
 def _stacked_pair(noise, pot, f0_kick, thermal):
+    """The kicked - base differences of the pair, stepped as one (2, n_paths)
+    batch, unscaled, and the pairs' exclusion mask."""
     v0 = (thermal_velocities(noise.bath, noise.n_paths, noise.seed) if thermal
           else np.zeros(noise.n_paths))
     pair = integrate_qcle(noise, pot, q0=0.0, v0=np.stack([v0, v0 + f0_kick]))
     base, kicked = pair.trajectories.reshape(2, noise.n_paths, -1)
-    diffs = kicked - base
-    diffs /= f0_kick
-    return diffs, pair.excluded.reshape(2, -1).any(axis=0)
+    return kicked - base, pair.excluded.reshape(2, -1).any(axis=0)
 
 
+def _stacked_pass(noise, pot, q0, v0, f0_kick, thermal):
+    """The one pass's (3, n_paths) batch, the ensemble started at (q0, v0)
+    and the pair's base and kicked paths, stepped by integrate_qcle and
+    stored: the ensemble's trajectories and exclusions, and the pair's
+    unscaled kicked - base differences and exclusions."""
+    n_paths = noise.n_paths
+    v_base = (thermal_velocities(noise.bath, n_paths, noise.seed) if thermal
+              else np.zeros(n_paths))
+    q0s, v0s = (np.stack([np.broadcast_to(np.asarray(x, dtype=float), (n_paths,))
+                          for x in xs])
+                for xs in ((q0, 0.0, 0.0), (v0, v_base, v_base + f0_kick)))
+    batch = integrate_qcle(noise, pot, q0=q0s, v0=v0s)
+    traj = batch.trajectories.reshape(3, n_paths, -1)
+    excluded = batch.excluded.reshape(3, n_paths)
+    return traj[0], excluded[0], traj[2] - traj[1], excluded[1] | excluded[2]
+
+
+MOMENT_NAMES = ("mean", "variance", "stderr_mean", "stderr_variance")
 ONE_PASS_CASES = [
     (HARMONIC, False),
     (PotentialParams(eta=1.0, alpha=0.3, epsilon=0.0, f0=0.1), True),
@@ -514,24 +582,38 @@ ONE_PASS_IDS = ["harmonic", "quartic_thermal", "tilted_double_well_thermal"]
 def test_one_pass_matches_the_stacked_route(pot, thermal, n):
     # the moments ensemble and the kick pair stepped as one batch on a ring
     # of BLOCK_ROWS + 1 rows and reduced block by block: bit for bit what
-    # the stored trajectories give, on blocks that end anywhere
+    # the stored trajectories of a batch of the same shape give, on blocks
+    # that end anywhere
     grid = TimeGrid(0.01 * (n - 1), n)
     noise = sample_noise(grid, QUANTUM, 50, seed=23)
     q0, v0, f0_kick = 0.4, 0.3, 0.1
     mc = estimate_mc(noise, pot, q0, v0, f0_kick, thermal_v0=thermal)
     assert not (mc.excluded.any() or mc.pair_excluded.any())
+    traj, _, diffs, _ = _stacked_pass(noise, pot, q0, v0, f0_kick, thermal)
+    for name, want in zip(MOMENT_NAMES, _stacked_moments(traj)):
+        assert np.array_equal(getattr(mc.moments, name).values, want), name
+    pair_ref = _stacked_moments(diffs, scale=1.0 / f0_kick)
+    assert np.array_equal(mc.r_hat.values, pair_ref[0])
+    assert np.array_equal(mc.stderr_r_hat.values, pair_ref[2])
+    # estimate_moments and estimate_response: the same, each on its batch
     ens = integrate_qcle(noise, pot, q0=q0, v0=v0)
     est = estimate_moments(ens)
-    ref = _stacked_moments(ens.trajectories)
-    for name, want in zip(("mean", "variance", "stderr_mean", "stderr_variance"), ref):
-        assert np.array_equal(getattr(mc.moments, name).values, want), name
+    for name, want in zip(MOMENT_NAMES, _stacked_moments(ens.trajectories)):
         assert np.array_equal(getattr(est, name).values, want), name
     r_hat, stderr = estimate_response(pot, noise, f0_kick, thermal_v0=thermal)
     diffs, _ = _stacked_pair(noise, pot, f0_kick, thermal)
-    pair_ref = _stacked_moments(diffs)
-    for got in ((mc.r_hat, mc.stderr_r_hat), (r_hat, stderr)):
-        assert np.array_equal(got[0].values, pair_ref[0])
-        assert np.array_equal(got[1].values, pair_ref[2])
+    pair_ref = _stacked_moments(diffs, scale=1.0 / f0_kick)
+    assert np.array_equal(r_hat.values, pair_ref[0])
+    assert np.array_equal(stderr.values, pair_ref[2])
+    # batches of other shapes, and numpy's own reductions, which sum in
+    # another order: 16 ulp of the largest value
+    tol = 16 * np.finfo(float).eps
+    for got, want in ((mc.moments.mean, est.mean.values),
+                      (mc.moments.variance, est.variance.values),
+                      (est.mean, ens.trajectories.mean(axis=0)),
+                      (est.variance, ens.trajectories.var(axis=0, ddof=1)),
+                      (mc.r_hat, r_hat.values)):
+        assert np.max(np.abs(got.values - want)) <= tol * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("n", [2, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 1, 200])
@@ -572,19 +654,23 @@ def test_one_pass_exclusions_match_the_stacked_route():
     q0[[5, 17, 22]] = 1e9
     v0, f0_kick = 0.0, 0.1
     mc = estimate_mc(noise, HARMONIC, q0, v0, f0_kick)
+    traj, excluded, diffs, pair_excluded = _stacked_pass(noise, HARMONIC, q0, v0,
+                                                         f0_kick, False)
     ens = integrate_qcle(noise, HARMONIC, q0=q0, v0=v0)
-    diffs, pair_excluded = _stacked_pair(noise, HARMONIC, f0_kick, False)
     assert np.array_equal(np.flatnonzero(ens.excluded), [3, 5, 17, 22, 30])
     assert np.array_equal(np.flatnonzero(pair_excluded), [3, 17, 30])
+    assert np.array_equal(excluded, ens.excluded)
+    assert np.array_equal(_stacked_pair(noise, HARMONIC, f0_kick, False)[1],
+                          pair_excluded)
     assert np.array_equal(mc.excluded, ens.excluded)
     assert np.array_equal(mc.pair_excluded, pair_excluded)
-    est = estimate_moments(ens)
-    ref = _stacked_moments(ens.trajectories, ens.excluded)
-    for name, want in zip(("mean", "variance", "stderr_mean", "stderr_variance"), ref):
-        assert np.array_equal(getattr(mc.moments, name).values,
-                              getattr(est, name).values), name
+    for name, want in zip(MOMENT_NAMES, _stacked_moments(traj, excluded)):
         assert np.array_equal(getattr(mc.moments, name).values, want), name
-    pair_ref = _stacked_moments(diffs, pair_excluded)
+    est = estimate_moments(ens)
+    for name, want in zip(MOMENT_NAMES,
+                          _stacked_moments(ens.trajectories, ens.excluded)):
+        assert np.array_equal(getattr(est, name).values, want), name
+    pair_ref = _stacked_moments(diffs, pair_excluded, scale=1.0 / f0_kick)
     assert np.array_equal(mc.r_hat.values, pair_ref[0])
     assert np.array_equal(mc.stderr_r_hat.values, pair_ref[2])
 
@@ -613,7 +699,7 @@ def _row_major_noise(grid, bath, n_paths, seed):
     amp = np.sqrt(noise_psd(wk, bath.gamma, bath.temp, bath.nu) / (nfft * grid.dt))
     amp[1:half] /= np.sqrt(2.0)
     rng = np.random.default_rng(seed)
-    rows = max(1, NOISE_BLOCK_SAMPLES // nfft)
+    rows = min(BLOCK_ROWS, max(1, NOISE_BLOCK_SAMPLES // nfft))
     out = np.empty((n_paths, grid.n))
     for p in range(0, n_paths, rows):
         x = rng.standard_normal((min(rows, n_paths - p), 2, half + 1))
@@ -631,7 +717,7 @@ def test_time_major_fill_matches_the_row_major_fill(bath, block, monkeypatch):
     nfft = _synthesis_length(grid, bath.nu)
     if block is not None:
         monkeypatch.setattr(qcle.mc, "NOISE_BLOCK_SAMPLES", block * nfft)
-    n_paths = 7 * (NOISE_BLOCK_SAMPLES // nfft) + 3
+    n_paths = 7 * min(BLOCK_ROWS, NOISE_BLOCK_SAMPLES // nfft) + 3
     noise = sample_noise(grid, bath, n_paths, seed=8)
     assert noise.values.shape == (n_paths, grid.n)
     assert noise.values.T.flags.c_contiguous  # row j: every path at t_j

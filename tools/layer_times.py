@@ -28,6 +28,10 @@ thread, and times each layer below as the best of 5 calls in this process:
   `estimate_response` of the same noise (the preset's quartic potential,
   f0_kick and thermal v0), and `estimate_mc`, the one pass of `qcle mc`
   that steps the preset's moments ensemble and that kick pair as one batch;
+- the block reducer of that pass alone, apart from the step loop:
+  `_NodeMoments` over the preset's 1501 nodes, fed BLOCK_ROWS-row blocks
+  of a (BLOCK_ROWS + 1, 3, 2000) ring of normals as the pass feeds it, the
+  ensemble's row with its fourth moment and the pair's differences without;
 - `sample_noise` and `estimate_mc` at 2000 paths x 601 nodes (dt 0.005,
   the preset's bath) in the tilted double well (eta = -1, alpha = 1,
   epsilon = 0.2), the grid of the benchmark's tilted MC configs.
@@ -100,7 +104,8 @@ def main() -> int:
     from qcle import TimeGrid, kernels
     from qcle.cli import main as cli_main
     from qcle.cli import parse_config, write_csv
-    from qcle.mc import estimate_mc, estimate_response, integrate_qcle, sample_noise
+    from qcle.mc import (BLOCK_ROWS, _NodeMoments, estimate_mc, estimate_response,
+                         integrate_qcle, sample_noise)
     from qcle.moments import (SpectralQuadrature, mean_trajectory, variance,
                               variance_spectrum)
     from qcle.response import (ResponseProblem, integrate_duffing,
@@ -185,6 +190,16 @@ def main() -> int:
     seconds[f"estimate_mc {N_PATHS}x{grid.n}"] = best_of(
         lambda: estimate_mc(noise, cfg.potential, cfg.q0, cfg.v0,
                             cfg.settings["f0_kick"], cfg.settings["thermal_v0"]))
+    ring = np.random.default_rng(MC_SEED).standard_normal((BLOCK_ROWS + 1, 3, N_PATHS))
+
+    def reduce_blocks():
+        moments = _NodeMoments(grid.n, None, fourth=True)
+        pair = _NodeMoments(grid.n, None, fourth=False)
+        for j0 in range(0, grid.n, BLOCK_ROWS):
+            rows = ring[:min(BLOCK_ROWS, grid.n - j0)]
+            moments.add(j0, rows[:, 0])
+            pair.add(j0, rows[:, -1] - rows[:, -2])
+    seconds[f"_NodeMoments ring {N_PATHS}x{grid.n}"] = best_of(reduce_blocks)
     tilted_grid = TimeGrid(*TILTED_GRID)
     tilted = replace(cfg.potential, **TILTED)
     tilted_noise = sample_noise(tilted_grid, cfg.bath, N_PATHS, MC_SEED)
