@@ -14,12 +14,12 @@ force rule; each step is two small matrix products over the batch.
 
 One step loop serves two consumers. integrate_qcle keeps every row as an
 Ensemble. estimate_mc steps the moments ensemble and the kick pair as one
-batch over a ring of BLOCK_ROWS + 1 time rows and reduces each block of rows
-along the contiguous path axis as it fills, so no trajectory array is held;
-estimate_response runs the same pass on the pair alone, and estimate_moments
-reduces a stored Ensemble through the same block reducer. The
-noise/initial-position preparation correlation is NOT imposed: sampling it
-would require a joint law for (noise, q0) that is not available, so only
+(3, n_paths) batch on a ring of BLOCK_ROWS + 1 time rows, reducing each
+block along the path axis as it fills (no trajectory array is held) in dot
+products of at most DOT_PATHS paths, so no byte depends on the BLAS thread
+count; estimate_response returns its pair, and estimate_moments reduces a
+stored Ensemble through the same block reducer. The preparation correlation
+of noise and q0 is NOT imposed (no joint law for it is available), so only
 preparation-insensitive quantities are validated.
 """
 
@@ -46,6 +46,9 @@ MAX_PATH_SAMPLES = 1 << 27
 NOISE_BLOCK_SAMPLES = MAX_SYNTHESIS_LENGTH
 # time rows per block that estimate_mc and estimate_moments reduce at once
 BLOCK_ROWS = 64
+# most paths in one dot product of the block reducer: OpenBLAS threads a
+# ddot past 10 000 elements, and its rounding then follows the thread count
+DOT_PATHS = 8192
 # default |q| past which a path is excluded
 BLOWUP_GUARD = 1e8
 
@@ -59,10 +62,10 @@ class PathSamplesError(ValueError):
 
 
 class SurvivorsError(ValueError):
-    """Fewer than 2 paths survived the blow-up guard of integrate_qcle.
+    """Fewer than 2 paths of an ensemble or kick pair survived the guard.
 
-    Raised by estimate_mc, it carries the pass's exclusion masks as
-    excluded and pair_excluded (see MCEstimate); otherwise they are None.
+    Raised by estimate_mc, it carries the pass's masks excluded and
+    pair_excluded (see MCEstimate); from estimate_moments, they are None.
     """
 
     excluded: Optional[np.ndarray] = None
@@ -113,10 +116,6 @@ class Ensemble:
         if exc.shape != (traj.shape[0],):
             raise ValueError("excluded must be (n_paths,)")
         object.__setattr__(self, "excluded", exc)
-
-    @property
-    def n_paths(self) -> int:
-        return self.trajectories.shape[0]
 
     @property
     def n_excluded(self) -> int:
@@ -347,12 +346,10 @@ def integrate_qcle(noise: NoiseEnsemble, potential: PotentialParams,
     q0/v0 broadcast against (n_paths,); a leading axis of k rows makes k
     ensembles over the same noise, returned as k * n_paths paths, one
     ensemble after another. The step is deterministic given the sampled
-    noise path; the linear part is propagated exactly, so the alpha = 0
-    dynamics carries no time-discretization bias in the mean. Paths whose
-    |q| exceeds blowup_guard are flagged and excluded; on every step where
-    any path of an ensemble fails, its failed paths are reset to q = v = 0.
-    The trajectories are the (n, [k,] n_paths) rows of the step loop, seen
-    as (k * n_paths, n).
+    noise path; the linear part is propagated by its closed-form step, so
+    the alpha = 0 mean carries no time-discretization bias. The blow-up
+    guard excludes and resets paths as in _step_rows. The trajectories are
+    the (n, [k,] n_paths) rows of the step loop, seen as (k * n_paths, n).
     """
     n = noise.grid.n
     alive = np.ones(np.broadcast_shapes(np.shape(q0), np.shape(v0),
@@ -373,17 +370,25 @@ def _kept(excluded: np.ndarray) -> Optional[np.ndarray]:
     return ~excluded if n < excluded.size else None
 
 
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Each row of a dotted with b, over DOT_PATHS-column chunks in order."""
+    out = np.vecdot(a[:, :DOT_PATHS], b[..., :DOT_PATHS])
+    for c in range(DOT_PATHS, a.shape[1], DOT_PATHS):
+        out += np.vecdot(a[:, c:c + DOT_PATHS], b[..., c:c + DOT_PATHS])
+    return out
+
+
 class _NodeMoments:
     """Per-node mean, unbiased variance and, with fourth, fourth central
     moment of one ensemble, fed as time-major (m, n_paths) row blocks whose
     rows are contiguous.
 
     keep selects the paths (None: all). Each node is reduced by dot products
-    along its row: the mean as the row times ones over count, the variance
-    and the fourth moment from the deviations and their squares, so a block
-    is read three times and written twice (once without fourth). A row's dot
-    product does not depend on the block it comes in, so each node gets the
-    bits of the whole-array reduction.
+    along its row (_row_dots): the mean as the row times ones over count,
+    the variance and the fourth moment from the deviations and their
+    squares, so a block is read three times and written twice (once without
+    fourth). A row's dot products depend neither on the block it comes in
+    nor on the BLAS thread count.
     """
 
     def __init__(self, n: int, keep: Optional[np.ndarray], fourth: bool):
@@ -397,12 +402,12 @@ class _NodeMoments:
             rows = rows.take(self.keep, axis=1)  # C order, as rows[:, keep] is not
         j1 = j0 + len(rows)
         self.count = count = rows.shape[1]
-        mean = self.mean[j0:j1] = np.vecdot(rows, np.ones(count)) / count
+        mean = self.mean[j0:j1] = _row_dots(rows, np.ones(count)) / count
         dev = rows - mean[:, None]
-        self.var[j0:j1] = np.vecdot(dev, dev) / (count - 1)
+        self.var[j0:j1] = _row_dots(dev, dev) / (count - 1)
         if self.m4 is not None:
             dev *= dev  # squared deviations
-            self.m4[j0:j1] = np.vecdot(dev, dev) / count
+            self.m4[j0:j1] = _row_dots(dev, dev) / count
 
     def mean_and_stderr(self, grid: TimeGrid,
                         scale: float = 1.0) -> tuple[SampledSignal, SampledSignal]:
@@ -437,88 +442,68 @@ def thermal_velocities(bath: BathParams, n_paths: int, seed: int) -> np.ndarray:
     return np.random.default_rng(ss).normal(0.0, np.sqrt(bath.temp), n_paths)
 
 
-def _one_pass(noise: NoiseEnsemble, potential: PotentialParams, start,
-              f0_kick: float, thermal_v0: bool):
-    """Step the kick pair, after the ensemble started at start = (q0, v0)
-    unless start is None, as one (k, n_paths) batch over a ring of
-    BLOCK_ROWS + 1 rows, and reduce every block as it fills.
-
-    The guard excludes a failed path from every node, earlier ones included.
-    So when any path fails, the survivors are checked (a SurvivorsError
-    carries the masks) and the pass runs again with the exclusions known.
-    Returns the ensemble's MomentEstimate (None without start), the pair's
-    (R_hat, stderr), the (k, n_paths) exclusion mask and the pairs'.
-    """
-    if f0_kick == 0:
-        raise ValueError("f0_kick must be nonzero")
-    n_paths, grid = noise.n_paths, noise.grid
-    v_base = (thermal_velocities(noise.bath, n_paths, noise.seed)
-              if thermal_v0 else np.zeros(n_paths))
-    starts = [(0.0, v_base), (0.0, v_base + f0_kick)]
-    if start is not None:
-        starts.insert(0, start)
-    q0, v0 = (np.stack([np.broadcast_to(np.asarray(x, dtype=float), (n_paths,))
-                        for x in xs]) for xs in zip(*starts))
-    ring = np.empty((BLOCK_ROWS + 1, *q0.shape))
-
-    def run(keep_moments, keep_pair):
-        alive = np.ones(q0.shape, dtype=bool)
-        moments = None if start is None else _NodeMoments(grid.n, keep_moments, True)
-        pair = _NodeMoments(grid.n, keep_pair, fourth=False)
-        for j0, rows in _step_rows(noise, potential, q0, v0, BLOWUP_GUARD, ring,
-                                   alive):
-            if moments is not None:
-                moments.add(j0, rows[:, 0])
-            pair.add(j0, rows[:, -1] - rows[:, -2])  # kicked - base
-        return alive, moments, pair
-
-    alive, moments, pair = run(None, None)
-    excluded = ~alive
-    pair_excluded = excluded[-2] | excluded[-1]
-    try:
-        keep_moments = None if start is None else _kept(excluded[0])
-        keep_pair = _kept(pair_excluded)
-    except SurvivorsError as e:
-        if start is not None:
-            e.excluded, e.pair_excluded = excluded[0], pair_excluded
-        raise
-    if excluded.any():
-        _, moments, pair = run(keep_moments, keep_pair)
-    return (None if moments is None else moments.estimate(grid),
-            pair.mean_and_stderr(grid, 1.0 / f0_kick), excluded, pair_excluded)
+def _base_velocities(noise: NoiseEnsemble, thermal_v0: bool) -> np.ndarray:
+    """The kick pair's base velocities: N(0, T) per path, or zero."""
+    return (thermal_velocities(noise.bath, noise.n_paths, noise.seed)
+            if thermal_v0 else np.zeros(noise.n_paths))
 
 
 def estimate_mc(noise: NoiseEnsemble, potential: PotentialParams, q0, v0,
                 f0_kick: float, thermal_v0: bool = False) -> MCEstimate:
     """The moments of the ensemble started at (q0, v0), each broadcast
-    against (n_paths,), and the kick pair's response (see
-    estimate_response), in one pass over the noise.
+    against (n_paths,), and the kick pair's impulse response, in one pass.
 
-    The ensemble and the pair are stepped as one (3, n_paths) batch and
-    reduced block by block, with no trajectory array held: the result equals
-    estimate_moments(integrate_qcle(noise, potential, q0, v0)) and
-    estimate_response(potential, noise, f0_kick, thermal_v0). With fewer
-    than 2 survivors in the ensemble or the pair, the SurvivorsError carries
-    both exclusion masks.
+    The impulse f0*delta(t) is a velocity kick v0 -> v0 + f0 of a pair
+    started at q = 0 and driven by one noise path: R_hat(t) is the mean of
+    the pairs' (kicked - base)/f0, with its standard error. thermal_v0
+    draws the base velocity from N(0, T) per path (from the noise's seed),
+    the preparation behind the conditional-variance law of the response
+    equation; nonlinear cross-checks need it.
+
+    The ensemble, the base and the kicked paths are stepped as one
+    (3, n_paths) batch over a ring of BLOCK_ROWS + 1 rows and reduced block
+    by block. A failed path is excluded from every node, so when any fails
+    the pass reruns with the exclusions known; with fewer than 2 survivors
+    in the ensemble or the pair, the SurvivorsError carries both masks.
     """
-    moments, (r_hat, stderr), excluded, pair_excluded = _one_pass(
-        noise, potential, (q0, v0), f0_kick, thermal_v0)
-    return MCEstimate(moments, r_hat, stderr, excluded[0], pair_excluded)
+    if f0_kick == 0:
+        raise ValueError("f0_kick must be nonzero")
+    n_paths, grid = noise.n_paths, noise.grid
+    v_base = _base_velocities(noise, thermal_v0)
+    q0, v0 = (np.stack([np.broadcast_to(np.asarray(x, dtype=float), (n_paths,))
+                        for x in xs])
+              for xs in ((q0, 0.0, 0.0), (v0, v_base, v_base + f0_kick)))
+    ring = np.empty((BLOCK_ROWS + 1, *q0.shape))
+
+    def run(keep_moments, keep_pair):
+        alive = np.ones(q0.shape, dtype=bool)
+        moments = _NodeMoments(grid.n, keep_moments, fourth=True)
+        pair = _NodeMoments(grid.n, keep_pair, fourth=False)
+        for j0, rows in _step_rows(noise, potential, q0, v0, BLOWUP_GUARD, ring,
+                                   alive):
+            moments.add(j0, rows[:, 0])
+            pair.add(j0, rows[:, 2] - rows[:, 1])  # kicked - base
+        return alive, moments, pair
+
+    alive, moments, pair = run(None, None)
+    excluded, pair_excluded = ~alive[0], ~(alive[1] & alive[2])
+    try:
+        keep = _kept(excluded), _kept(pair_excluded)
+    except SurvivorsError as e:
+        e.excluded, e.pair_excluded = excluded, pair_excluded
+        raise
+    if not alive.all():
+        _, moments, pair = run(*keep)
+    r_hat, stderr = pair.mean_and_stderr(grid, 1.0 / f0_kick)
+    return MCEstimate(moments.estimate(grid), r_hat, stderr, excluded, pair_excluded)
 
 
 def estimate_response(potential: PotentialParams, noise: NoiseEnsemble,
                       f0_kick: float, thermal_v0: bool = False,
                       ) -> tuple[SampledSignal, SampledSignal]:
-    """Impulse-response estimate by common-random-number ensembles.
-
-    The impulse f0*delta(t) is realized as a velocity kick v0 -> v0 + f0;
-    R_hat(t) = [<q>_kicked - <q>_unkicked]/f0 with both ensembles driven by
-    the same noise paths, stepped as one (2, n_paths) batch. thermal_v0
-    samples the base velocity from N(0, T) per path (shared between the
-    pair, drawn from the noise's seed), which matches the preparation behind
-    the conditional-variance law entering the response equation; nonlinear
-    cross-checks need it. Returns (R_hat, stderr): the mean of the per-path
-    differences and its standard error, reduced block by block as in
-    estimate_mc; a pair is excluded if either path is.
-    """
-    return _one_pass(noise, potential, None, f0_kick, thermal_v0)[1]
+    """The kick pair of estimate_mc: (R_hat, stderr). Its moments ensemble
+    is the pair's base start, so it fails only where the pair does; when
+    fewer than 2 base paths survive, the SurvivorsError counts those."""
+    est = estimate_mc(noise, potential, 0.0, _base_velocities(noise, thermal_v0),
+                      f0_kick, thermal_v0)
+    return est.r_hat, est.stderr_r_hat

@@ -269,25 +269,32 @@ def test_determinism_byte_identical(tmp_path):
 
 
 def test_mc_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
-    # the MC step and its reducer are BLAS products: on the bistable preset
-    # (2000 paths) one OpenBLAS thread and the default count give the same
-    # CSV bytes, each run in a fresh interpreter
+    # the MC step and its reducer are BLAS products: one OpenBLAS thread and
+    # the default count give the same CSV bytes, each run in a fresh
+    # interpreter, on the bistable preset (2000 paths) and on its 12 000-path
+    # twin on a 3/301 grid, where OpenBLAS would split a dot product over
+    # every path across its threads (past 10 000 elements). A 1-CPU host runs
+    # one thread either way, so there the two cannot differ
     root = Path(__file__).resolve().parent.parent
-    outputs = []
-    for threads in ("1", None):
-        env = {k: v for k, v in os.environ.items()
-               if k not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
-                            "OMP_NUM_THREADS")}
-        env["PYTHONPATH"] = str(root / "src")
-        if threads is not None:
-            env["OPENBLAS_NUM_THREADS"] = threads
-        out = tmp_path / f"threads_{threads}"
-        subprocess.run([sys.executable, "-m", "qcle.cli", "mc", "--config",
-                        str(root / "configs" / "bistable.json"), "--out", str(out)],
-                       env=env, capture_output=True, check=True, timeout=300)
-        outputs.append([(out / name).read_bytes()
-                        for name in ("mc_moments.csv", "mc_response.csv")])
-    assert outputs[0] == outputs[1]
+    preset = root / "configs" / "bistable.json"
+    wide = _write_config(tmp_path, base=json.loads(preset.read_text()), overrides={
+        "mc.n_paths": 12_000, "time_grid": {"t_max": 3.0, "n": 301}})
+    for config in (preset, wide):
+        outputs = []
+        for threads in ("1", None):
+            env = {k: v for k, v in os.environ.items()
+                   if k not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
+                                "OMP_NUM_THREADS")}
+            env["PYTHONPATH"] = str(root / "src")
+            if threads is not None:
+                env["OPENBLAS_NUM_THREADS"] = threads
+            out = tmp_path / f"{config.stem}_threads_{threads}"
+            subprocess.run([sys.executable, "-m", "qcle.cli", "mc", "--config",
+                            str(config), "--out", str(out)],
+                           env=env, capture_output=True, check=True, timeout=300)
+            outputs.append([(out / name).read_bytes()
+                            for name in ("mc_moments.csv", "mc_response.csv")])
+        assert outputs[0] == outputs[1], config.name
 
 
 def test_missing_required_field_exits_2(tmp_path, capsys):

@@ -521,6 +521,12 @@ def test_response_pair_without_survivors_raises():
     noise = sample_noise(grid, CLASSICAL, 20, seed=5)
     with pytest.raises(SurvivorsError, match="0 of 20"):
         estimate_response(HARMONIC, noise, f0_kick=1e9)
+    # the ensemble of the pass is the pair's base start: when it keeps fewer
+    # than 2 paths (1 here, while no pair survives), the error counts those
+    noise = _blown_noise(TimeGrid(2.0, 201), 40, 13, np.arange(39))
+    with pytest.raises(SurvivorsError, match="1 of 40") as info:
+        estimate_response(HARMONIC, noise, f0_kick=1e9)
+    assert info.value.excluded.sum() == 39 and info.value.pair_excluded.sum() == 40
 
 
 def _stacked_moments(traj, excluded=None, scale=1.0):
@@ -596,12 +602,15 @@ def test_one_pass_matches_the_stacked_route(pot, thermal, n):
     assert np.array_equal(mc.r_hat.values, pair_ref[0])
     assert np.array_equal(mc.stderr_r_hat.values, pair_ref[2])
     # estimate_moments and estimate_response: the same, each on its batch
+    # (estimate_response's is the pass with the pair's base start as its
+    # ensemble)
     ens = integrate_qcle(noise, pot, q0=q0, v0=v0)
     est = estimate_moments(ens)
     for name, want in zip(MOMENT_NAMES, _stacked_moments(ens.trajectories)):
         assert np.array_equal(getattr(est, name).values, want), name
     r_hat, stderr = estimate_response(pot, noise, f0_kick, thermal_v0=thermal)
-    diffs, _ = _stacked_pair(noise, pot, f0_kick, thermal)
+    v_base = thermal_velocities(QUANTUM, 50, seed=23) if thermal else 0.0
+    diffs = _stacked_pass(noise, pot, 0.0, v_base, f0_kick, thermal)[2]
     pair_ref = _stacked_moments(diffs, scale=1.0 / f0_kick)
     assert np.array_equal(r_hat.values, pair_ref[0])
     assert np.array_equal(stderr.values, pair_ref[2])

@@ -24,10 +24,11 @@ thread, and times each layer below as the best of 5 calls in this process:
   of subnormals, which all take the `%` fallback;
 - `variance` on the preset's time grid, classical and at nu = 1 (with the
   quantum-response workload's quadrature: omega_max 300, rtol 0.1);
-- `sample_noise` and `integrate_qcle` at 2000 paths x 1501 nodes,
-  `estimate_response` of the same noise (the preset's quartic potential,
-  f0_kick and thermal v0), and `estimate_mc`, the one pass of `qcle mc`
-  that steps the preset's moments ensemble and that kick pair as one batch;
+- `sample_noise` and `integrate_qcle` at 2000 paths x 1501 nodes, and
+  `estimate_mc` of the same noise, the one pass of `qcle mc` that steps the
+  preset's moments ensemble and its kick pair (the preset's quartic
+  potential, f0_kick and thermal v0) as one batch; `estimate_response` is
+  not timed apart, as it is that pass;
 - the block reducer of that pass alone, apart from the step loop:
   `_NodeMoments` over the preset's 1501 nodes, fed BLOCK_ROWS-row blocks
   of a (BLOCK_ROWS + 1, 3, 2000) ring of normals as the pass feeds it, the
@@ -104,8 +105,8 @@ def main() -> int:
     from qcle import TimeGrid, kernels
     from qcle.cli import main as cli_main
     from qcle.cli import parse_config, write_csv
-    from qcle.mc import (BLOCK_ROWS, _NodeMoments, estimate_mc, estimate_response,
-                         integrate_qcle, sample_noise)
+    from qcle.mc import (BLOCK_ROWS, _NodeMoments, estimate_mc, integrate_qcle,
+                         sample_noise)
     from qcle.moments import (SpectralQuadrature, mean_trajectory, variance,
                               variance_spectrum)
     from qcle.response import (ResponseProblem, integrate_duffing,
@@ -184,9 +185,6 @@ def main() -> int:
         lambda: sample_noise(grid, cfg.bath, N_PATHS, MC_SEED))
     seconds[f"integrate_qcle {N_PATHS}x{grid.n}"] = best_of(
         lambda: integrate_qcle(noise, cfg.potential, q0=cfg.q0, v0=cfg.v0))
-    seconds[f"estimate_response {N_PATHS}x{grid.n}"] = best_of(
-        lambda: estimate_response(cfg.potential, noise, cfg.settings["f0_kick"],
-                                  cfg.settings["thermal_v0"]))
     seconds[f"estimate_mc {N_PATHS}x{grid.n}"] = best_of(
         lambda: estimate_mc(noise, cfg.potential, cfg.q0, cfg.v0,
                             cfg.settings["f0_kick"], cfg.settings["thermal_v0"]))
