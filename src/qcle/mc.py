@@ -7,20 +7,22 @@ paths), giving a stationary band-limited real process whose lag covariance
 matches the closed form away from coincidence. The synthesis length is the
 smallest even 2^a 3^b that holds the grid and its correlation pad. The
 noise is stored time-major, one row of every path per node, one transposed
-copy per synthesis block of up to BLOCK_ROWS paths. Paths are propagated
-with an exponential (variation-of-constants) Heun step: the linear (gamma,
-eta) flow is exact, nonlinearity and noise enter through a trapezoidal
-force rule; each step is two small matrix products over the batch.
+copy per synthesis block of up to BLOCK_ROWS = 16 paths. Paths are
+propagated with an exponential (variation-of-constants) Heun step: the
+linear (gamma, eta) flow is exact, nonlinearity and noise enter through a
+trapezoidal force rule; each step is two small matrix products over the
+batch.
 
 One step loop serves two consumers. integrate_qcle keeps every row as an
 Ensemble. estimate_mc steps the moments ensemble and the kick pair as one
-(3, n_paths) batch on a ring of BLOCK_ROWS + 1 time rows, reducing each
-block along the path axis as it fills (no trajectory array is held) in dot
-products of at most DOT_PATHS paths, so no byte depends on the BLAS thread
-count; estimate_response returns its pair, and estimate_moments reduces a
-stored Ensemble through the same block reducer. The preparation correlation
-of noise and q0 is NOT imposed (no joint law for it is available), so only
-preparation-insensitive quantities are validated.
+(3, n_paths) batch on a ring of BLOCK_ROWS + 1 = 17 time rows, reducing
+each 16-row block along the path axis as it fills (no trajectory array is
+held) in dot products of at most DOT_PATHS paths, so no byte depends on the
+block size or on the BLAS thread count; estimate_response returns its pair,
+and estimate_moments reduces a stored Ensemble through the same block
+reducer. The preparation correlation of noise and q0 is NOT imposed (no
+joint law for it is available), so only preparation-insensitive quantities
+are validated.
 """
 
 from __future__ import annotations
@@ -44,8 +46,11 @@ MAX_PATH_SAMPLES = 1 << 27
 # most samples in a noise synthesis block of min(BLOCK_ROWS, this // nfft)
 # paths: its two arrays (normals, then paths; amplitudes) stay near this size
 NOISE_BLOCK_SAMPLES = MAX_SYNTHESIS_LENGTH
-# time rows per block that estimate_mc and estimate_moments reduce at once
-BLOCK_ROWS = 64
+# paths per noise synthesis block, and time rows per block that estimate_mc
+# and estimate_moments reduce at once. A path's irfft and a row's dot products
+# do not depend on the block, so this sets memory only: at 2000 paths the
+# (17, 3, n_paths) ring is 0.8 MB and each (16, n_paths) temporary 0.26 MB
+BLOCK_ROWS = 16
 # most paths in one dot product of the block reducer: OpenBLAS threads a
 # ddot past 10 000 elements, and its rounding then follows the thread count
 DOT_PATHS = 8192
@@ -410,10 +415,11 @@ class _NodeMoments:
             self.m4[j0:j1] = _row_dots(dev, dev) / count
 
     def mean_and_stderr(self, grid: TimeGrid,
-                        scale: float = 1.0) -> tuple[SampledSignal, SampledSignal]:
-        """The mean and its standard error, of the paths times scale."""
-        return (SampledSignal(grid, self.mean * scale),
-                SampledSignal(grid, np.sqrt(self.var * (scale * scale) / self.count)))
+                        kick: float = 1.0) -> tuple[SampledSignal, SampledSignal]:
+        """The mean and its standard error, of the paths over kick. Dividing
+        keeps a tiny kick finite, where 1/kick and its square overflow."""
+        return (SampledSignal(grid, self.mean / kick),
+                SampledSignal(grid, np.sqrt(self.var / self.count) / abs(kick)))
 
     def estimate(self, grid: TimeGrid) -> MomentEstimate:
         """The MomentEstimate of a reducer built with fourth."""
@@ -462,9 +468,12 @@ def estimate_mc(noise: NoiseEnsemble, potential: PotentialParams, q0, v0,
 
     The ensemble, the base and the kicked paths are stepped as one
     (3, n_paths) batch over a ring of BLOCK_ROWS + 1 rows and reduced block
-    by block. A failed path is excluded from every node, so when any fails
-    the pass reruns with the exclusions known; with fewer than 2 survivors
-    in the ensemble or the pair, the SurvivorsError carries both masks.
+    by block: the (BLOCK_ROWS + 1, 3, n_paths) ring and the block reducer's
+    (BLOCK_ROWS, n_paths) temporaries are all the pass holds besides the
+    noise, and its bytes do not depend on BLOCK_ROWS. A failed path is
+    excluded from every node, so when any fails the pass reruns with the
+    exclusions known; with fewer than 2 survivors in the ensemble or the
+    pair, the SurvivorsError carries both masks.
     """
     if f0_kick == 0:
         raise ValueError("f0_kick must be nonzero")
@@ -494,7 +503,7 @@ def estimate_mc(noise: NoiseEnsemble, potential: PotentialParams, q0, v0,
         raise
     if not alive.all():
         _, moments, pair = run(*keep)
-    r_hat, stderr = pair.mean_and_stderr(grid, 1.0 / f0_kick)
+    r_hat, stderr = pair.mean_and_stderr(grid, f0_kick)
     return MCEstimate(moments.estimate(grid), r_hat, stderr, excluded, pair_excluded)
 
 

@@ -156,7 +156,8 @@ def integrate_duffing(problem: ResponseProblem, dt_sub: float,
 
 def ode_residual(r: SampledSignal, problem: ResponseProblem) -> float:
     """Sup norm of the response-ODE residual on interior nodes (centered
-    differences); the t = 0 node carries the delta source and is excluded."""
+    differences); the t = 0 node carries the delta source and is excluded.
+    A grid of two nodes has no interior node, so no residual: 0."""
     if r.grid != problem.grid:
         raise ValueError("signal grid does not match problem grid")
     dt = problem.grid.dt
@@ -168,4 +169,4 @@ def ode_residual(r: SampledSignal, problem: ResponseProblem) -> float:
     sig = problem.sigma2.values[1:-1]
     res = rdd + bath.gamma * rd + (pot.eta + 3.0 * pot.alpha * sig) * rr \
         + pot.alpha * square(pot.f0) * (rr * rr * rr) + pot.epsilon / pot.f0
-    return float(np.max(np.abs(res)))
+    return float(np.max(np.abs(res), initial=0.0))

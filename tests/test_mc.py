@@ -529,8 +529,8 @@ def test_response_pair_without_survivors_raises():
     assert info.value.excluded.sum() == 39 and info.value.pair_excluded.sum() == 40
 
 
-def _stacked_moments(traj, excluded=None, scale=1.0):
-    """The per-node estimators of the paths times scale over a stored
+def _stacked_moments(traj, excluded=None, kick=1.0):
+    """The per-node estimators of the paths over kick over a stored
     (n_paths, n) trajectory array, by one whole-array reduction with the
     block reducer's dot products over contiguous time-major rows."""
     if excluded is not None:
@@ -543,7 +543,7 @@ def _stacked_moments(traj, excluded=None, scale=1.0):
     dev *= dev
     m4 = np.vecdot(dev, dev) / n
     se_var = np.sqrt(np.maximum((m4 - var**2 * (n - 3) / (n - 1)) / n, 0.0))
-    return mean * scale, var, np.sqrt(var * (scale * scale) / n), se_var
+    return mean / kick, var, np.sqrt(var / n) / abs(kick), se_var
 
 
 def _stacked_pair(noise, pot, f0_kick, thermal):
@@ -598,7 +598,7 @@ def test_one_pass_matches_the_stacked_route(pot, thermal, n):
     traj, _, diffs, _ = _stacked_pass(noise, pot, q0, v0, f0_kick, thermal)
     for name, want in zip(MOMENT_NAMES, _stacked_moments(traj)):
         assert np.array_equal(getattr(mc.moments, name).values, want), name
-    pair_ref = _stacked_moments(diffs, scale=1.0 / f0_kick)
+    pair_ref = _stacked_moments(diffs, kick=f0_kick)
     assert np.array_equal(mc.r_hat.values, pair_ref[0])
     assert np.array_equal(mc.stderr_r_hat.values, pair_ref[2])
     # estimate_moments and estimate_response: the same, each on its batch
@@ -611,7 +611,7 @@ def test_one_pass_matches_the_stacked_route(pot, thermal, n):
     r_hat, stderr = estimate_response(pot, noise, f0_kick, thermal_v0=thermal)
     v_base = thermal_velocities(QUANTUM, 50, seed=23) if thermal else 0.0
     diffs = _stacked_pass(noise, pot, 0.0, v_base, f0_kick, thermal)[2]
-    pair_ref = _stacked_moments(diffs, scale=1.0 / f0_kick)
+    pair_ref = _stacked_moments(diffs, kick=f0_kick)
     assert np.array_equal(r_hat.values, pair_ref[0])
     assert np.array_equal(stderr.values, pair_ref[2])
     # batches of other shapes, and numpy's own reductions, which sum in
@@ -625,10 +625,11 @@ def test_one_pass_matches_the_stacked_route(pot, thermal, n):
         assert np.max(np.abs(got.values - want)) <= tol * np.max(np.abs(want))
 
 
-@pytest.mark.parametrize("n", [2, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 1, 200])
+@pytest.mark.parametrize("n", [2, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 1, 65, 129, 200])
 def test_ring_blocks_are_the_stored_rows(n):
     # a ring of BLOCK_ROWS + 1 rows hands over consecutive blocks that cover
-    # every node once, each equal to the rows integrate_qcle stores
+    # every node once, each equal to the rows integrate_qcle stores; 65 and
+    # 129 nodes end on a block boundary at 16 rows as at 64
     grid = TimeGrid(0.01 * (n - 1), n)
     noise = sample_noise(grid, CLASSICAL, 6, seed=3)
     pot = PotentialParams(eta=1.0, alpha=0.3, epsilon=0.1, f0=0.1)
@@ -642,6 +643,33 @@ def test_ring_blocks_are_the_stored_rows(n):
         assert np.array_equal(block, rows[j0:j0 + len(block)])
         nodes += len(block)
     assert nodes == n and alive.all()
+
+
+@pytest.mark.parametrize("pot,thermal,guard", [
+    *((pot, thermal, qcle.mc.BLOWUP_GUARD) for pot, thermal in ONE_PASS_CASES),
+    (ONE_PASS_CASES[2][0], True, 1.6),
+], ids=[*ONE_PASS_IDS, "tilted_double_well_guard_1.6"])
+def test_bytes_do_not_depend_on_the_block_size(pot, thermal, guard, monkeypatch):
+    # a path's irfft and a row's dot products do not depend on the block
+    # they come in, so the noise and every estimate_mc array are the same
+    # bits at any BLOCK_ROWS: blocks of 1, 16 and 64 rows over 301 nodes and
+    # 70 paths; a guard of 1.6 drops paths of both ensembles, so the rerun
+    # with the keep masks is covered too
+    monkeypatch.setattr(qcle.mc, "BLOWUP_GUARD", guard)
+    grid = TimeGrid(3.0, 301)
+    runs = []
+    for rows in (1, 16, 64):
+        monkeypatch.setattr(qcle.mc, "BLOCK_ROWS", rows)
+        noise = sample_noise(grid, QUANTUM, 70, seed=29)
+        mc = estimate_mc(noise, pot, 0.4, 0.3, 0.1, thermal_v0=thermal)
+        runs.append([noise.values, mc.r_hat.values, mc.stderr_r_hat.values,
+                     mc.excluded, mc.pair_excluded,
+                     *(getattr(mc.moments, name).values for name in MOMENT_NAMES)])
+    for run in runs[1:]:
+        for got, want in zip(run, runs[0]):
+            assert np.array_equal(got, want)
+    excluded, pair_excluded = runs[0][3:5]
+    assert (excluded.any() and pair_excluded.any()) == (guard == 1.6)
 
 
 def _blown_noise(grid, n_paths, seed, paths):
@@ -679,7 +707,7 @@ def test_one_pass_exclusions_match_the_stacked_route():
     for name, want in zip(MOMENT_NAMES,
                           _stacked_moments(ens.trajectories, ens.excluded)):
         assert np.array_equal(getattr(est, name).values, want), name
-    pair_ref = _stacked_moments(diffs, pair_excluded, scale=1.0 / f0_kick)
+    pair_ref = _stacked_moments(diffs, pair_excluded, kick=f0_kick)
     assert np.array_equal(mc.r_hat.values, pair_ref[0])
     assert np.array_equal(mc.stderr_r_hat.values, pair_ref[2])
 
