@@ -64,19 +64,30 @@ def linear_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.fft.irfft(fa, nfft)[..., :n]
 
 
-def hermitian_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def hermitian_transform(a: np.ndarray) -> np.ndarray:
+    """The real DFT (hfft) of the Hermitian A given by its half a = A[0:m],
+    laid out circularly with the period hermitian_convolve uses."""
+    return np.fft.hfft(a, fft_length(3 * a.size - 2))
+
+
+def hermitian_convolve(a: np.ndarray, b: np.ndarray,
+                       fa: np.ndarray) -> np.ndarray:
     """sum_j A[j] B[k-j], k = 0 .. m-1, for Hermitian A, B given by halves
-    a = A[0:m], b = B[0:m]; laid out circularly, each has a real DFT (hfft).
-    When b is a, its one transform is squared.
+    a = A[0:m], b = B[0:m], from the product of their real DFTs; fa is a's,
+    hermitian_transform(a), which a caller convolving a twice takes once.
+    When b is a, fa is squared into a new array and kept; any other b's
+    transform multiplies fa in place, so that convolution uses fa up and
+    no third array of the FFT length is held.
 
     The convolution is circular, of period L = fft_length(3m - 2). A and B
     span -(m-1) .. m-1, so their linear convolution spans -(2m-2) .. 2m-2;
     a kept output k <= m-1 takes its aliases from k - L <= -(2m-1) and
     k + L >= 3m-2, both outside that span, so none wraps.
     """
-    nfft = fft_length(3 * a.size - 2)
-    fa = np.fft.hfft(a, nfft)
-    fa *= fa if b is a else np.fft.hfft(b, nfft)
+    if b is a:
+        fa = fa * fa
+    else:
+        fa *= np.fft.hfft(b, fa.size)
     return np.fft.ihfft(fa)[:a.size]
 
 
@@ -100,15 +111,19 @@ def phase_stepped_sum(coeffs: np.ndarray, x0: float, dx: float,
     the centre of ys, x_k y_j = xc y_j + yc (x_k - xc) + dx dy k j, and
     k j = (k^2 + j^2 - (j - k)^2)/2 turns the sum into one convolution with
     a unit-modulus chirp (Bluestein): O((n + m) log(n + m)) for n
-    coefficients and m points, rows of a 2-D coeffs at once. Centring keeps
-    the chirp phases, and so their roundoff, small where the coefficients
-    are largest; the error is about 1e-13 sum|c|.
+    coefficients and m points. Centring keeps the chirp phases, and so their
+    roundoff, small where the coefficients are largest; the error is about
+    1e-13 sum|c|.
 
     The convolution is circular, of period L = fft_length(n + m - 1), the
     chirp's length. Of the linear convolution's outputs 0 .. 2n+m-3 it keeps
     n-1 .. n+m-2, whose aliases k - L <= -1 and k + L >= 2n+m-2 fall
-    outside, so none wraps. Each transform is taken as soon as its factor
-    is built, and the product is formed in place.
+    outside, so none wraps. The chirp is transformed once, in place; the
+    rows of a 2-D coeffs then go one at a time through one reused work row
+    of length L, transformed and inverted in place, so a call holds two
+    length-L vectors besides its output, whatever the number of rows. Every
+    row does the arithmetic of a batched call, so the bits do not depend on
+    the rows beside it.
     """
     c = np.asarray(coeffs)
     ys = np.asarray(ys, dtype=float)
@@ -119,14 +134,27 @@ def phase_stepped_sum(coeffs: np.ndarray, x0: float, dx: float,
     xc = x0 + kc * dx
     yc = (ys[0] + ys[-1]) / 2.0
     half_beta = sign * dx * dy / 2.0
-    k = np.arange(n) - kc
-    acc = np.fft.fft(c * np.exp(1j * (sign * yc * dx * k + half_beta * k * k)),
-                     nfft)
+    # each index vector is dropped once its factor is built
     d = np.arange(1 - n, m) - ((m - 1) / 2.0 - kc)  # centred j - k
-    acc *= np.fft.fft(np.exp(-1j * half_beta * d * d), nfft)
+    chirp = np.zeros(nfft, dtype=complex)
+    chirp[:d.size] = np.exp(-1j * half_beta * d * d)
+    del d
+    np.fft.fft(chirp, out=chirp)
+    k = np.arange(n) - kc
+    pre = np.exp(1j * (sign * yc * dx * k + half_beta * k * k))
+    del k
     j = np.arange(m) - (m - 1) / 2.0
     post = np.exp(1j * (sign * xc * ys + half_beta * j * j))
-    return post * np.fft.ifft(acc)[..., n - 1:n - 1 + m]
+    out = np.empty(c.shape[:-1] + (m,), dtype=complex)
+    work = np.empty(nfft, dtype=complex)
+    for row, dest in zip(c.reshape(-1, n), out.reshape(-1, m)):
+        np.multiply(row, pre, out=work[:n])
+        work[n:] = 0.0
+        np.fft.fft(work, out=work)
+        work *= chirp
+        np.fft.ifft(work, out=work)
+        np.multiply(post, work[n - 1:n - 1 + m], out=dest)
+    return out
 
 
 def e1m(x):

@@ -31,10 +31,10 @@ from .djm import ConvergenceError, DjmSolution, NonFiniteTermError
 from .grids import FreqGrid, Spectrum, TimeGrid
 # estimate_moments, estimate_response and integrate_qcle stay bound here:
 # perfbench/tracing.py wraps the MC layers under these names
-from .mc import (PathSamplesError, SurvivorsError, SynthesisLengthError,  # noqa: F401
-                 _check_path_samples, _synthesis_length, estimate_mc,
-                 estimate_moments, estimate_response, integrate_qcle,
-                 sample_noise)
+from .mc import (KickResolutionError, PathSamplesError,  # noqa: F401
+                 SurvivorsError, SynthesisLengthError, _check_path_samples,
+                 _synthesis_length, estimate_mc, estimate_moments,
+                 estimate_response, integrate_qcle, sample_noise)
 from .moments import (PlateauError, QuadratureError, SpectralQuadrature,
                       mean_trajectory, variance, variance_spectrum)
 from .params import BathParams, PotentialParams
@@ -552,17 +552,18 @@ def cmd_susceptibility(cfg: RunConfig, out: Path, m: dict) -> int:
 
 def cmd_mc(cfg: RunConfig, out: Path, m: dict) -> int:
     s = cfg.settings
-    noise = sample_noise(cfg.time_grid, cfg.bath, s["n_paths"], s["seed"])
 
     def record(masks):  # the MCEstimate, or the SurvivorsError of the pass
         m["diagnostics"].update(
             n_excluded=int(np.count_nonzero(masks.excluded)),
             n_excluded_pair=int(np.count_nonzero(masks.pair_excluded)))
 
-    # the moments ensemble and the kick pair in one pass
+    # the moments ensemble and the kick pair in one pass; no name holds the
+    # noise, so it is freed before the CSVs are written
     try:
-        est = estimate_mc(noise, cfg.potential, cfg.q0, cfg.v0, s["f0_kick"],
-                          thermal_v0=s["thermal_v0"])
+        est = estimate_mc(
+            sample_noise(cfg.time_grid, cfg.bath, s["n_paths"], s["seed"]),
+            cfg.potential, cfg.q0, cfg.v0, s["f0_kick"], thermal_v0=s["thermal_v0"])
     except SurvivorsError as e:
         record(e)
         raise
@@ -641,7 +642,7 @@ SUBCOMMANDS = {
 NUMERICAL_ERRORS = (ConvergenceError, NonFiniteTermError, QuadratureError,
                     PlateauError, EdgeToleranceError, StepInstabilityError,
                     kernels.MatsubaraTruncationError, SurvivorsError,
-                    NonFiniteOutputError)
+                    KickResolutionError, NonFiniteOutputError)
 
 
 def _config_error(messages: list[str]) -> int:

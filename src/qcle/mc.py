@@ -66,6 +66,11 @@ class PathSamplesError(ValueError):
     """An ensemble would exceed MAX_PATH_SAMPLES path samples."""
 
 
+class KickResolutionError(ValueError):
+    """The kick is lost in rounding: v + f0_kick == v for some pair's base
+    start velocity v, so that pair's difference reads 0 at every node."""
+
+
 class SurvivorsError(ValueError):
     """Fewer than 2 paths of an ensemble or kick pair survived the guard.
 
@@ -473,15 +478,20 @@ def estimate_mc(noise: NoiseEnsemble, potential: PotentialParams, q0, v0,
     noise, and its bytes do not depend on BLOCK_ROWS. A failed path is
     excluded from every node, so when any fails the pass reruns with the
     exclusions known; with fewer than 2 survivors in the ensemble or the
-    pair, the SurvivorsError carries both masks.
+    pair, the SurvivorsError carries both masks. A kick that some pair's
+    base velocity absorbs (a zero kick, or one below that velocity's last
+    bit) raises KickResolutionError before the pass.
     """
-    if f0_kick == 0:
-        raise ValueError("f0_kick must be nonzero")
     n_paths, grid = noise.n_paths, noise.grid
     v_base = _base_velocities(noise, thermal_v0)
     q0, v0 = (np.stack([np.broadcast_to(np.asarray(x, dtype=float), (n_paths,))
                         for x in xs])
               for xs in ((q0, 0.0, 0.0), (v0, v_base, v_base + f0_kick)))
+    lost = int(np.count_nonzero(v0[2] == v0[1]))
+    if lost:
+        raise KickResolutionError(
+            f"f0_kick = {f0_kick!r} is below the resolution of the base "
+            f"velocities: v0 + f0_kick == v0 for {lost} of {n_paths} kick pairs")
     ring = np.empty((BLOCK_ROWS + 1, *q0.shape))
 
     def run(keep_moments, keep_pair):

@@ -130,8 +130,12 @@ def _window_power(grid: TimeGrid, gamma: float, eta: float, omega: np.ndarray,
     m_uu = c @ (np.abs(u) ** 2)
     m_bb = c @ bb
     m_ub = c @ ub
-    f_ub, f_bb = np.split(phase_stepped_sum(np.vstack([c * ub, c * bb]), omega[0],
-                                            omega[1] - omega[0], t, -1), 2)
+    rows = c.shape[0]
+    cw = np.empty((2 * rows, omega.size), dtype=complex)
+    np.multiply(c, ub, out=cw[:rows])
+    np.multiply(c, bb, out=cw[rows:])
+    f_ub, f_bb = np.split(
+        phase_stepped_sum(cw, omega[0], omega[1] - omega[0], t, -1), 2)
     x = kernels.chi_v(t, gamma, eta)
     e = np.exp(sm * t)
     out += (m_uu[:, None] * x**2 + m_bb[:, None] * (np.abs(e) ** 2 + 1.0)

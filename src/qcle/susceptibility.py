@@ -45,7 +45,8 @@ import numpy as np
 from . import kernels
 # linear_convolve is unused here, but perfbench/tracing.py rebinds this name
 from ._numutil import (hermitian_convolve, linear_convolve,  # noqa: F401
-                       phase_stepped_sum, square, trapezoid_weights)
+                       hermitian_transform, phase_stepped_sum, square,
+                       trapezoid_weights)
 from .djm import DjmSolution, djm_solve
 from .grids import FreqGrid, SampledSignal, Spectrum, TimeGrid
 from .params import BathParams, PotentialParams
@@ -86,15 +87,17 @@ def phi_omega(problem: SusceptibilityProblem) -> Spectrum:
     return Spectrum(problem.grid, chit, dirac)
 
 
-def _convolve_spectra(a: Spectrum, b: Spectrum) -> Spectrum:
-    """(a * b)(w) = int a(w - w') b(w') dw' on the grid.
+def _convolve_spectra(a: Spectrum, b: Spectrum, fa: np.ndarray) -> Spectrum:
+    """(a * b)(w) = int a(w - w') b(w') dw' on the grid, given fa =
+    hermitian_transform(a.half), which hermitian_convolve uses up unless b
+    is a.
 
     regular*regular by grid summation (zero padding outside); a Dirac at
     w = 0 adds its weight times the other regular part, and two Diracs give
     one at w = 0 with the product weight, taken in numpy so that an overflow
     raises under the caller's errstate. psi_operator checks the grids.
     """
-    reg = hermitian_convolve(a.half, b.half) * a.grid.d_omega
+    reg = hermitian_convolve(a.half, b.half, fa) * a.grid.d_omega
     # adding a zero weight would still turn a -0.0 of reg into +0.0
     if a.dirac:
         reg += a.dirac * b.half
@@ -104,18 +107,27 @@ def _convolve_spectra(a: Spectrum, b: Spectrum) -> Spectrum:
 
 
 def psi_operator(chi: Spectrum, problem: SusceptibilityProblem) -> Spectrum:
-    """Nonlinear frequency-domain operator (zero when alpha = 0)."""
+    """Nonlinear frequency-domain operator (zero when alpha = 0).
+
+    chi's half is transformed once per application and that transform
+    serves both convolutions: chi * chi squares it, and chi * bracket,
+    taken last, multiplies it in place. Two forward and two inverse
+    transforms in all.
+    """
     if chi.grid != problem.grid:
         raise ValueError("chi must live on the problem grid")
     pot = problem.potential
     two_pi = 2.0 * np.pi
     f02 = square(pot.f0)
-    chi2 = _convolve_spectra(chi, chi)
+    fchi = hermitian_transform(chi.half)
+    chi2 = _convolve_spectra(chi, chi, fchi)
     bracket_reg = pot.alpha * (3.0 * problem.sigma2_spec.half
                                + (f02 / two_pi) * chi2.half)
     bracket_dirac = (pot.alpha * 3.0 * problem.sigma2_spec.dirac
                      + pot.alpha * (f02 / two_pi) * chi2.dirac)
-    outer = _convolve_spectra(chi, Spectrum(problem.grid, bracket_reg, bracket_dirac))
+    outer = _convolve_spectra(
+        chi, Spectrum(problem.grid, bracket_reg, bracket_dirac), fchi)
+    del fchi  # used up by the outer convolution
     chit = problem.chi_tilde_half
     reg = -(1.0 / two_pi) * chit * outer.half
     dirac = -(1.0 / two_pi) * chit[0].real * outer.dirac

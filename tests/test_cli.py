@@ -9,6 +9,7 @@ import sys
 import time
 import tracemalloc
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -519,14 +520,17 @@ def _tree(root: Path) -> dict:
                  [], 0, id="nu_square"),
     pytest.param("mc", {"base": BISTABLE, "overrides": ESCAPED}, [], 3,
                  id="mc_no_survivors"),
-    # 1/f0_kick and its square overflow at these kicks; dividing by the kick
-    # gives finite columns (R_hat = 0 past the paths' resolution)
+    # below the resolution of the preset's thermal base velocities, where
+    # v0 + f0_kick == v0 and R_hat would read 0 at every node
+    pytest.param("mc", {"base": BISTABLE,
+                        "overrides": {**SHORT_MC, "mc.f0_kick": 1e-100}},
+                 [], 3, id="mc_kick_1e-100"),
     pytest.param("mc", {"base": BISTABLE,
                         "overrides": {**SHORT_MC, "mc.f0_kick": 1e-300}},
-                 [], 0, id="mc_kick_1e-300"),
+                 [], 3, id="mc_kick_1e-300"),
     pytest.param("mc", {"base": BISTABLE,
                         "overrides": {**SHORT_MC, "mc.f0_kick": 5e-324}},
-                 [], 0, id="mc_kick_subnormal"),
+                 [], 3, id="mc_kick_subnormal"),
     # a two-node grid has no interior node for the ODE residual
     pytest.param("response", {"base": BISTABLE, "overrides": {"time_grid.n": 2}},
                  [], 0, id="response_two_nodes"),
@@ -714,6 +718,29 @@ def test_mc_draws_the_noise_once(tmp_path, monkeypatch):
     cfg = _write_config(tmp_path, overrides={"mc.n_paths": 50})
     assert main(["mc", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
     assert len(calls) == 1
+
+
+def test_mc_frees_the_noise_before_writing(tmp_path, monkeypatch):
+    # no name holds the noise past the pass, so its buffer (24 MB on the
+    # preset) is not alive while the CSVs are written
+    import qcle.cli
+    refs, alive = [], []
+    draw, write = qcle.cli.sample_noise, qcle.cli.write_csv
+
+    def drawing(*args, **kwargs):
+        noise = draw(*args, **kwargs)
+        refs.extend([weakref.ref(noise), weakref.ref(noise.values)])
+        return noise
+
+    def writing(*args, **kwargs):
+        alive.append([r() is not None for r in refs])
+        return write(*args, **kwargs)
+
+    monkeypatch.setattr(qcle.cli, "sample_noise", drawing)
+    monkeypatch.setattr(qcle.cli, "write_csv", writing)
+    cfg = _write_config(tmp_path, overrides={"mc.n_paths": 50})
+    assert main(["mc", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+    assert alive == [[False, False]] * 2
 
 
 def test_mc_holds_one_trajectory_set_at_a_time(tmp_path):

@@ -10,8 +10,8 @@ from qcle import (BathParams, PotentialParams, SpectralQuadrature, TimeGrid,
                   chi_q, chi_v, estimate_mc, estimate_moments, estimate_response,
                   integrate_qcle, noise_psd, sample_noise, variance)
 from qcle.mc import (BLOCK_ROWS, MAX_PATH_SAMPLES, MAX_SYNTHESIS_LENGTH,
-                     NOISE_BLOCK_SAMPLES, Ensemble, NoiseEnsemble,
-                     PathSamplesError, SurvivorsError,
+                     NOISE_BLOCK_SAMPLES, Ensemble, KickResolutionError,
+                     NoiseEnsemble, PathSamplesError, SurvivorsError,
                      SynthesisLengthError, _propagator_constants,
                      _synthesis_length, thermal_velocities)
 from qcle.moments import _preparation_cross_term
@@ -527,6 +527,22 @@ def test_response_pair_without_survivors_raises():
     with pytest.raises(SurvivorsError, match="1 of 40") as info:
         estimate_response(HARMONIC, noise, f0_kick=1e9)
     assert info.value.excluded.sum() == 39 and info.value.pair_excluded.sum() == 40
+
+
+def test_kick_below_the_base_velocities_resolution_raises():
+    # a kick that a pair's thermal base velocity v absorbs (v + f0_kick == v)
+    # would give that pair a zero difference at every node: refused before
+    # the pass, counting the pairs that lost it; a zero kick loses every pair
+    grid = TimeGrid(1.0, 51)
+    noise = sample_noise(grid, CLASSICAL, 40, seed=3)
+    v = thermal_velocities(CLASSICAL, 40, 3)
+    for kick in (0.0, 1e-17, 5e-324):
+        lost = int(np.count_nonzero(v + kick == v))
+        assert 0 < lost <= 40 and (lost == 40) == (kick != 1e-17)
+        with pytest.raises(KickResolutionError, match=f" {lost} of 40 kick pairs"):
+            estimate_mc(noise, HARMONIC, 0.0, 0.0, kick, thermal_v0=True)
+    # at zero base velocity every kick is resolved
+    estimate_mc(noise, HARMONIC, 0.0, 0.0, 5e-324)
 
 
 def _stacked_moments(traj, excluded=None, kick=1.0):

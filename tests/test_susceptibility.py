@@ -8,6 +8,7 @@ from qcle import (BathParams, EdgeToleranceError, FreqGrid, PotentialParams,
                   phi_omega, psi_operator, response_from_susceptibility,
                   solve_susceptibility)
 from qcle import kernels
+from qcle._numutil import hermitian_convolve, hermitian_transform
 from qcle.params import parabolic
 from qcle.susceptibility import _inverse_transform
 
@@ -120,6 +121,60 @@ def test_psi_matches_complex_route(epsilon, s_dirac):
         assert np.max(np.abs(ours.full() - ref)) <= 1e-14 * scale
         assert ours.dirac == ref_dirac
         chi = chi + ours
+
+
+def _convolve_spectra_afresh(a, b):
+    """Reference: susceptibility._convolve_spectra with hermitian_convolve
+    transforming a's half itself."""
+    reg = hermitian_convolve(a.half, b.half, hermitian_transform(a.half))
+    reg *= a.grid.d_omega
+    if a.dirac:
+        reg += a.dirac * b.half
+    if b.dirac:
+        reg += b.dirac * a.half
+    return Spectrum(a.grid, reg, np.float64(a.dirac) * b.dirac)
+
+
+def _psi_two_convolutions(chi, problem):
+    """Reference: psi_operator with each convolution transforming chi's
+    half afresh."""
+    pot = problem.potential
+    two_pi = 2.0 * np.pi
+    f02 = pot.f0**2
+    chi2 = _convolve_spectra_afresh(chi, chi)
+    bracket = Spectrum(problem.grid,
+                       pot.alpha * (3.0 * problem.sigma2_spec.half
+                                    + (f02 / two_pi) * chi2.half),
+                       pot.alpha * 3.0 * problem.sigma2_spec.dirac
+                       + pot.alpha * (f02 / two_pi) * chi2.dirac)
+    outer = _convolve_spectra_afresh(chi, bracket)
+    chit = problem.chi_tilde_half
+    return Spectrum(problem.grid, -(1.0 / two_pi) * chit * outer.half,
+                    -(1.0 / two_pi) * chit[0].real * outer.dirac)
+
+
+@pytest.mark.parametrize("dirac", [0.0, 0.1], ids=["no_dirac", "dirac"])
+def test_psi_transforms_chi_once(monkeypatch, dirac):
+    # one hfft of chi's half serves chi * chi and chi * bracket (the parent
+    # took it once per convolution: 3 hfft per application), with the bits
+    # of the two separate convolutions
+    grid = FreqGrid(40.0, 2001)
+    w = _half(grid)
+    s2 = Spectrum(grid, 1.0 / (1.0 + w * w) + 1j * w / (1.0 + w * w) ** 2,
+                  2.0 * np.pi * 0.3 if dirac else 0.0)
+    pot = PotentialParams(eta=1.0, alpha=0.5, epsilon=dirac, f0=0.3)
+    prob = SusceptibilityProblem(pot, BATH, s2)
+    chi = phi_omega(prob)
+    chi = chi + psi_operator(chi, prob)
+    assert (chi.dirac != 0) == bool(dirac)
+    calls = []
+    hfft = np.fft.hfft
+    monkeypatch.setattr(np.fft, "hfft", lambda *a, **k: calls.append(1) or hfft(*a, **k))
+    psi = psi_operator(chi, prob)
+    assert len(calls) == 2
+    ref = _psi_two_convolutions(chi, prob)
+    assert np.array_equal(psi.half.view(np.uint64), ref.half.view(np.uint64))
+    assert np.float64(psi.dirac).view(np.uint64) == np.float64(ref.dirac).view(np.uint64)
 
 
 def test_psi_time_domain_oracle():
