@@ -32,9 +32,10 @@ from .grids import FreqGrid, Spectrum, TimeGrid
 # estimate_moments, estimate_response and integrate_qcle stay bound here:
 # perfbench/tracing.py wraps the MC layers under these names
 from .mc import (KickResolutionError, PathSamplesError,  # noqa: F401
-                 SurvivorsError, SynthesisLengthError, _check_path_samples,
-                 _synthesis_length, estimate_mc, estimate_moments,
-                 estimate_response, integrate_qcle, sample_noise)
+                 StepResolutionError, SurvivorsError, SynthesisLengthError,
+                 _check_path_samples, _synthesis_length, estimate_mc,
+                 estimate_moments, estimate_response, integrate_qcle,
+                 sample_noise)
 from .moments import (PlateauError, QuadratureError, SpectralQuadrature,
                       mean_trajectory, variance, variance_spectrum)
 from .params import BathParams, PotentialParams
@@ -642,7 +643,7 @@ SUBCOMMANDS = {
 NUMERICAL_ERRORS = (ConvergenceError, NonFiniteTermError, QuadratureError,
                     PlateauError, EdgeToleranceError, StepInstabilityError,
                     kernels.MatsubaraTruncationError, SurvivorsError,
-                    KickResolutionError, NonFiniteOutputError)
+                    KickResolutionError, StepResolutionError, NonFiniteOutputError)
 
 
 def _config_error(messages: list[str]) -> int:

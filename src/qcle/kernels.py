@@ -30,9 +30,9 @@ def omega0(gamma: float, eta: float) -> complex:
 def effective_roots(gamma: float, eta: float) -> tuple[complex, complex, complex]:
     """Characteristic roots s_+/- of s^2 + gamma*s + eta and their separation.
 
-    Near critical damping the separation is widened to 2e-5 so that divided
-    differences of the form [F(s_+) - F(s_-)]/(s_+ - s_-) remain stable; the
-    induced error is O(separation^2).
+    Near critical damping the separation is widened to 2e-5, so that the
+    divisions by w0 in moments (_window_power's near branch and
+    _preparation_cross_term) stay finite; the error is O(separation^2).
     """
     w0 = omega0(gamma, eta)
     if abs(w0) < 2e-5:

@@ -33,7 +33,7 @@ from typing import Iterator, Optional
 import numpy as np
 
 from . import kernels
-from ._numutil import e1m, fft_length
+from ._numutil import fft_length
 from .grids import SampledSignal, TimeGrid
 from .params import BathParams, PotentialParams
 
@@ -56,6 +56,8 @@ BLOCK_ROWS = 16
 DOT_PATHS = 8192
 # default |q| past which a path is excluded
 BLOWUP_GUARD = 1e8
+# most panels of the step's force-weight rule, 16 nodes each
+MAX_FORCE_PANELS = 4096
 
 
 class SynthesisLengthError(ValueError):
@@ -64,6 +66,10 @@ class SynthesisLengthError(ValueError):
 
 class PathSamplesError(ValueError):
     """An ensemble would exceed MAX_PATH_SAMPLES path samples."""
+
+
+class StepResolutionError(ValueError):
+    """The step's force weights would need more than MAX_FORCE_PANELS panels."""
 
 
 class KickResolutionError(ValueError):
@@ -226,34 +232,34 @@ def sample_noise(grid: TimeGrid, bath: BathParams, n_paths: int,
 
 
 def _propagator_constants(gamma: float, eta: float, h: float):
-    """Exact one-step linear propagator and trapezoidal force weights.
+    """One-step linear propagator and force weights, exact to roundoff.
 
-    The homogeneous step is (q, v) -> (pqq q + pqv v, pvq q + pvv v); a force
-    sampled as F_j, F_{j+1} enters as a*F_j + b*F_{j+1} through the exact
-    variation-of-constants integrals of chi_v and chi_v_dot.
+    The homogeneous step is (q, v) -> (pqq q + pqv v, pvq q + pvv v), from the
+    closed-form kernels at h. A force interpolated linearly from F_j to
+    F_{j+1} adds a*F_j + b*F_{j+1}, with weights from j0 = int_0^h chi_v and
+    j1 = int_0^h u chi_v(u) du (chi_v_dot integrates by parts into chi_v):
+    a 16-node Gauss-Legendre rule on ceil(h (gamma + |omega0|)/2) equal
+    panels, each at most 1/max|s_+-| wide. The panel count depends only on
+    the dimensionless h (gamma + |omega0|), so exact scalings keep the bits.
+    Raises StepResolutionError past MAX_FORCE_PANELS panels.
     """
-    sp, sm, w0 = kernels.effective_roots(gamma, eta)
-
-    def e1(s):  # int_0^h e^{su} du
-        return h * e1m(-s * h)
-
-    def q1(s):  # int_0^h u e^{su} du
-        x = s * h
-        if abs(x) < 1e-4:
-            return h * h * (0.5 + x / 3.0 + x * x / 8.0 + x**3 / 30.0)
-        return (np.exp(x) * (x - 1.0) + 1.0) / (s * s)
-
+    x = h * (gamma + abs(kernels.omega0(gamma, eta))) / 2.0
+    if not x <= MAX_FORCE_PANELS:
+        raise StepResolutionError(
+            f"the MC step dt = {h!r} needs {x:.3g} force-weight panels, past "
+            f"the cap of {MAX_FORCE_PANELS}; use a finer time grid")
+    panels = max(1, int(np.ceil(x)))
     pqq = float(kernels.chi_q(h, gamma, eta))
     pqv = float(kernels.chi_v(h, gamma, eta))
     pvv = float(kernels.chi_v_dot(h, gamma, eta))
     pvq = -eta * pqv  # chi_q_dot = -eta chi_v
-    j0 = complex((e1(sp) - e1(sm)) / w0).real
-    j1 = complex((q1(sp) - q1(sm)) / w0).real
-    a_q = j1 / h
-    b_q = j0 - j1 / h
-    a_v = pqv - j0 / h
-    b_v = j0 / h
-    return pqq, pqv, pvq, pvv, a_q, b_q, a_v, b_v
+    nodes, weights = np.polynomial.legendre.leggauss(16)
+    half = h / (2 * panels)  # half a panel's width
+    u = (2 * np.arange(panels)[:, None] + 1 + nodes) * half
+    f = kernels.chi_v(u, gamma, eta) * (weights * half)
+    j0, j1 = float(np.sum(f)), float(np.sum(f * u))
+    # (a_q, b_q, a_v, b_v)
+    return pqq, pqv, pvq, pvv, j1 / h, j0 - j1 / h, pqv - j0 / h, j0 / h
 
 
 def _step_rows(noise: NoiseEnsemble, potential: PotentialParams, q0, v0,

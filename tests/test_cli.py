@@ -520,6 +520,9 @@ def _tree(root: Path) -> dict:
                  [], 0, id="nu_square"),
     pytest.param("mc", {"base": BISTABLE, "overrides": ESCAPED}, [], 3,
                  id="mc_no_survivors"),
+    # 1e6 panels of the step's force weights at gamma = 1e8
+    pytest.param("mc", {"base": BISTABLE, "overrides": {**SHORT_MC, "bath.gamma": 1e8}},
+                 [], 3, id="mc_force_weight_panels"),
     # below the resolution of the preset's thermal base velocities, where
     # v0 + f0_kick == v0 and R_hat would read 0 at every node
     pytest.param("mc", {"base": BISTABLE,

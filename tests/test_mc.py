@@ -11,8 +11,8 @@ from qcle import (BathParams, PotentialParams, SpectralQuadrature, TimeGrid,
                   integrate_qcle, noise_psd, sample_noise, variance)
 from qcle.mc import (BLOCK_ROWS, MAX_PATH_SAMPLES, MAX_SYNTHESIS_LENGTH,
                      NOISE_BLOCK_SAMPLES, Ensemble, KickResolutionError,
-                     NoiseEnsemble, PathSamplesError, SurvivorsError,
-                     SynthesisLengthError, _propagator_constants,
+                     NoiseEnsemble, PathSamplesError, StepResolutionError,
+                     SurvivorsError, SynthesisLengthError, _propagator_constants,
                      _synthesis_length, thermal_velocities)
 from qcle.moments import _preparation_cross_term
 from qcle.params import parabolic
@@ -139,6 +139,34 @@ def test_zero_noise_matches_closed_forms():
     ens = integrate_qcle(zn, parabolic(), q0=1.0, v0=0.5)
     exact = chi_q(grid.times, 1.0, 1.0) + 0.5 * chi_v(grid.times, 1.0, 1.0)
     assert np.max(np.abs(ens.trajectories[0] - exact)) < 1e-12
+
+
+# a ramp force is its own linear interpolation, so the step is exact on it:
+# measured 2.0e-14 and 4.2e-13
+@pytest.mark.parametrize("gamma,eta,grid", [
+    (2.0, 1.0, TimeGrid(15.0, 1501)),
+    (1.0, 1.0, TimeGrid(0.165, 1501)),
+], ids=["critical", "h_1.1e-4"])
+def test_ramp_force_matches_closed_form(gamma, eta, grid):
+    t = grid.times
+    ramp = NoiseEnsemble(grid, BathParams(gamma, 1.0, 1e4), np.tile(t, (2, 1)), seed=0)
+    buf = np.empty((grid.n, 2))
+    alive = np.ones(2, dtype=bool)
+    for _ in qcle.mc._step_rows(ramp, PotentialParams(eta=eta), 0.0, 0.0, 1e8,
+                                buf, alive):
+        pass
+    exact = (t - chi_v(t, gamma, eta) - gamma * (1.0 - chi_q(t, gamma, eta)) / eta) / eta
+    assert np.max(np.abs(buf - exact[:, None])) <= 1e-12 * np.max(np.abs(exact))
+
+
+def test_force_weight_panels_capped():
+    # at gamma = 1024, eta = 0 (omega0 = 1024) the step h = 4 takes exactly
+    # the cap; the next float is refused, and so are gamma = 1e8 at the
+    # presets' step (1e6 panels of 16 nodes) and an omega0 that overflows
+    assert np.all(np.isfinite(_propagator_constants(1024.0, 0.0, 4.0)))
+    for gamma, h in ((1024.0, np.nextafter(4.0, 5.0)), (1e8, 0.01), (1e300, 0.01)):
+        with pytest.raises(StepResolutionError, match="cap"):
+            _propagator_constants(gamma, 0.0, h)
 
 
 def test_zero_noise_nonlinear_vs_rk4():
